@@ -10,6 +10,7 @@ from .analyzer import (
     MissingDcs,
     OptimalityReport,
     SpectralSummary,
+    TraceMismatch,
     a_optimality,
     check_sbbd,
     classify_blocks,
@@ -73,6 +74,7 @@ from .ordered_designs import (
 )
 from .rl_designs import (
     BlockDesign,
+    CatalogMismatch,
     NotADifferenceSet,
     NotInCatalog,
     NotPairBalanced,

@@ -9,6 +9,11 @@ panel products:
     (IV)  diag(X_i^T X_j), i != j, constant lambda21
     (V)   offdiag(X_i^T X_j), i != j, constant lambda22
 
+The panel products are the v2 x v2 blocks of one Gram X^T X, computed as a
+single float64 BLAS product and converted to int64.  Its entries are counts
+of at most N blocks, so it is exact for N < 2^53.  Conditions (II)-(V) are
+checked on its (v1, v2, v1, v2) view in one vectorised comparison.
+
 When (II)-(V) hold the information matrix X^T X is double completely
 symmetric and its spectrum is closed-form.  With a = mu - l12, b = l12,
 c = l21 - l22, d = l22:
@@ -43,6 +48,10 @@ class ConditionViolation(SbbdError):
 
 class MissingDcs(SbbdError):
     """The information matrix is not double completely symmetric."""
+
+
+class TraceMismatch(SbbdError):
+    """The closed-form spectrum disagrees with the trace of X^T X."""
 
 
 class DegenerateDesign(SbbdError):
@@ -122,92 +131,65 @@ class OptimalityReport:
 def _require_bipartite(x: DesignMatrix) -> None:
     if x.v1 < 2 or x.v2 < 2:
         raise DimensionError("analysis needs v1 >= 2 and v2 >= 2")
+    if x.n_rows == 0:
+        raise DimensionError("need at least one block")
 
 
-def _panel_scan(x: DesignMatrix):
-    """Measure (mu, l12, l21, l22) by scanning every panel product.
+def _gram(x: DesignMatrix) -> np.ndarray:
+    """Exact int64 X^T X from one float64 BLAS product.
 
-    Returns (params, None) when (II)-(V) hold, else (None, violation).
+    Every entry, and every partial sum, is a count of at most N = n_rows,
+    so the float64 product is exact while N < 2^53.
     """
-    panels = [x.panel(i) for i in range(1, x.v1 + 1)]
-    v2 = x.v2
-    off = ~np.eye(v2, dtype=bool)
-    mu = l12 = l21 = l22 = None
+    _require_bipartite(x)
+    m = x.matrix.astype(np.float64)
+    gram = m.T @ m
+    del m
+    exact = gram.view(np.int64)
+    for row, counts in zip(exact, gram):  # cast in place, so no second copy is held
+        row[...] = counts
+    return exact
 
-    def first_bad(mat, mask, expected):
-        coords = np.argwhere(mask & (mat != expected))
-        return (int(coords[0][0]) + 1, int(coords[0][1]) + 1)
 
-    for i in range(x.v1):
-        for j in range(x.v1):
-            prod = panels[i].T @ panels[j]
-            diag = np.diag(prod)
-            if i == j:
-                if mu is None:
-                    mu = int(diag[0])
-                if (diag != mu).any():
-                    pos = int(np.flatnonzero(diag != mu)[0]) + 1
-                    return None, ConditionViolation(
-                        "II",
-                        {"panel": i + 1, "position": (pos, pos)},
-                        f"diagonal of X_{i + 1}^T X_{i + 1} is "
-                        f"{int(diag[pos - 1])} at {pos}, expected mu = {mu}",
-                    )
-                if v2 > 1:
-                    if l12 is None:
-                        l12 = int(prod[0, 1])
-                    if (prod[off] != l12).any():
-                        pos = first_bad(prod, off, l12)
-                        return None, ConditionViolation(
-                            "III",
-                            {"panel": i + 1, "position": pos},
-                            f"off-diagonal of X_{i + 1}^T X_{i + 1} at {pos} is "
-                            f"{int(prod[pos[0] - 1, pos[1] - 1])}, expected "
-                            f"lambda12 = {l12}",
-                        )
-            else:
-                if l21 is None:
-                    l21 = int(diag[0])
-                if (diag != l21).any():
-                    pos = int(np.flatnonzero(diag != l21)[0]) + 1
-                    return None, ConditionViolation(
-                        "IV",
-                        {"panels": (i + 1, j + 1), "position": (pos, pos)},
-                        f"diagonal of X_{i + 1}^T X_{j + 1} is "
-                        f"{int(diag[pos - 1])} at {pos}, expected "
-                        f"lambda21 = {l21}",
-                    )
-                if v2 > 1:
-                    if l22 is None:
-                        l22 = int(prod[0, 1])
-                    if (prod[off] != l22).any():
-                        pos = first_bad(prod, off, l22)
-                        return None, ConditionViolation(
-                            "V",
-                            {"panels": (i + 1, j + 1), "position": pos},
-                            f"off-diagonal of X_{i + 1}^T X_{j + 1} at {pos} is "
-                            f"{int(prod[pos[0] - 1, pos[1] - 1])}, expected "
-                            f"lambda22 = {l22}",
-                        )
-    params = SbbdParameters(
-        v1=x.v1,
-        v2=x.v2,
-        n_rows=x.n_rows,
-        mu=mu,
-        lambda12=l12,
-        lambda21=l21,
-        lambda22=l22,
+def _dcs(x: DesignMatrix, gram: np.ndarray):
+    """Measure (mu, l12, l21, l22) on the panel products X_i^T X_j of the Gram.
+
+    Returns (params, None) when (II)-(V) hold, else (None, violation) for the
+    first bad panel pair in row-major order, its diagonal before its
+    off-diagonal, and positions in row-major order.
+    """
+    v1, v2 = x.v1, x.v2
+    p = gram.reshape(v1, v2, v1, v2).transpose(0, 2, 1, 3)  # p[i, j] = X_i^T X_j
+    lam = p[0, :2, 0, :2].ravel().tolist()  # [mu, l12, l21, l22]
+    on = np.eye(v2, dtype=bool)
+    same = np.arange(v1)
+    bad = p != np.where(on, lam[2], lam[3])
+    bad[same, same] = p[same, same] != np.where(on, lam[0], lam[1])
+    pairs = np.flatnonzero(bad.any(axis=(2, 3)))
+    if pairs.size == 0:
+        return SbbdParameters(v1, v2, x.n_rows, *lam), None
+    i, j = divmod(int(pairs[0]), v1)
+    on_bad = np.flatnonzero(np.diagonal(bad[i, j]))
+    r, c = (on_bad[0], on_bad[0]) if on_bad.size else np.argwhere(bad[i, j])[0]
+    k = 2 * (i != j) + (on_bad.size == 0)
+    pos = (int(r) + 1, int(c) + 1)
+    prod = f"X_{i + 1}^T X_{j + 1}"
+    found = int(p[i, j, r, c])
+    expected = f"{('mu', 'lambda12', 'lambda21', 'lambda22')[k]} = {lam[k]}"
+    witness = {"panel": i + 1} if i == j else {"panels": (i + 1, j + 1)}
+    witness["position"] = pos
+    message = (
+        f"off-diagonal of {prod} at {pos} is {found}, expected {expected}"
+        if k % 2
+        else f"diagonal of {prod} is {found} at {pos[0]}, expected {expected}"
     )
-    return params, None
+    return None, ConditionViolation(("II", "III", "IV", "V")[k], witness, message)
 
 
 def is_spanning(x: DesignMatrix) -> bool:
     """Condition (I): every block touches every point on both sides."""
-    panels = [x.panel(i) for i in range(1, x.v1 + 1)]
-    if any((p.sum(axis=1) == 0).any() for p in panels):
-        return False
-    total = sum(panels)
-    return not (total == 0).any()
+    masks = x.matrix.reshape(x.n_rows, x.v1, x.v2)
+    return bool(masks.any(axis=2).all() and masks.any(axis=1).all())
 
 
 def check_sbbd(x: DesignMatrix) -> SbbdParameters:
@@ -217,8 +199,7 @@ def check_sbbd(x: DesignMatrix) -> SbbdParameters:
     (I) distinguishes an SBBD from an SBBD* and is reported separately by
     is_spanning().
     """
-    _require_bipartite(x)
-    params, violation = _panel_scan(x)
+    params, violation = _dcs(x, _gram(x))
     if violation is not None:
         raise violation
     return params
@@ -226,12 +207,9 @@ def check_sbbd(x: DesignMatrix) -> SbbdParameters:
 
 def information_matrix(x: DesignMatrix) -> InformationMatrix:
     """Exact X^T X with double-complete-symmetry detection."""
-    _require_bipartite(x)
-    dense = x.matrix.T @ x.matrix
-    params, violation = _panel_scan(x)
-    return InformationMatrix(
-        v1=x.v1, v2=x.v2, dense=dense, dcs=params if violation is None else None
-    )
+    gram = _gram(x)
+    params, _ = _dcs(x, gram)
+    return InformationMatrix(v1=x.v1, v2=x.v2, dense=gram, dcs=params)
 
 
 def spectrum(info: InformationMatrix) -> SpectralSummary:
@@ -253,8 +231,12 @@ def spectrum(info: InformationMatrix) -> SpectralSummary:
         trace=p.mu * v1 * v2,
     )
     weighted = sum(val * mult for val, mult in summary.pairs())
-    assert weighted == summary.trace, "spectrum trace identity failed"
-    assert int(np.trace(info.dense)) == summary.trace
+    dense_trace = int(np.trace(info.dense))
+    if not weighted == summary.trace == dense_trace:
+        raise TraceMismatch(
+            f"eigenvalues sum to {weighted}, mu v1 v2 = {summary.trace} and"
+            f" trace(X^T X) = {dense_trace}; they must agree"
+        )
     return summary
 
 
@@ -322,11 +304,11 @@ def a_optimality(x: DesignMatrix) -> OptimalityReport:
     k = k1 v1 measured from the blocks; equality plus the SBBD conditions
     yields the optimality verdict.
     """
-    info = information_matrix(x)
-    if info.dcs is None:
-        check_sbbd(x)  # raises with the witness
-    params = info.dcs
-    spec = spectrum(info)
+    gram = _gram(x)
+    params, violation = _dcs(x, gram)
+    if violation is not None:
+        raise violation
+    spec = spectrum(InformationMatrix(v1=x.v1, v2=x.v2, dense=gram, dcs=params))
     spanning = is_spanning(x)
     reg = classify_blocks(x)
     if spec.alpha <= 0:

@@ -2,8 +2,10 @@
 
 Subcommands: design verify, od construct, od verify, compose, analyze,
 simulate, mask.  Exit codes: 0 success, 1 verification failure, 2 usage
-error.  All randomness is seeded; --seed defaults to 1729 so repeated
-invocations are byte-identical.
+error.  On exit 1, commands run with --json and the mask command also print
+{"error", "condition", "witness", "message"} as JSON on stdout.  All
+randomness is seeded; --seed defaults to 1729 so repeated invocations are
+byte-identical.
 
 Design matrices travel as header-less CSV, which does not carry the
 (v1, v2) split.  Commands reading a CSV accept --v1/--v2 and default to the
@@ -260,6 +262,16 @@ def _cmd_mask(args) -> int:
     return 0
 
 
+def _error_payload(exc: SbbdError) -> dict:
+    """Machine-readable exit-1 report; condition and witness are None unless set."""
+    return {
+        "error": type(exc).__name__,
+        "condition": getattr(exc, "condition", None),
+        "witness": getattr(exc, "witness", None),
+        "message": str(exc),
+    }
+
+
 def _add_dims(p: argparse.ArgumentParser) -> None:
     p.add_argument("--v1", type=int, help="left point count for CSV input")
     p.add_argument("--v2", type=int, help="right point count for CSV input")
@@ -345,6 +357,8 @@ def main(argv=None) -> int:
         return 2
     except SbbdError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        if getattr(args, "json", False) or args.command == "mask":
+            print(json.dumps(_error_payload(exc)))
         return 1
 
 

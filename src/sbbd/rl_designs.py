@@ -51,6 +51,10 @@ class NotInCatalog(SbbdError):
     """No shipped design with the requested parameters."""
 
 
+class CatalogMismatch(SbbdError):
+    """A shipped catalog entry does not build the parameters it is filed under."""
+
+
 @dataclass(frozen=True)
 class BlockDesign:
     """A verified (r,lambda)-design; construct via verify_rl_design."""
@@ -211,7 +215,9 @@ def catalog_lookup(v: int, b: int, r: int, k: int, lam: int) -> BlockDesign:
         raise NotInCatalog(f"no shipped design with (v,b,r,k,lambda) = {key}")
     modulus, base = _CATALOG[key]
     d = symmetric_bibd_from_difference_set(modulus, base)
-    assert (d.v, d.b, d.r, d.k, d.lam) == key
+    got = (d.v, d.b, d.r, d.k, d.lam)
+    if got != key:
+        raise CatalogMismatch(f"catalog entry {key} builds a design with {got}")
     return d
 
 

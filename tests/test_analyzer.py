@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import sbbd
 from sbbd import (
@@ -273,3 +280,119 @@ def test_analyzer_requires_two_by_two():
     x = DesignMatrix(1, 4, np.ones((2, 4), dtype=int))
     with pytest.raises(DimensionError):
         check_sbbd(x)
+
+
+def reference_scan(x):
+    """Panel-by-panel brute force of conditions (II)-(V).
+
+    Walks the panel pairs (i, j) in row-major order and, within a pair, the
+    diagonal before the off-diagonal, each in row-major order.  Returns
+    ("ok", Lambda) or (condition, witness, message) for the first mismatch.
+    """
+    panels = [x.panel(i) for i in range(1, x.v1 + 1)]
+    own, cross = panels[0].T @ panels[0], panels[0].T @ panels[1]
+    lam = (int(own[0, 0]), int(own[0, 1]), int(cross[0, 0]), int(cross[0, 1]))
+    names = ("mu", "lambda12", "lambda21", "lambda22")
+    for i in range(x.v1):
+        for j in range(x.v1):
+            prod = panels[i].T @ panels[j]
+            cells = [(a, a) for a in range(x.v2)]
+            cells += [(a, b) for a in range(x.v2) for b in range(x.v2) if a != b]
+            for a, b in cells:
+                k = 2 * (i != j) + (a != b)
+                if prod[a, b] == lam[k]:
+                    continue
+                pos = (a + 1, b + 1)
+                witness = {"panel": i + 1} if i == j else {"panels": (i + 1, j + 1)}
+                witness["position"] = pos
+                name, want = f"X_{i + 1}^T X_{j + 1}", f"{names[k]} = {lam[k]}"
+                if a == b:
+                    message = f"diagonal of {name} is {prod[a, b]} at {a + 1}, expected {want}"
+                else:
+                    message = f"off-diagonal of {name} at {pos} is {prod[a, b]}, expected {want}"
+                return ("II", "III", "IV", "V")[k], witness, message
+    return "ok", lam
+
+
+def assert_matches_reference(x):
+    expected = reference_scan(x)
+    if expected[0] == "ok":
+        assert check_sbbd(x).lam == expected[1]
+        assert information_matrix(x).dcs.lam == expected[1]
+        return
+    with pytest.raises(ConditionViolation) as exc:
+        check_sbbd(x)
+    condition, witness, message = expected
+    assert (exc.value.condition, exc.value.witness) == (condition, witness)
+    assert str(exc.value) == f"condition ({condition}) violated: {message}"
+    assert information_matrix(x).dcs is None
+    with pytest.raises(ConditionViolation) as again:
+        a_optimality(x)
+    assert (again.value.condition, again.value.witness) == (condition, witness)
+
+
+def test_every_single_bit_flip_matches_reference(x22):
+    for row in range(x22.n_rows):
+        for col in range(x22.matrix.shape[1]):
+            m = x22.matrix.copy()
+            m[row, col] ^= 1
+            assert_matches_reference(DesignMatrix(3, 3, m))
+
+
+def test_multi_bit_flips_match_reference(fano_composed):
+    x = fano_composed.x
+    rng = np.random.default_rng(20230831)
+    for _ in range(60):
+        m = x.matrix.copy()
+        rows = rng.integers(0, x.n_rows, size=rng.integers(2, 6))
+        cols = rng.integers(0, m.shape[1], size=rows.size)
+        np.bitwise_xor.at(m, (rows, cols), 1)
+        assert_matches_reference(DesignMatrix(7, 7, m))
+
+
+def test_unperturbed_designs_match_reference(x22, composed_b4, fano_composed):
+    for x in (x22, composed_b4.x, fano_composed.x):
+        assert_matches_reference(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(1, 12)).flatmap(
+        lambda t: st.tuples(
+            st.just(t), hnp.arrays(np.int64, (t[2], t[0] * t[1]), elements=st.integers(0, 1))
+        )
+    )
+)
+def test_gram_equals_int64_reference(case):
+    (v1, v2, _), m = case
+    info = information_matrix(DesignMatrix(v1, v2, m))
+    assert info.dense.dtype == np.int64
+    assert np.array_equal(info.dense, m.T @ m)
+
+
+def test_zero_row_design_is_rejected():
+    x = DesignMatrix(2, 2, np.zeros((0, 4)))
+    for fn in (check_sbbd, information_matrix, a_optimality):
+        with pytest.raises(DimensionError, match="at least one block"):
+            fn(x)
+
+
+def test_spectrum_trace_mismatch_raises_under_optimize():
+    # python -O strips assert statements; the trace check must survive it
+    code = (
+        "import numpy as np, sbbd\n"
+        "info = sbbd.InformationMatrix(2, 2, 5 * np.eye(4, dtype=int),"
+        " sbbd.SbbdParameters(2, 2, 10, mu=4, lambda12=0, lambda21=0, lambda22=0))\n"
+        "try:\n"
+        "    sbbd.spectrum(info)\n"
+        "except sbbd.TraceMismatch as exc:\n"
+        "    print('TraceMismatch:', exc)\n"
+    )
+    src = Path(sbbd.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("TraceMismatch:")
+    assert "trace(X^T X) = 20" in done.stdout

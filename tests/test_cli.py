@@ -161,6 +161,23 @@ def test_analyze_flags_violation(capsys, tmp_path, x22):
     assert "ConditionViolation" in err
 
 
+def test_analyze_json_rejection_payload(capsys, tmp_path, x22):
+    m = x22.matrix.copy()
+    m[0, 0] ^= 1  # mu is read at (1, 1), so the witness is the next diagonal cell
+    bad = tmp_path / "bad.csv"
+    bad.write_text(sbbd.matrix_to_csv(sbbd.DesignMatrix(3, 3, m)))
+    code, out, err = run(capsys, "analyze", "--json", str(bad))
+    assert code == 1
+    assert "ConditionViolation" in err
+    assert json.loads(out) == {
+        "error": "ConditionViolation",
+        "condition": "II",
+        "witness": {"panel": 1, "position": [2, 2]},
+        "message": "condition (II) violated: diagonal of X_1^T X_1 is 6 at 2,"
+        " expected mu = 7",
+    }
+
+
 def test_analyze_non_square_needs_dims(capsys, tmp_path, composed_b4):
     f = tmp_path / "b4.csv"
     f.write_text(sbbd.matrix_to_csv(composed_b4.x))
@@ -244,6 +261,28 @@ def test_mask_refuses_non_spanning(capsys, tmp_path, single_edge_blocks):
     code, _, err = run(capsys, "mask", str(f), "--v1", "2")
     assert code == 1
     assert "SpanningViolation" in err
+
+
+def test_mask_rejection_payload(capsys, tmp_path, single_edge_blocks, x22):
+    f = tmp_path / "star.csv"
+    f.write_text(sbbd.matrix_to_csv(single_edge_blocks))
+    code, out, _ = run(capsys, "mask", str(f), "--v1", "2", "--format", "bin")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "SpanningViolation"
+    assert payload["condition"] is None and payload["witness"] is None
+
+    m = x22.matrix.copy()
+    m[4, 7] ^= 1
+    f.write_text(sbbd.matrix_to_csv(sbbd.DesignMatrix(3, 3, m)))
+    code, out, _ = run(capsys, "mask", str(f))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "ConditionViolation"
+    assert (payload["condition"], payload["witness"]) == (
+        "V",
+        {"panels": [1, 3], "position": [1, 2]},
+    )
 
 
 def test_mask_binary_output(capsys, tmp_path, fixture_dir):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sbbd import (
+    DesignMatrix,
+    DimensionError,
     SpanningViolation,
     export_masks,
     schedule_from_bytes,
@@ -51,3 +53,8 @@ def test_binary_roundtrip(x22):
     assert len(blob) == 12 + 9 * 9
     back = schedule_from_bytes(blob)
     assert np.array_equal(back.masks, schedule.masks)
+
+
+def test_zero_row_design_exports_nothing():
+    with pytest.raises(DimensionError, match="at least one block"):
+        export_masks(DesignMatrix(2, 2, np.zeros((0, 4))))

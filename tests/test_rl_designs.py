@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sbbd import (
+    CatalogMismatch,
     FormatError,
     NotADifferenceSet,
     NotInCatalog,
@@ -134,6 +135,14 @@ def test_catalog_all_entries_verify():
 def test_catalog_unknown_tuple():
     with pytest.raises(NotInCatalog):
         catalog_lookup(7, 49, 21, 3, 7)
+
+
+def test_catalog_entry_with_wrong_parameters(monkeypatch):
+    # a table entry filed under the wrong key is refused by a named error
+    wrong = (7, 7, 3, 3, 2)
+    monkeypatch.setitem(_CATALOG, wrong, _CATALOG[(7, 7, 3, 3, 1)])
+    with pytest.raises(CatalogMismatch, match="builds a design with"):
+        catalog_lookup(*wrong)
 
 
 def test_catalog_ids_resolve():
