@@ -200,11 +200,43 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _seed_arg(text: str) -> int:
+    if not (text.isdecimal() and int(text) < 2**128):
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2^128), got {text!r}")
+    return int(text)
+
+
+def _sigma_arg(text: str) -> float:
+    try:
+        sigma = float(text)
+    except ValueError:
+        sigma = math.nan
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return sigma
+
+
+def _load_tau(path: str) -> EffectVector:
+    try:
+        blob = json.loads(_read_text(path))
+    except ValueError as exc:  # includes undecodable bytes
+        raise UsageError(f"--tau {path!r} is not JSON: {exc}") from None
+    if not (
+        isinstance(blob, dict)
+        and all(type(blob.get(k)) is int for k in ("v1", "v2"))
+        and isinstance(blob.get("tau"), list)
+        and all(type(t) in (int, float) for t in blob["tau"])
+    ):
+        raise UsageError(
+            f"--tau {path!r} needs an object with integers v1, v2 and a list of numbers tau"
+        )
+    return EffectVector(blob["v1"], blob["v2"], blob["tau"])
+
+
 def _cmd_simulate(args) -> int:
     x = _load_design(args.file, args.v1, args.v2)
     if args.tau:
-        blob = json.loads(_read_text(args.tau))
-        tau = EffectVector(int(blob["v1"]), int(blob["v2"]), blob["tau"])
+        tau = _load_tau(args.tau)
     else:
         tau = random_effects(x.v1, x.v2, scale=1.0, seed=args.seed)
     report = simulate(x, tau, sigma=args.sigma, runs=args.runs, seed=args.seed)
@@ -326,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo variance-balance check")
     p_sim.add_argument("file", help="design CSV / SB-block JSON, or - for stdin")
-    p_sim.add_argument("--sigma", type=float, required=True)
+    p_sim.add_argument("--sigma", type=_sigma_arg, required=True)
     p_sim.add_argument("--runs", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_sim.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
     p_sim.add_argument("--tau", help="effect-vector JSON file (default: seeded random)")
     p_sim.add_argument("--json", action="store_true")
     _add_dims(p_sim)

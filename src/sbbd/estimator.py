@@ -3,17 +3,23 @@
 Data follow y = X tau + eps with i.i.d. Gaussian noise, where the effect
 vector tau obeys the double zero-sum constraints (every row group and every
 column group of the v1 x v2 effect table sums to zero).  Effects are
-estimated by least squares through the exact generalized inverse,
-tau_hat = G X^T y, and compared contrast-by-contrast against the prediction
+estimated by least squares, tau_hat = G X^T y with G the exact generalized
+inverse, and compared contrast-by-contrast against the prediction
 Var((p_i (x) q_j)^T tau_hat) = sigma^2 / alpha.
 
-Noise is drawn from per-run child streams of a single seed
-(numpy SeedSequence(seed).spawn), so results are reproducible and
-independent of run ordering or batching.
+The contrast rows C lie in the alpha eigenspace of X^T X, so C G = C / alpha
+and simulate projects with W = C X^T / alpha without forming G.
+
+Noise comes from numpy's counter-based Philox generator keyed by the seed
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Run
+i reads its own fixed range of Philox blocks, and Box-Muller turns exactly
+one 64-bit word per uniform into normals, so each run's noise is
+reproducible bit for bit whatever the batching or run order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +47,14 @@ class EffectVector:
             raise DimensionError(
                 f"tau length {t.shape} != v1*v2 = {self.v1 * self.v2}"
             )
+        if not np.isfinite(t).all():
+            raise DimensionError("tau has a non-finite entry")
         table = t.reshape(self.v1, self.v2)
-        if (np.abs(table.sum(axis=1)) > 1e-12).any() or (
-            np.abs(table.sum(axis=0)) > 1e-12
+        # a float64 sum of n entries of size <= m is off by about n * eps * m;
+        # allow that with a wide margin, relative to tau's own scale
+        ulp = 1024 * np.finfo(float).eps * np.abs(t).max(initial=0.0)
+        if (np.abs(table.sum(axis=1)) > ulp * self.v2).any() or (
+            np.abs(table.sum(axis=0)) > ulp * self.v1
         ).any():
             raise DimensionError("tau violates the double zero-sum constraints")
         t.flags.writeable = False
@@ -88,22 +99,54 @@ def contrast_basis(v1: int, v2: int) -> np.ndarray:
     return np.vstack(rows)
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+        raise DimensionError(f"seed must be an integer in [0, 2^128), got {seed!r}")
+
+
+def _center(z: np.ndarray) -> np.ndarray:
+    return z - z.mean(axis=1, keepdims=True) - z.mean(axis=0, keepdims=True) + z.mean()
+
+
 def random_effects(v1: int, v2: int, scale: float = 1.0, seed: int = 0) -> EffectVector:
-    """Random effects satisfying the double zero sums exactly (to 1e-12).
+    """Random effects satisfying the double zero sums to rounding.
 
     Draws z uniform in [-scale, scale] and projects through the centering
-    operators on both axes; a fixed seed reproduces tau bit for bit.
+    operators on both axes, twice: the second pass removes the rounding
+    residue of the first, which is relative to z rather than to tau.  A
+    fixed seed reproduces tau bit for bit.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     z = rng.uniform(-scale, scale, size=v1 * v2).reshape(v1, v2)
-    centered = z - z.mean(axis=1, keepdims=True) - z.mean(axis=0, keepdims=True) + z.mean()
-    return EffectVector(v1, v2, centered.reshape(-1))
+    return EffectVector(v1, v2, _center(_center(z)).reshape(-1))
 
 
-def _run_noise(seed: int, run_index: int, n: int) -> np.ndarray:
-    """Standard normal draw for one run from its dedicated child stream."""
-    child = np.random.SeedSequence(entropy=seed, spawn_key=(run_index,))
-    return np.random.default_rng(child).standard_normal(n)
+_CHUNK_RUNS = 1024  # runs drawn and projected together; the report does not depend on it
+
+
+def _noise(seed: int, start: int, stop: int, n: int) -> np.ndarray:
+    """Standard normals for runs start .. stop-1, shape (stop - start, n).
+
+    Run i reads Philox(key=seed) blocks i*b + 1 .. (i+1)*b, with b = ceil(n/4)
+    blocks of four 64-bit words, so its draw depends only on (seed, i, n).
+    Generator.random uses exactly one word per uniform (standard_normal's
+    ziggurat uses a variable number), and Box-Muller maps the first and
+    second halves of a run's uniforms to pairs of normals; log1p(-u) stays
+    finite for u in [0, 1).
+    """
+    blocks = -(-n // 4)
+    bits = np.random.Philox(key=seed, counter=start * blocks)
+    u = np.random.Generator(bits).random((stop - start, 4 * blocks))
+    half = 2 * blocks
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, :half]))
+    angle = (2.0 * np.pi) * u[:, half:]
+    return np.hstack([radius * np.cos(angle), radius * np.sin(angle)])[:, :n]
+
+
+def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """total + rows[0] + rows[1] + ..., added in run order whatever the chunking."""
+    return np.add.accumulate(np.vstack([total, rows]), axis=0)[-1]
 
 
 def estimate_effects(x: DesignMatrix, y: np.ndarray) -> np.ndarray:
@@ -129,23 +172,25 @@ def simulate(
 ) -> SimulationReport:
     """Estimate every basic contrast across `runs` noisy replications.
 
-    Per run: y = X tau + sigma * eps, tau_hat = G X^T y, then the contrast
-    estimates C tau_hat.  Reports per-contrast empirical mean and variance
-    against the predicted sigma^2 / alpha.
+    Per run: y = X tau + sigma * eps, then the contrast estimates
+    C tau_hat = C G X^T y = W y with W = C X^T / alpha.  Reports per-contrast
+    empirical mean and variance against the predicted sigma^2 / alpha.
+    The report for given arguments is the same bit for bit on every call.
     """
     if (tau.v1, tau.v2) != (x.v1, x.v2):
         raise DimensionError("effect vector does not match the design dimensions")
     if runs < 2:
         raise DimensionError("need at least 2 runs for a variance estimate")
-    info = information_matrix(x)
-    spec = spectrum(info)
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise DimensionError(f"sigma must be finite and >= 0, got {sigma!r}")
+    _check_seed(seed)
+    spec = spectrum(information_matrix(x))
     if spec.alpha <= 0:
         raise ContrastsNotEstimable(
             f"alpha = {spec.alpha} <= 0; basic contrasts are not estimable"
         )
-    g = generalized_inverse(info).astype(float)
     c = contrast_basis(x.v1, x.v2)
-    w = c @ g @ x.matrix.T.astype(float)  # contrast estimates are W y
+    w = (c @ x.matrix.T.astype(float)) / spec.alpha  # contrast estimates are W y
     signal = x.matrix.astype(float) @ tau.tau
 
     true = c @ tau.tau
@@ -154,14 +199,14 @@ def simulate(
     # update numerically clean
     dev_sum = np.zeros(n_contrasts)
     dev_sq = np.zeros(n_contrasts)
-    for start in range(0, runs, 4096):
-        stop = min(start + 4096, runs)
-        noise = np.stack(
-            [_run_noise(seed, i, x.n_rows) for i in range(start, stop)]
-        )
-        deviations = (signal[None, :] + sigma * noise) @ w.T - true[None, :]
-        dev_sum += deviations.sum(axis=0)
-        dev_sq += (deviations * deviations).sum(axis=0)
+    for start in range(0, runs, _CHUNK_RUNS):
+        y = signal + sigma * _noise(seed, start, min(start + _CHUNK_RUNS, runs), x.n_rows)
+        # einsum's own loop sums each entry over the blocks in one fixed
+        # order; a BLAS product picks its kernel by row count, so a run's
+        # estimates would depend on the chunk in the last bit
+        deviations = np.einsum("rn,cn->rc", y, w) - true
+        dev_sum = _running_sum(dev_sum, deviations)
+        dev_sq = _running_sum(dev_sq, deviations * deviations)
 
     mean = true + dev_sum / runs
     variance = (dev_sq - dev_sum * dev_sum / runs) / (runs - 1)

@@ -305,3 +305,42 @@ def test_mask_binary_output(capsys, tmp_path, fixture_dir):
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "analyze", "/no/such/file.csv")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "-1"), ("--seed", str(2**128)), ("--seed", "x"), ("--sigma", "nan"),
+     ("--sigma", "-1"), ("--sigma", "inf")],
+)
+def test_simulate_bad_seed_or_sigma_is_usage_error(capsys, fixture_dir, flag, value):
+    argv = ["simulate", str(fixture_dir / "design_3_3_9.csv"), "--runs", "10"]
+    argv += ["--sigma", "1"] if flag == "--seed" else []
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        "[1, 2]",
+        '{"v1": 3, "tau": [0, 0, 0, 0, 0, 0, 0, 0, 0]}',
+        '{"v1": 3, "v2": "3", "tau": [0, 0, 0, 0, 0, 0, 0, 0, 0]}',
+        '{"v1": 3, "v2": 3, "tau": "0"}',
+        '{"v1": 3, "v2": 3, "tau": [0, 0, 0, 0, 0, 0, 0, 0, null]}',
+        '{"v1": true, "v2": 3, "tau": [0, 0, 0, 0, 0, 0, 0, 0, 0]}',
+    ],
+)
+def test_simulate_malformed_tau_is_usage_error(capsys, fixture_dir, tmp_path, text):
+    tau_file = tmp_path / "tau.json"
+    tau_file.write_text(text)
+    code, _, err = run(
+        capsys, "simulate", str(fixture_dir / "design_3_3_9.csv"),
+        "--sigma", "1", "--runs", "10", "--tau", str(tau_file),
+    )
+    assert code == 2
+    assert "usage error: --tau" in err

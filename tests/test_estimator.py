@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sbbd
+from sbbd import estimator
 from sbbd import (
     ContrastsNotEstimable,
     DesignMatrix,
@@ -141,3 +142,99 @@ def test_simulate_on_non_spanning_star(single_edge_blocks):
     tau = random_effects(2, 2, seed=9)
     report = simulate(single_edge_blocks, tau, sigma=0.0, runs=2, seed=9)
     assert np.abs(report.empirical_mean - report.true_contrasts).max() <= 1e-9
+
+
+def _report_bytes(report):
+    return b"".join(
+        np.asarray(getattr(report, name)).tobytes()
+        for name in ("true_contrasts", "empirical_mean", "empirical_variance", "max_relative_deviation")
+    )
+
+
+def test_report_does_not_depend_on_chunk_size(monkeypatch, fano_composed):
+    tau = random_effects(7, 7, seed=31)
+    reports = []
+    for chunk in (1, 7, 4096):
+        monkeypatch.setattr(estimator, "_CHUNK_RUNS", chunk)
+        # 5000 runs: the last chunk is partial for every size
+        reports.append(_report_bytes(simulate(fano_composed.x, tau, sigma=1.0, runs=5000, seed=17)))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_noise_is_bit_identical_across_chunkings():
+    for n in (1, 9, 42):
+        whole = estimator._noise(2024, 0, 500, n)
+        assert whole.shape == (500, n)
+        assert whole.tobytes() == estimator._noise(2024, 0, 500, n).tobytes()
+        for chunk in (1, 7, 4096):
+            parts = [
+                estimator._noise(2024, start, min(start + chunk, 500), n)
+                for start in range(0, 500, chunk)
+            ]
+            assert np.vstack(parts).tobytes() == whole.tobytes()
+    # a run's draw depends on the seed
+    assert estimator._noise(1, 3, 4, 42).tobytes() != estimator._noise(2, 3, 4, 42).tobytes()
+
+
+def test_box_muller_moments():
+    draws = estimator._noise(99, 0, 10_000, 100).ravel()
+    assert draws.size == 1_000_000
+    assert np.isfinite(draws).all()
+    n = draws.size
+    assert abs(draws.mean()) < 6 / np.sqrt(n)
+    assert abs(draws.var() - 1.0) < 6 * np.sqrt(2.0 / n)
+
+
+def test_projection_matches_generalized_inverse(x22, composed_b4, fano_composed, single_edge_blocks):
+    for x in (x22, composed_b4.x, fano_composed.x, single_edge_blocks):
+        info = sbbd.information_matrix(x)
+        alpha = sbbd.spectrum(info).alpha
+        c = contrast_basis(x.v1, x.v2)
+        xt = x.matrix.T.astype(float)
+        with_g = c @ sbbd.generalized_inverse(info).astype(float) @ xt
+        assert np.abs(c @ xt / alpha - with_g).max() < 1e-12
+
+        # the report equals the one projected through G
+        tau = random_effects(x.v1, x.v2, seed=3)
+        report = simulate(x, tau, sigma=1.0, runs=50, seed=8)
+        y = x.matrix.astype(float) @ tau.tau + estimator._noise(8, 0, 50, x.n_rows)
+        estimates = y @ with_g.T
+        assert np.abs(report.empirical_mean - estimates.mean(axis=0)).max() < 1e-12
+        assert np.abs(report.empirical_variance - estimates.var(axis=0, ddof=1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "7"])
+def test_seed_outside_philox_key_range_is_rejected(x22, seed):
+    with pytest.raises(DimensionError, match="seed"):
+        simulate(x22, random_effects(3, 3, seed=1), sigma=1.0, runs=10, seed=seed)
+    with pytest.raises(DimensionError, match="seed"):
+        random_effects(3, 3, seed=seed)
+
+
+def test_largest_seed_is_accepted(x22):
+    report = simulate(x22, random_effects(3, 3, seed=2**128 - 1), sigma=1.0, runs=10, seed=2**128 - 1)
+    assert np.isfinite(report.empirical_variance).all()
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0, -1e-300])
+def test_bad_sigma_is_rejected(x22, sigma):
+    with pytest.raises(DimensionError, match="sigma"):
+        simulate(x22, random_effects(3, 3, seed=1), sigma=sigma, runs=10, seed=1)
+
+
+def test_zero_sum_tolerance_scales_with_tau():
+    for scale in (1e-9, 1.0, 1e6, 1e15):
+        tau = random_effects(30, 30, scale=scale, seed=4)
+        table = tau.tau.reshape(30, 30)
+        assert np.abs(table).max() > scale / 10
+        # a genuine violation, small against the entries, is still rejected
+        bad = tau.tau.copy()
+        bad[0] += 1e-9 * scale
+        with pytest.raises(DimensionError, match="zero-sum"):
+            EffectVector(30, 30, bad)
+
+
+def test_effect_vector_rejects_non_finite():
+    for value in (np.nan, np.inf):
+        with pytest.raises(DimensionError, match="non-finite"):
+            EffectVector(2, 2, np.array([value, -value, -value, value]))
