@@ -24,7 +24,8 @@ c = l21 - l22, d = l22:
     delta = a + b v2 + (v1-1)(c + d v2)  multiplicity 1
 
 A Moore-Penrose generalized inverse follows from the same decomposition in
-exact rational arithmetic, dropping zero-eigenvalue terms.
+exact rational arithmetic, dropping zero-eigenvalue terms: it is fixed by
+the four rationals 1/alpha, 1/beta, 1/gamma and 1/delta.
 """
 
 from __future__ import annotations
@@ -115,9 +116,7 @@ class BlockRegularity:
 @dataclass(frozen=True)
 class OptimalityReport:
     params: SbbdParameters
-    is_sbbd: bool
     is_spanning: bool
-    is_variance_balanced: bool
     is_semi_regular: bool
     is_regular: bool
     k1: int | None
@@ -240,40 +239,36 @@ def spectrum(info: InformationMatrix) -> SpectralSummary:
     return summary
 
 
-def _centering(n: int):
-    """Fraction-valued projectors I - J/n and J/n."""
-    jn = np.full((n, n), Fraction(1, n), dtype=object)
-    eye = np.array(
-        [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)],
-        dtype=object,
-    )
-    return eye - jn, jn
+def _inverse_weights(spec: SpectralSummary) -> list:
+    """1/alpha, 1/beta, 1/gamma, 1/delta as exact rationals, 0 for a zero eigenvalue."""
+    vals = [spec.alpha, spec.beta, spec.gamma, spec.delta]
+    if not any(vals):
+        raise DegenerateDesign("all four eigenvalues are zero")
+    return [Fraction(1, val) if val else Fraction(0) for val in vals]
 
 
 def generalized_inverse(info: InformationMatrix) -> np.ndarray:
     """Exact rational Moore-Penrose generalized inverse of X^T X.
 
-    Built from the spectral decomposition over the four Kronecker projector
-    blocks, omitting any block whose eigenvalue vanishes.  The result G
-    satisfies M G M = M and G M G = G exactly in rationals.
+    G weights the four Kronecker products of I - J/n and J/n by the
+    inverse eigenvalues, omitting any whose eigenvalue vanishes.  Its entry
+    ((i, j), (k, l)) depends only on [i == k] and [j == l], so a 2 x 2 table
+    is expanded to the dense matrix.  The result G satisfies M G M = M and
+    G M G = G exactly in rationals.
     """
-    spec = spectrum(info)
-    a1, a2 = _centering(info.v1)
-    b1, b2 = _centering(info.v2)
-    terms = [
-        (spec.alpha, a1, b1),
-        (spec.beta, a1, b2),
-        (spec.gamma, a2, b1),
-        (spec.delta, a2, b2),
-    ]
-    if all(val == 0 for val, _, _ in terms):
-        raise DegenerateDesign("all four eigenvalues are zero")
-    size = info.v1 * info.v2
-    g = np.full((size, size), Fraction(0), dtype=object)
-    for val, left, right in terms:
-        if val != 0:
-            g = g + np.kron(left, right) * Fraction(1, val)
-    return g
+    wa, wb, wg, wd = _inverse_weights(spectrum(info))
+    v1, v2 = info.v1, info.v2
+    # projector entries indexed by [i == k]: I - J/n, then J/n
+    c1, j1 = [Fraction(-1, v1), 1 - Fraction(1, v1)], Fraction(1, v1)
+    c2, j2 = [Fraction(-1, v2), 1 - Fraction(1, v2)], Fraction(1, v2)
+    table = np.array(
+        [[wa * c1[s] * c2[t] + wb * c1[s] * j2 + wg * j1 * c2[t] + wd * j1 * j2
+          for t in (0, 1)] for s in (0, 1)],
+        dtype=object,
+    )
+    same1 = np.eye(v1, dtype=np.intp)[:, None, :, None]
+    same2 = np.eye(v2, dtype=np.intp)[None, :, None, :]
+    return table[same1, same2].reshape(v1 * v2, v1 * v2)
 
 
 def classify_blocks(x: DesignMatrix):
@@ -323,9 +318,7 @@ def a_optimality(x: DesignMatrix) -> OptimalityReport:
         a_lower_bound = Fraction(n_contrasts * n_contrasts, params.mu * (x.v1 * x.v2 - k))
     return OptimalityReport(
         params=params,
-        is_sbbd=spanning,
         is_spanning=spanning,
-        is_variance_balanced=spec.alpha > 0,
         is_semi_regular=reg.is_semi_regular,
         is_regular=reg.is_regular,
         k1=reg.k1,

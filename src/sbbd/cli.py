@@ -216,6 +216,12 @@ def _sigma_arg(text: str) -> float:
     return sigma
 
 
+def _positive_arg(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _load_tau(path: str) -> EffectVector:
     try:
         blob = json.loads(_read_text(path))
@@ -305,8 +311,8 @@ def _error_payload(exc: SbbdError) -> dict:
 
 
 def _add_dims(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--v1", type=int, help="left point count for CSV input")
-    p.add_argument("--v2", type=int, help="right point count for CSV input")
+    p.add_argument("--v1", type=_positive_arg, help="left point count for CSV input")
+    p.add_argument("--v2", type=_positive_arg, help="right point count for CSV input")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -57,12 +57,6 @@ class SBBlock:
                 )
         object.__setattr__(self, "edges", edges)
 
-    def degree_left(self, i: int) -> int:
-        return sum(1 for (a, _) in self.edges if a == i)
-
-    def degree_right(self, j: int) -> int:
-        return sum(1 for (_, b) in self.edges if b == j)
-
 
 @dataclass(frozen=True)
 class SbbdParameters:

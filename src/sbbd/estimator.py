@@ -26,7 +26,7 @@ import numpy as np
 
 from .analyzer import (
     ContrastsNotEstimable,
-    generalized_inverse,
+    _inverse_weights,
     information_matrix,
     spectrum,
 )
@@ -117,6 +117,8 @@ def random_effects(v1: int, v2: int, scale: float = 1.0, seed: int = 0) -> Effec
     fixed seed reproduces tau bit for bit.
     """
     _check_seed(seed)
+    if not (math.isfinite(scale) and scale >= 0):
+        raise DimensionError(f"scale must be finite and >= 0, got {scale!r}")
     rng = np.random.default_rng(seed)
     z = rng.uniform(-scale, scale, size=v1 * v2).reshape(v1, v2)
     return EffectVector(v1, v2, _center(_center(z)).reshape(-1))
@@ -150,17 +152,23 @@ def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def estimate_effects(x: DesignMatrix, y: np.ndarray) -> np.ndarray:
-    """One-shot least squares tau_hat = G X^T y.
+    """One-shot least squares tau_hat = G X^T y, without forming G.
 
-    Only contrasts of tau_hat carry an accuracy contract; components along
-    the non-estimable directions are whatever the generalized inverse
-    assigns them.
+    On the v1 x v2 table z of X^T y, G weights the doubly centred z, the
+    centred row and column means and the grand mean by the four inverse
+    eigenvalues.  Only contrasts of tau_hat carry an accuracy contract;
+    components along the non-estimable directions are whatever the
+    generalized inverse assigns them.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (x.n_rows,):
         raise DimensionError(f"y length {y.shape} != N = {x.n_rows}")
-    g = generalized_inverse(information_matrix(x)).astype(float)
-    return g @ (x.matrix.T.astype(float) @ y)
+    wa, wb, wg, wd = map(float, _inverse_weights(spectrum(information_matrix(x))))
+    z = (x.matrix.T.astype(float) @ y).reshape(x.v1, x.v2)
+    grand = z.mean()
+    rows = z.mean(axis=1, keepdims=True) - grand
+    cols = z.mean(axis=0, keepdims=True) - grand
+    return (wa * _center(z) + wb * rows + wg * cols + wd * grand).reshape(-1)
 
 
 def simulate(

@@ -83,7 +83,7 @@ class FiniteField:
     Element m encodes the polynomial sum_i d_i x^i where (d_0, d_1, ...) are
     the base-p digits of m.  Addition and multiplication tables are built
     once; construction verifies that every nonzero element has an inverse
-    and spot-checks associativity and distributivity.
+    and checks associativity and distributivity on every triple.
     """
 
     p: int
@@ -177,17 +177,12 @@ def _check_axioms(fld: FiniteField) -> None:
     for x in range(1, q):
         if 1 not in mul[x]:
             raise NotPrimePower(f"GF({q}): element {x} has no inverse")
-    # associativity/distributivity: exhaustive for q <= 9, sampled beyond
-    if q <= 9:
-        triples = [(x, y, z) for x in range(q) for y in range(q) for z in range(q)]
-    else:
-        rng = np.random.default_rng(q)
-        triples = [tuple(t) for t in rng.integers(0, q, size=(200, 3))]
-    for x, y, z in triples:
-        if mul[mul[x, y], z] != mul[x, mul[y, z]]:
-            raise NotPrimePower(f"GF({q}): multiplication not associative")
-        if mul[x, add[y, z]] != add[mul[x, y], mul[x, z]]:
-            raise NotPrimePower(f"GF({q}): distributivity failed")
+    # associativity and distributivity, exhaustive over all q^3 triples:
+    # mul[mul][x, y, z] = (x y) z and mul[:, mul][x, y, z] = x (y z)
+    if not np.array_equal(mul[mul], mul[:, mul]):
+        raise NotPrimePower(f"GF({q}): multiplication not associative")
+    if not np.array_equal(mul[:, add], add[mul[:, :, None], mul[:, None, :]]):
+        raise NotPrimePower(f"GF({q}): distributivity failed")
 
 
 @dataclass(frozen=True)
@@ -268,12 +263,9 @@ def construct_od1(q: int) -> OrderedDesign:
     shifted to 1..q.  Output is re-verified before returning.
     """
     fld = gf(q)
-    rows = np.zeros((q * q - q, q), dtype=np.int64)
-    idx = 0
-    for a in range(q):
-        for m in range(1, q):
-            rows[idx] = [fld.add[a, fld.mul[m, c]] + 1 for c in range(q)]
-            idx += 1
+    a = np.repeat(np.arange(q), q - 1)  # a-major, then m
+    m = np.tile(np.arange(1, q), q)
+    rows = fld.add[a[:, None], fld.mul[m]] + 1  # fld.mul[m][r, c] = m_r * c
     return verify_od(rows, n=q, s=q)
 
 

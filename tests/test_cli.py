@@ -323,6 +323,16 @@ def test_simulate_bad_seed_or_sigma_is_usage_error(capsys, fixture_dir, flag, va
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, value", [("--v1", "0"), ("--v2", "0"), ("--v1", "-3")])
+def test_nonpositive_dims_are_usage_errors(capsys, fixture_dir, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(fixture_dir / "design_3_3_9.csv"), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "text",
     [

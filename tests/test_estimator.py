@@ -58,6 +58,12 @@ def test_random_effects_two_by_two_shape():
     assert np.allclose(t, [t[0], -t[0], -t[0], t[0]])
 
 
+@pytest.mark.parametrize("scale", [float("inf"), float("nan"), -1.0])
+def test_random_effects_rejects_bad_scale(scale):
+    with pytest.raises(DimensionError, match="scale"):
+        random_effects(3, 3, scale=scale)
+
+
 def test_random_effects_deterministic():
     a = random_effects(3, 3, scale=1.5, seed=12345)
     b = random_effects(3, 3, scale=1.5, seed=12345)
@@ -191,8 +197,13 @@ def test_projection_matches_generalized_inverse(x22, composed_b4, fano_composed,
         alpha = sbbd.spectrum(info).alpha
         c = contrast_basis(x.v1, x.v2)
         xt = x.matrix.T.astype(float)
-        with_g = c @ sbbd.generalized_inverse(info).astype(float) @ xt
+        g = sbbd.generalized_inverse(info).astype(float)
+        with_g = c @ g @ xt
         assert np.abs(c @ xt / alpha - with_g).max() < 1e-12
+
+        # estimate_effects applies G's four weights without forming G
+        y0 = np.random.default_rng(5).standard_normal(x.n_rows)
+        assert np.abs(estimate_effects(x, y0) - g @ (xt @ y0)).max() < 1e-12
 
         # the report equals the one projected through G
         tau = random_effects(x.v1, x.v2, seed=3)
