@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from . import (
     DesignMatrix,
+    FormatError,
     SbbdError,
     a_optimality,
     blocks_from_json,
@@ -53,19 +54,24 @@ class UsageError(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path!r} is not UTF-8 text: {exc}") from None
 
 
 def _load_design(path: str, v1, v2) -> DesignMatrix:
     text = _read_text(path)
-    if not text.strip():
+    body = text.lstrip()
+    if not body:
         raise UsageError(f"no design data in {path!r}")
-    if text.lstrip().startswith("{"):
+    if body.startswith("{"):
         return blocks_to_matrix(blocks_from_json(text))
-    first = text.strip().splitlines()[0]
+    # the first line alone fixes the column count
+    first = body.partition("\n")[0].splitlines()[0]
     cols = len(first.split(","))
     if v1 is None and v2 is None:
         root = math.isqrt(cols)
@@ -225,7 +231,7 @@ def _positive_arg(text: str) -> int:
 def _load_tau(path: str) -> EffectVector:
     try:
         blob = json.loads(_read_text(path))
-    except ValueError as exc:  # includes undecodable bytes
+    except (FormatError, ValueError) as exc:  # undecodable bytes, bad JSON
         raise UsageError(f"--tau {path!r} is not JSON: {exc}") from None
     if not (
         isinstance(blob, dict)
@@ -332,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_od = sub.add_parser("od", help="ordered-design utilities")
     od_sub = p_od.add_subparsers(dest="subcommand", required=True)
     p_oc = od_sub.add_parser("construct", help="build an OD_1(q,q) over GF(q)")
-    p_oc.add_argument("--q", type=int, required=True, help="prime power <= 49")
+    p_oc.add_argument("--q", type=int, required=True, help="a prime, or a prime power <= 49")
     p_oc.add_argument("--out", help="output CSV path (default stdout)")
     p_oc.set_defaults(func=_cmd_od_construct)
     p_ov = od_sub.add_parser("verify", help="verify an ordered-design CSV file")

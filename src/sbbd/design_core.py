@@ -160,15 +160,45 @@ def submatrix_partition(x: DesignMatrix) -> list:
 # --- file formats -----------------------------------------------------------
 #
 # Design matrix CSV: one row per line, comma-separated 0/1, no header.
+#                    The writer emits the canonical form "d,d,...,d\n" per
+#                    row ("\n" alone for 0 rows); the reader takes canonical
+#                    text as one byte array and hands anything else
+#                    (spaces, "+0", CRLF, errors) to the per-token parser.
 # SB-block JSON:     {"v1": int, "v2": int, "blocks": [[[i, j], ...], ...]}
 #                    with 1-based edge indices.
 
+_COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
+
 
 def matrix_to_csv(x: DesignMatrix) -> str:
-    return "\n".join(",".join(str(int(e)) for e in row) for row in x.matrix) + "\n"
+    n, w = x.matrix.shape
+    if n == 0 or w == 0:
+        return "\n" * max(n, 1)
+    buf = np.full((n, 2 * w), _COMMA, dtype=np.uint8)
+    buf[:, 0::2] = x.matrix + _ZERO
+    buf[:, -1] = _NEWLINE
+    return buf.tobytes().decode("ascii")
 
 
 def matrix_from_csv(text: str, v1: int, v2: int) -> DesignMatrix:
+    body = text.strip()
+    if body.isascii():
+        buf = np.frombuffer((body + "\n").encode("ascii"), dtype=np.uint8)
+        line = body.find("\n") + 1 or len(buf)
+        if len(buf) % line == 0:  # an odd line length puts "\n" among the digits
+            rows = buf.reshape(-1, line)
+            digits = rows[:, 0::2]
+            if (
+                (rows[:, 1:-1:2] == _COMMA).all()
+                and (rows[:, -1] == _NEWLINE).all()
+                and ((digits | 1) == _ZERO + 1).all()
+            ):
+                return DesignMatrix(v1, v2, digits - _ZERO)
+    return _matrix_from_csv_tokens(body, v1, v2)
+
+
+def _matrix_from_csv_tokens(text: str, v1: int, v2: int) -> DesignMatrix:
+    """Per-token parser for any CSV the byte-level reader does not take."""
     rows = []
     for ln, line in enumerate(text.strip().splitlines(), 1):
         try:
@@ -201,9 +231,9 @@ def blocks_from_json(text: str) -> list:
     try:
         payload = json.loads(text)
         v1, v2 = int(payload["v1"]), int(payload["v2"])
-        raw = payload["blocks"]
+        edge_sets = [
+            frozenset((int(i), int(j)) for i, j in blk) for blk in payload["blocks"]
+        ]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad SB-block JSON: {exc}") from exc
-    return [
-        SBBlock(v1, v2, frozenset((int(i), int(j)) for i, j in blk)) for blk in raw
-    ]
+    return [SBBlock(v1, v2, edges) for edges in edge_sets]

@@ -21,7 +21,7 @@ from .design_core import DimensionError, FormatError, SbbdError
 
 
 class NotPrimePower(SbbdError):
-    """q is not p^e for a prime p (or exceeds the shipped field tables)."""
+    """q is not p^e for a prime p (or is a prime power beyond the shipped tables)."""
 
 
 class RepeatedSymbolInRow(SbbdError):
@@ -137,15 +137,19 @@ def _poly_mul_mod(a, b, p, reduction):
 
 
 def gf(q: int) -> FiniteField:
-    """Build GF(q) for a prime power q <= 49, with verified field axioms."""
+    """Build GF(q) with verified field axioms: q prime, or a prime power <= 49.
+
+    Prime fields are plain arithmetic modulo q; extension fields need one of
+    the shipped reduction polynomials.
+    """
     pe = _prime_power(q)
     if pe is None:
         raise NotPrimePower(f"{q} is not a prime power")
-    if q > MAX_FIELD_ORDER:
+    p, e = pe
+    if e > 1 and q > MAX_FIELD_ORDER:
         raise NotPrimePower(
             f"field tables are shipped only for q <= {MAX_FIELD_ORDER}"
         )
-    p, e = pe
     if e == 1:
         idx = np.arange(q, dtype=np.int64)
         add = (idx[:, None] + idx[None, :]) % q
@@ -177,12 +181,16 @@ def _check_axioms(fld: FiniteField) -> None:
     for x in range(1, q):
         if 1 not in mul[x]:
             raise NotPrimePower(f"GF({q}): element {x} has no inverse")
-    # associativity and distributivity, exhaustive over all q^3 triples:
-    # mul[mul][x, y, z] = (x y) z and mul[:, mul][x, y, z] = x (y z)
-    if not np.array_equal(mul[mul], mul[:, mul]):
-        raise NotPrimePower(f"GF({q}): multiplication not associative")
-    if not np.array_equal(mul[:, add], add[mul[:, :, None], mul[:, None, :]]):
-        raise NotPrimePower(f"GF({q}): distributivity failed")
+    # associativity and distributivity, exhaustive over all q^3 triples, for
+    # a slab of x values at a time (about 2^16 triples) so memory stays O(q^2);
+    # with m = mul[slab], mul[m][x, y, z] = (x y) z and m[:, mul][x, y, z] = x (y z)
+    step = max(1, 2**16 // (q * q))
+    for lo in range(0, q, step):
+        m = mul[lo : lo + step]
+        if not np.array_equal(mul[m], m[:, mul]):
+            raise NotPrimePower(f"GF({q}): multiplication not associative")
+        if not np.array_equal(m[:, add], add[m[:, :, None], m[:, None, :]]):
+            raise NotPrimePower(f"GF({q}): distributivity failed")
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,38 @@ def test_mask_binary_output(capsys, tmp_path, fixture_dir):
     assert schedule.n_masks == 9
 
 
+def test_analyze_reads_lenient_csv_like_canonical(capsys, tmp_path, fixture_dir):
+    canonical = fixture_dir / "design_3_3_9.csv"
+    lenient = tmp_path / "lenient.csv"
+    lenient.write_bytes(b"\n\t \n" + canonical.read_bytes().replace(b"\n", b" \r\n"))
+    code, expected, _ = run(capsys, "analyze", "--json", str(canonical))
+    assert code == 0
+    assert run(capsys, "analyze", "--json", str(lenient)) == (0, expected, "")
+
+
+@pytest.mark.parametrize("command", [["analyze", "--json"], ["mask", "--format", "bin"]])
+def test_non_utf8_design_is_format_error(capsys, tmp_path, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"0,1\xff,1\n")
+    code, out, err = run(capsys, *command, str(bad))
+    assert code == 1
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["error"] == "FormatError"
+    assert str(bad) in payload["message"]
+
+
+def test_non_utf8_tau_is_usage_error(capsys, tmp_path, fixture_dir):
+    tau_file = tmp_path / "tau.json"
+    tau_file.write_bytes(b'{"v1": 3\xff}')
+    code, _, err = run(
+        capsys, "simulate", str(fixture_dir / "design_3_3_9.csv"),
+        "--sigma", "1", "--runs", "10", "--tau", str(tau_file),
+    )
+    assert code == 2
+    assert "usage error: --tau" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "analyze", "/no/such/file.csv")
     assert code == 2

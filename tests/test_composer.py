@@ -94,6 +94,14 @@ def test_compose_fano_parameters(fano_composed):
     assert check_sbbd(fano_composed.x).lam == (18, 6, 6, 8)
 
 
+def test_compose_qr59_beyond_the_extension_field_tables():
+    # a prime field of order 59 needs no shipped table
+    composed = compose(sbbd.catalog_by_id("qr59"), construct_od1(59))
+    measured = check_sbbd(composed.x)
+    assert measured.lam == composed.predicted.lam == (1682, 812, 812, 827)
+    assert measured.n_rows == 59 * 58
+
+
 def test_compose_symbol_count_mismatch(rl4):
     with pytest.raises(DimensionError):
         compose(rl4, construct_od1(5))

@@ -120,13 +120,42 @@ def test_csv_roundtrip(x22):
     assert text.splitlines()[0] == "0,1,1,1,1,0,1,1,0"
     back = matrix_from_csv(text, 3, 3)
     assert np.array_equal(back.matrix, x22.matrix)
+    assert matrix_to_csv(DesignMatrix(2, 2, np.zeros((0, 4), dtype=int))) == "\n"
+    # spaces, a sign, CRLF and surrounding blank lines go to the per-token parser
+    text = "\n  0, +1\r\n1 ,0\r\n\n"
+    assert matrix_from_csv(text, 1, 2).matrix.tolist() == [[0, 1], [1, 0]]
 
 
-def test_csv_rejects_ragged_and_nonint():
+def test_csv_rejects_ragged_and_nonint(x22):
     with pytest.raises(FormatError):
         matrix_from_csv("0,1\n0", 1, 2)
     with pytest.raises(FormatError):
         matrix_from_csv("0,x", 1, 2)
+    with pytest.raises(FormatError, match="line 2"):
+        matrix_from_csv("0,1\n\n1,0\n", 1, 2)  # blank middle line
+    with pytest.raises(FormatError, match="0 or 1"):
+        matrix_from_csv("0,1\n2,0\n", 1, 2)
+    with pytest.raises(DimensionError):
+        matrix_from_csv(matrix_to_csv(x22), 2, 2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"v1": 2, "v2": 2, "blocks": [[[1, 1], [2]]]}',
+        '{"v1": 2, "v2": 2, "blocks": [[[1, "x"]]]}',
+        '{"v1": 2, "v2": 2, "blocks": 5}',
+        '{"v1": 2, "v2": 2, "blocks": [[[1, 1, 2]]]}',
+    ],
+)
+def test_block_json_malformed_edges_rejected(text):
+    with pytest.raises(FormatError, match="bad SB-block JSON"):
+        blocks_from_json(text)
+
+
+def test_block_json_edge_out_of_range_is_dimension_error():
+    with pytest.raises(DimensionError):
+        blocks_from_json('{"v1": 2, "v2": 2, "blocks": [[[3, 1]]]}')
 
 
 def test_block_json_roundtrip(x22):

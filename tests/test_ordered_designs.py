@@ -13,6 +13,7 @@ from sbbd import (
     od_to_csv,
     verify_od,
 )
+from sbbd.ordered_designs import FiniteField, _check_axioms
 
 PRIME_POWERS_49 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49]
 
@@ -40,10 +41,28 @@ def test_not_prime_power():
 
 
 def test_field_catalog_bound():
-    with pytest.raises(NotPrimePower):
-        gf(53)  # prime, but beyond the shipped table bound
-    with pytest.raises(NotPrimePower):
-        gf(64)
+    # prime fields need no reduction polynomial, so only prime powers are capped
+    assert gf(53).q == 53
+    for q in (64, 81, 121):
+        with pytest.raises(NotPrimePower, match="shipped only for q <= 49"):
+            gf(q)
+
+
+@pytest.mark.parametrize("q", [59, 79])
+def test_large_prime_fields_pass_axioms(q):
+    fld = gf(q)
+    _check_axioms(fld)
+    assert np.array_equal(fld.mul, np.outer(np.arange(q), np.arange(q)) % q)
+
+
+def test_axiom_check_catches_a_corrupted_large_table():
+    # q = 59 is checked in four slabs of x values
+    fld = gf(59)
+    mul = fld.mul.copy()
+    mul[[57, 57], [2, 3]] = mul[[57, 57], [3, 2]]
+    mul[[2, 3], [57, 57]] = mul[[3, 2], [57, 57]]
+    with pytest.raises(NotPrimePower, match="GF\\(59\\)"):
+        _check_axioms(FiniteField(59, 1, fld.add, mul))
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_49)
