@@ -10,7 +10,8 @@ byte-identical.
 Design matrices travel as header-less CSV, which does not carry the
 (v1, v2) split.  Commands reading a CSV accept --v1/--v2 and default to the
 square split when the column count is a perfect square.  Files that start
-with '{' are parsed as SB-block JSON, which embeds v1 and v2.
+with '{' are parsed as SB-block JSON, which embeds v1 and v2; --v1/--v2
+given with such a file must match the embedded values.
 """
 
 from __future__ import annotations
@@ -69,7 +70,11 @@ def _load_design(path: str, v1, v2) -> DesignMatrix:
     if not body:
         raise UsageError(f"no design data in {path!r}")
     if body.startswith("{"):
-        return blocks_to_matrix(blocks_from_json(text))
+        x = blocks_to_matrix(blocks_from_json(text))
+        for flag, given, embedded in (("--v1", v1, x.v1), ("--v2", v2, x.v2)):
+            if given is not None and given != embedded:
+                raise UsageError(f"{flag} {given} != {embedded} in the SB-block JSON {path!r}")
+        return x
     # the first line alone fixes the column count
     first = body.partition("\n")[0].splitlines()[0]
     cols = len(first.split(","))
@@ -317,8 +322,8 @@ def _error_payload(exc: SbbdError) -> dict:
 
 
 def _add_dims(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--v1", type=_positive_arg, help="left point count for CSV input")
-    p.add_argument("--v2", type=_positive_arg, help="right point count for CSV input")
+    p.add_argument("--v1", type=_positive_arg, help="left point count (CSV input; checked for JSON)")
+    p.add_argument("--v2", type=_positive_arg, help="right point count (CSV input; checked for JSON)")
 
 
 def build_parser() -> argparse.ArgumentParser:

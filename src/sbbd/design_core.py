@@ -101,6 +101,8 @@ class DesignMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if self.v1 < 1 or self.v2 < 1:
+            raise DimensionError(f"need v1 >= 1 and v2 >= 1, got {self.v1} x {self.v2}")
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[1] != self.v1 * self.v2:
             raise DimensionError(
@@ -172,8 +174,8 @@ _COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
 
 def matrix_to_csv(x: DesignMatrix) -> str:
     n, w = x.matrix.shape
-    if n == 0 or w == 0:
-        return "\n" * max(n, 1)
+    if n == 0:
+        return "\n"
     buf = np.full((n, 2 * w), _COMMA, dtype=np.uint8)
     buf[:, 0::2] = x.matrix + _ZERO
     buf[:, -1] = _NEWLINE
@@ -227,12 +229,20 @@ def blocks_to_json(blocks: list) -> str:
     return json.dumps(payload)
 
 
+def _json_int(value) -> int:
+    # bool is an int subclass, but true/false are not JSON integers
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def blocks_from_json(text: str) -> list:
     try:
         payload = json.loads(text)
-        v1, v2 = int(payload["v1"]), int(payload["v2"])
+        v1, v2 = _json_int(payload["v1"]), _json_int(payload["v2"])
         edge_sets = [
-            frozenset((int(i), int(j)) for i, j in blk) for blk in payload["blocks"]
+            frozenset((_json_int(i), _json_int(j)) for i, j in blk)
+            for blk in payload["blocks"]
         ]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad SB-block JSON: {exc}") from exc

@@ -10,11 +10,17 @@ Var((p_i (x) q_j)^T tau_hat) = sigma^2 / alpha.
 The contrast rows C lie in the alpha eigenspace of X^T X, so C G = C / alpha
 and simulate projects with W = C X^T / alpha without forming G.
 
-Noise comes from numpy's counter-based Philox generator keyed by the seed
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Run
-i reads its own fixed range of Philox blocks, and Box-Muller turns exactly
-one 64-bit word per uniform into normals, so each run's noise is
-reproducible bit for bit whatever the batching or run order.
+Runs are processed in tiles of _TILE runs: run i is row i % _TILE of tile
+i // _TILE.  Tile t's noise is the (_TILE, N) array that numpy's ziggurat
+sampler draws from Philox(key=seed, counter=t << 64), the counter-based
+generator of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
+(SC'11).  Each tile is projected by one fixed-shape BLAS product
+(_TILE, N) @ (N, C), so a run's noise and estimates depend only on
+(seed, i, N), never on how many runs are drawn together.  Reports are
+therefore identical bit for bit across chunk sizes and calls for a given
+numpy and BLAS build and BLAS thread count; a different thread count may
+change the last bits of large products (OpenBLAS 0.3.31 does so for a
+(256, 506) @ (506, 484) product with 1 and 2 threads).
 """
 
 from __future__ import annotations
@@ -93,10 +99,7 @@ def contrast_basis(v1: int, v2: int) -> np.ndarray:
     """
     if v1 < 2 or v2 < 2:
         raise DimensionError("contrasts need v1 >= 2 and v2 >= 2")
-    p = _helmert(v1)
-    q = _helmert(v2)
-    rows = [np.kron(p[i], q[j]) for i in range(v1 - 1) for j in range(v2 - 1)]
-    return np.vstack(rows)
+    return np.kron(_helmert(v1), _helmert(v2))
 
 
 def _check_seed(seed) -> None:
@@ -124,31 +127,29 @@ def random_effects(v1: int, v2: int, scale: float = 1.0, seed: int = 0) -> Effec
     return EffectVector(v1, v2, _center(_center(z)).reshape(-1))
 
 
-_CHUNK_RUNS = 1024  # runs drawn and projected together; the report does not depend on it
+_TILE = 256  # runs per fixed-shape projection; fixes every run's noise and estimates
+_CHUNK_RUNS = 1024  # runs drawn together, rounded up to whole tiles; the report does not depend on it
+
+
+def _draw_tiles(seed: int, first: int, out: np.ndarray) -> np.ndarray:
+    """Fill out, shape (k * _TILE, n), with the noise of tiles first .. first + k - 1."""
+    for t, tile in enumerate(out.reshape(-1, _TILE, out.shape[1]), first):
+        np.random.Generator(np.random.Philox(key=seed, counter=t << 64)).standard_normal(out=tile)
+    return out
 
 
 def _noise(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     """Standard normals for runs start .. stop-1, shape (stop - start, n).
 
-    Run i reads Philox(key=seed) blocks i*b + 1 .. (i+1)*b, with b = ceil(n/4)
-    blocks of four 64-bit words, so its draw depends only on (seed, i, n).
-    Generator.random uses exactly one word per uniform (standard_normal's
-    ziggurat uses a variable number), and Box-Muller maps the first and
-    second halves of a run's uniforms to pairs of normals; log1p(-u) stays
-    finite for u in [0, 1).
+    Run i is row i % _TILE of tile i // _TILE, and tile t is the (_TILE, n)
+    standard_normal draw of Philox(key=seed, counter=t << 64).  The ziggurat
+    consumes a variable number of words, but far fewer than the 2^64 blocks
+    between two tiles' counters, so tiles never share a block.
     """
-    blocks = -(-n // 4)
-    bits = np.random.Philox(key=seed, counter=start * blocks)
-    u = np.random.Generator(bits).random((stop - start, 4 * blocks))
-    half = 2 * blocks
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, :half]))
-    angle = (2.0 * np.pi) * u[:, half:]
-    return np.hstack([radius * np.cos(angle), radius * np.sin(angle)])[:, :n]
-
-
-def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """total + rows[0] + rows[1] + ..., added in run order whatever the chunking."""
-    return np.add.accumulate(np.vstack([total, rows]), axis=0)[-1]
+    first = start // _TILE
+    tiles = -(-stop // _TILE) - first
+    out = _draw_tiles(seed, first, np.empty((tiles * _TILE, n)))
+    return out[start - first * _TILE : stop - first * _TILE]
 
 
 def estimate_effects(x: DesignMatrix, y: np.ndarray) -> np.ndarray:
@@ -183,7 +184,10 @@ def simulate(
     Per run: y = X tau + sigma * eps, then the contrast estimates
     C tau_hat = C G X^T y = W y with W = C X^T / alpha.  Reports per-contrast
     empirical mean and variance against the predicted sigma^2 / alpha.
-    The report for given arguments is the same bit for bit on every call.
+    Runs go in tiles of _TILE (see the module docstring); the last tile is
+    drawn in full and its rows past `runs` are zeroed before any sum.  The
+    report for given arguments is the same bit for bit on every call and
+    for every _CHUNK_RUNS, given the numpy/BLAS build and thread count.
     """
     if (tau.v1, tau.v2) != (x.v1, x.v2):
         raise DimensionError("effect vector does not match the design dimensions")
@@ -198,8 +202,9 @@ def simulate(
             f"alpha = {spec.alpha} <= 0; basic contrasts are not estimable"
         )
     c = contrast_basis(x.v1, x.v2)
-    w = (c @ x.matrix.T.astype(float)) / spec.alpha  # contrast estimates are W y
-    signal = x.matrix.astype(float) @ tau.tau
+    xf = x.matrix.astype(float)
+    wt = (xf @ c.T) / spec.alpha  # W^T, (N, C): contrast estimates are y @ W^T
+    signal = xf @ tau.tau
 
     true = c @ tau.tau
     n_contrasts = c.shape[0]
@@ -207,14 +212,25 @@ def simulate(
     # update numerically clean
     dev_sum = np.zeros(n_contrasts)
     dev_sq = np.zeros(n_contrasts)
-    for start in range(0, runs, _CHUNK_RUNS):
-        y = signal + sigma * _noise(seed, start, min(start + _CHUNK_RUNS, runs), x.n_rows)
-        # einsum's own loop sums each entry over the blocks in one fixed
-        # order; a BLAS product picks its kernel by row count, so a run's
-        # estimates would depend on the chunk in the last bit
-        deviations = np.einsum("rn,cn->rc", y, w) - true
-        dev_sum = _running_sum(dev_sum, deviations)
-        dev_sq = _running_sum(dev_sq, deviations * deviations)
+    total_tiles = -(-runs // _TILE)
+    chunk_tiles = -(-_CHUNK_RUNS // _TILE)
+    buf = np.empty((chunk_tiles * _TILE, x.n_rows))
+    for first in range(0, total_tiles, chunk_tiles):
+        tiles = min(chunk_tiles, total_tiles - first)
+        y = _draw_tiles(seed, first, buf[: tiles * _TILE])
+        y *= sigma
+        y += signal
+        # one (_TILE, N) @ (N, C) product per tile: the shape, and so the
+        # BLAS kernel, is the same for every tile whatever the chunking
+        deviations = y.reshape(tiles, _TILE, x.n_rows) @ wt
+        deviations -= true
+        deviations.reshape(-1, n_contrasts)[runs - first * _TILE :] = 0.0
+        # per-tile sums, added in tile order
+        tile_sum = deviations.sum(axis=1)
+        deviations *= deviations
+        for s, sq in zip(tile_sum, deviations.sum(axis=1)):
+            dev_sum += s
+            dev_sq += sq
 
     mean = true + dev_sum / runs
     variance = (dev_sq - dev_sum * dev_sum / runs) / (runs - 1)

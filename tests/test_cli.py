@@ -129,6 +129,22 @@ def test_analyze_json_design_file(capsys, tmp_path, x22):
     assert json.loads(out)["lambda"] == [6, 3, 4, 4]
 
 
+def test_json_design_dims_must_match_flags(capsys, tmp_path, x22):
+    f = tmp_path / "design.json"
+    f.write_text(sbbd.blocks_to_json(sbbd.matrix_to_blocks(x22)))
+    out_file = tmp_path / "o.bin"
+    mask = ["mask", str(f), "--format", "bin", "--out", str(out_file)]
+    for command in (mask, ["analyze", str(f), "--json"]):
+        for flags in (["--v1", "2"], ["--v2", "4"], ["--v1", "3", "--v2", "1"]):
+            code, out, err = run(capsys, *command, *flags)
+            assert code == 2
+            assert "usage error" in err and "SB-block JSON" in err
+            assert out == "" and not out_file.exists()
+        code, _, _ = run(capsys, *command, "--v1", "3", "--v2", "3")
+        assert code == 0
+        out_file.unlink(missing_ok=command is not mask)
+
+
 def test_analyze_stdin_matches_file(capsys, fixture_dir, monkeypatch):
     text = (fixture_dir / "design_3_3_9.csv").read_text()
     code, from_file, _ = run(capsys, "analyze", str(fixture_dir / "design_3_3_9.csv"), "--json")

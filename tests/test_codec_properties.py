@@ -33,7 +33,7 @@ def join_writer(x: DesignMatrix) -> str:
 @st.composite
 def design_matrices(draw, max_rows=40):
     n = draw(st.integers(0, max_rows))
-    v1, v2 = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    v1, v2 = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     bits = draw(st.lists(st.booleans(), min_size=n * v1 * v2, max_size=n * v1 * v2))
     return DesignMatrix(v1, v2, np.array(bits, dtype=np.int64).reshape(n, v1 * v2))
 
@@ -103,7 +103,7 @@ def test_csv_reader_matches_token_parser(x, data):
     text = matrix_to_csv(x)
     _assert_same_parse(text, x.v1, x.v2)
     _assert_same_parse(_lenient(text, data), x.v1, x.v2)
-    if x.matrix.size:  # 0 rows or 0 columns write blank lines, read back as empty
+    if x.n_rows:  # 0 rows write a blank line, read back as empty
         _assert_same_parse(_malformed(text, data), x.v1, x.v2)
         assert np.array_equal(matrix_from_csv(text, x.v1, x.v2).matrix, x.matrix)
 

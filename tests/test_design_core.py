@@ -105,6 +105,15 @@ def test_edge_out_of_range_rejected():
         SBBlock(2, 2, frozenset({(3, 1)}))
 
 
+@pytest.mark.parametrize(
+    "v1, v2, m",
+    [(-1, -1, np.ones((2, 1))), (0, 1, np.zeros((1, 0))), (1, 0, np.zeros((3, 0))), (0, 0, np.zeros((0, 0)))],
+)
+def test_dimensions_below_one_rejected(v1, v2, m):
+    with pytest.raises(DimensionError, match="v1 >= 1 and v2 >= 1"):
+        DesignMatrix(v1, v2, m)
+
+
 def test_non_binary_matrix_rejected():
     with pytest.raises(FormatError):
         DesignMatrix(2, 2, np.array([[0, 1, 2, 0]]))
@@ -146,6 +155,13 @@ def test_csv_rejects_ragged_and_nonint(x22):
         '{"v1": 2, "v2": 2, "blocks": [[[1, "x"]]]}',
         '{"v1": 2, "v2": 2, "blocks": 5}',
         '{"v1": 2, "v2": 2, "blocks": [[[1, 1, 2]]]}',
+        # only JSON integers, never bools, floats or strings
+        '{"v1": 2, "v2": 2, "blocks": [[[1.9, 1], ["2", 2], [true, 2], [2, 1]]]}',
+        '{"v1": 2, "v2": 2, "blocks": [[[1, 2.0]]]}',
+        '{"v1": 2, "v2": 2, "blocks": [[[1, null]]]}',
+        '{"v1": true, "v2": 2, "blocks": [[[1, 1]]]}',
+        '{"v1": 2.0, "v2": 2, "blocks": [[[1, 1]]]}',
+        '{"v1": 2, "v2": "2", "blocks": [[[1, 1]]]}',
     ],
 )
 def test_block_json_malformed_edges_rejected(text):

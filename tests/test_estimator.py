@@ -249,3 +249,48 @@ def test_effect_vector_rejects_non_finite():
     for value in (np.nan, np.inf):
         with pytest.raises(DimensionError, match="non-finite"):
             EffectVector(2, 2, np.array([value, -value, -value, value]))
+
+
+def test_contrast_basis_equals_row_by_row_kron():
+    for v1, v2 in [(2, 2), (2, 5), (3, 3), (4, 7), (9, 4), (13, 13)]:
+        p, q = estimator._helmert(v1), estimator._helmert(v2)
+        rows = [np.kron(p[i], q[j]) for i in range(v1 - 1) for j in range(v2 - 1)]
+        basis = contrast_basis(v1, v2)
+        assert basis.shape == ((v1 - 1) * (v2 - 1), v1 * v2)
+        assert basis.tobytes() == np.vstack(rows).tobytes()
+
+
+def test_noise_rows_are_rows_of_the_tile_draws():
+    tile = estimator._TILE
+    n = 5
+    start, stop = tile // 2 + 3, 3 * tile + 11  # mid-tile start, four tiles
+    tiles = []
+    for t in range(start // tile, stop // tile + 1):
+        bits = np.random.Philox(key=606, counter=t << 64)
+        tiles.append(np.random.Generator(bits).standard_normal((tile, n)))
+    first = (start // tile) * tile
+    expected = np.vstack(tiles)[start - first : stop - first]
+    assert estimator._noise(606, start, stop, n).tobytes() == expected.tobytes()
+
+
+def test_padded_rows_of_the_last_tile_never_enter_the_report(fano_composed):
+    x = fano_composed.x
+    runs = estimator._TILE + 37
+    tau = random_effects(7, 7, seed=12)
+    report = simulate(x, tau, sigma=1.5, runs=runs, seed=44)
+    alpha = sbbd.spectrum(sbbd.information_matrix(x)).alpha
+    w = contrast_basis(7, 7) @ x.matrix.T.astype(float) / alpha
+    y = x.matrix.astype(float) @ tau.tau + 1.5 * estimator._noise(44, 0, runs, x.n_rows)
+    estimates = y @ w.T
+    assert np.abs(report.empirical_mean - estimates.mean(axis=0)).max() < 1e-12
+    assert np.abs(report.empirical_variance - estimates.var(axis=0, ddof=1)).max() < 1e-12
+
+
+def test_one_contrast_report_does_not_depend_on_chunk_size(monkeypatch, single_edge_blocks):
+    # a 2 x 2 design has a single contrast, so every tile sum runs over one column
+    tau = random_effects(2, 2, seed=5)
+    reports = []
+    for chunk in (1, 300, 2048):
+        monkeypatch.setattr(estimator, "_CHUNK_RUNS", chunk)
+        reports.append(_report_bytes(simulate(single_edge_blocks, tau, sigma=1.0, runs=3001, seed=9)))
+    assert reports[0] == reports[1] == reports[2]
