@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Tour of the core types: SB-blocks, the design matrix encoding, panels,
-and exact condition checking on a 9-block design of K_{3,3}."""
+"""Tour of the core types: the design matrix, whose rows are SB-blocks, its
+SB-block JSON form, panels, and exact condition checking on a 9-block design
+of K_{3,3}."""
 
 import numpy as np
 
@@ -22,14 +23,17 @@ rows = """
 x = sbbd.matrix_from_csv(rows, v1=3, v2=3)
 print(f"design matrix: {x.n_rows} rows x {x.v1 * x.v2} columns")
 
-blocks = sbbd.matrix_to_blocks(x)
-print(f"decoded {len(blocks)} SB-blocks; first block edges: {sorted(blocks[0].edges)}")
+# column (i-1)*v2 + j carries edge (i, j), so row k is block k
+edges = (np.argwhere(x.matrix[0].reshape(x.v1, x.v2)) + 1).tolist()
+print(f"first block edges: {edges}")
 
-# column (i-1)*v2 + j carries edge (i, j); round-trip is bit exact
-back = sbbd.blocks_to_matrix(blocks)
+# SB-block JSON lists each row's edges; the round trip is bit exact
+text = sbbd.blocks_to_json(x)
+print(f"SB-block JSON, {len(text)} characters: {text[:62]}...")
+back = sbbd.blocks_from_json(text)
 print("round-trip exact:", np.array_equal(back.matrix, x.matrix))
 
-panels = sbbd.submatrix_partition(x)
+panels = [x.panel(i) for i in range(1, x.v1 + 1)]
 print("panel shapes:", [p.shape for p in panels])
 print("panel 1:")
 print(panels[0])

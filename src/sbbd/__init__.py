@@ -32,17 +32,12 @@ from .design_core import (
     DesignMatrix,
     DimensionError,
     FormatError,
-    SBBlock,
     SbbdError,
     SbbdParameters,
     blocks_from_json,
     blocks_to_json,
-    blocks_to_matrix,
-    edge_column,
     matrix_from_csv,
-    matrix_to_blocks,
     matrix_to_csv,
-    submatrix_partition,
 )
 from .estimator import (
     EffectVector,

@@ -29,14 +29,12 @@ from . import (
     a_optimality,
     blocks_from_json,
     blocks_to_json,
-    blocks_to_matrix,
     catalog_by_id,
     compose,
     construct_od1,
     cyclic_shift_perms,
     design_from_json,
     matrix_from_csv,
-    matrix_to_blocks,
     matrix_to_csv,
     od_from_csv,
     od_to_csv,
@@ -70,7 +68,7 @@ def _load_design(path: str, v1, v2) -> DesignMatrix:
     if not body:
         raise UsageError(f"no design data in {path!r}")
     if body.startswith("{"):
-        x = blocks_to_matrix(blocks_from_json(text))
+        x = blocks_from_json(text)
         for flag, given, embedded in (("--v1", v1, x.v1), ("--v2", v2, x.v2)):
             if given is not None and given != embedded:
                 raise UsageError(f"{flag} {given} != {embedded} in the SB-block JSON {path!r}")
@@ -155,8 +153,7 @@ def _cmd_compose(args) -> int:
             raise UsageError("--perms expects cyclic:<u> with u >= 1")
         x = permute_extension(x, cyclic_shift_perms(x.v2, int(count)))
     if args.out and args.out.endswith(".json"):
-        payload = blocks_to_json(matrix_to_blocks(x))
-        _write_output(payload + "\n", args.out)
+        _write_output(blocks_to_json(x) + "\n", args.out)
     else:
         _write_output(matrix_to_csv(x), args.out)
     if args.out and args.out != "-":

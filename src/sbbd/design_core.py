@@ -1,10 +1,10 @@
 """Exact integer matrix types and the SB-block / design-matrix encoding.
 
 An SB-block is a spanning-candidate subgraph of the complete bipartite graph
-K_{v1,v2}, stored as a set of 1-based edges (i, j).  A design matrix packs N
+K_{v1,v2}: a subset of its edges (i, j), 1-based.  A design matrix packs N
 such blocks into an N x (v1*v2) (0,1)-matrix whose columns enumerate the
 edges e_11, e_12, ..., e_1v2, e_21, ..., e_v1v2 in lexicographic order, so
-edge (i, j) owns column (i-1)*v2 + j (1-based).
+edge (i, j) owns column (i-1)*v2 + j (1-based) and row k is block k.
 
 All matrices are exact integers; nothing in this module touches floats.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -33,29 +34,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=np.int64)
     out.flags.writeable = False
     return out
-
-
-def edge_column(i: int, j: int, v2: int) -> int:
-    """1-based column index of edge (i, j) in the lexicographic edge order."""
-    return (i - 1) * v2 + j
-
-
-@dataclass(frozen=True)
-class SBBlock:
-    """One bipartite block: an edge subset of K_{v1,v2} with 1-based endpoints."""
-
-    v1: int
-    v2: int
-    edges: frozenset
-
-    def __post_init__(self):
-        edges = frozenset(tuple(e) for e in self.edges)
-        for (i, j) in edges:
-            if not (1 <= i <= self.v1 and 1 <= j <= self.v2):
-                raise DimensionError(
-                    f"edge ({i},{j}) out of range for K_{{{self.v1},{self.v2}}}"
-                )
-        object.__setattr__(self, "edges", edges)
 
 
 @dataclass(frozen=True)
@@ -123,42 +101,6 @@ class DesignMatrix:
         return self.matrix[:, (i - 1) * self.v2 : i * self.v2]
 
 
-def blocks_to_matrix(blocks: list) -> DesignMatrix:
-    """Encode SB-blocks as the rows of a design matrix.
-
-    Row k carries a 1 exactly in the columns of the edges of blocks[k].
-    All blocks must live on the same K_{v1,v2}.
-    """
-    if not blocks:
-        raise DimensionError("need at least one block")
-    v1, v2 = blocks[0].v1, blocks[0].v2
-    for b in blocks:
-        if (b.v1, b.v2) != (v1, v2):
-            raise DimensionError(
-                f"block on K_{{{b.v1},{b.v2}}} mixed with K_{{{v1},{v2}}}"
-            )
-    m = np.zeros((len(blocks), v1 * v2), dtype=np.int64)
-    for k, b in enumerate(blocks):
-        for (i, j) in b.edges:
-            m[k, edge_column(i, j, v2) - 1] = 1
-    return DesignMatrix(v1, v2, m)
-
-
-def matrix_to_blocks(x: DesignMatrix) -> list:
-    """Decode each row of a design matrix back into an SB-block."""
-    out = []
-    for row in x.matrix:
-        cols = np.flatnonzero(row)
-        edges = frozenset((int(c) // x.v2 + 1, int(c) % x.v2 + 1) for c in cols)
-        out.append(SBBlock(x.v1, x.v2, edges))
-    return out
-
-
-def submatrix_partition(x: DesignMatrix) -> list:
-    """Split X into its v1 panels (X_1 | X_2 | ... | X_v1), in order."""
-    return [x.panel(i) for i in range(1, x.v1 + 1)]
-
-
 # --- file formats -----------------------------------------------------------
 #
 # Design matrix CSV: one row per line, comma-separated 0/1, no header.
@@ -215,18 +157,19 @@ def _matrix_from_csv_tokens(text: str, v1: int, v2: int) -> DesignMatrix:
     return DesignMatrix(v1, v2, np.array(rows, dtype=np.int64))
 
 
-def blocks_to_json(blocks: list) -> str:
-    if not blocks:
+def blocks_to_json(x: DesignMatrix) -> str:
+    """SB-block JSON of a design: block k lists the edges [i, j] of row k in column order.
+
+    The text is what json.dumps writes for {"v1", "v2", "blocks"} with its
+    default separators; each edge's label is formatted once, not once per row.
+    """
+    if x.n_rows == 0:
         raise DimensionError("need at least one block")
-    v1, v2 = blocks[0].v1, blocks[0].v2
-    if any((b.v1, b.v2) != (v1, v2) for b in blocks):
-        raise DimensionError("blocks live on different bipartite graphs")
-    payload = {
-        "v1": v1,
-        "v2": v2,
-        "blocks": [sorted([list(e) for e in b.edges]) for b in blocks],
-    }
-    return json.dumps(payload)
+    labels = np.array(
+        [f"[{i}, {j}]" for i in range(1, x.v1 + 1) for j in range(1, x.v2 + 1)], dtype=object
+    )
+    blocks = ", ".join("[" + ", ".join(labels[np.flatnonzero(row)]) + "]" for row in x.matrix)
+    return f'{{"v1": {x.v1}, "v2": {x.v2}, "blocks": [{blocks}]}}'
 
 
 def _json_int(value) -> int:
@@ -236,14 +179,40 @@ def _json_int(value) -> int:
     return value
 
 
-def blocks_from_json(text: str) -> list:
+def blocks_from_json(text: str) -> DesignMatrix:
+    """Read SB-block JSON: block k becomes row k, with a 1 in the column of each edge.
+
+    v1, v2 and every endpoint must be JSON integers and blocks a list of lists
+    of [i, j] pairs, otherwise FormatError.  An endpoint outside 1..v1 or
+    1..v2, or an empty block list, is a DimensionError.  An edge repeated
+    within a block counts once.
+    """
     try:
         payload = json.loads(text)
         v1, v2 = _json_int(payload["v1"]), _json_int(payload["v2"])
-        edge_sets = [
-            frozenset((_json_int(i), _json_int(j)) for i, j in blk)
-            for blk in payload["blocks"]
-        ]
+        blocks = payload["blocks"]
+        if type(blocks) is not list or set(map(type, blocks)) - {list}:
+            raise TypeError("blocks must be a list of lists of edges")
+        edges = list(chain.from_iterable(blocks))
+        if set(map(type, edges)) - {list} or set(map(len, edges)) - {2}:
+            raise TypeError("every edge must be a list [i, j]")
+        ends = list(chain.from_iterable(edges))
+        if set(map(type, ends)) - {int}:
+            bad = next(v for v in ends if type(v) is not int)
+            raise TypeError(f"expected an integer, got {bad!r}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad SB-block JSON: {exc}") from exc
-    return [SBBlock(v1, v2, edges) for edges in edge_sets]
+    # checked here: np.zeros raises a bare ValueError for a negative v1 * v2
+    if v1 < 1 or v2 < 1 or not blocks:
+        raise DimensionError(f"need v1, v2 >= 1 and a block, got {v1} x {v2}, {len(blocks)} blocks")
+    try:
+        ij = np.array(ends, dtype=np.int64).reshape(-1, 2) - 1
+    except OverflowError:  # beyond int64, so beyond 1..v1 or 1..v2
+        raise DimensionError(f"an edge endpoint exceeds K_{{{v1},{v2}}}") from None
+    outside = ((ij < 0) | (ij >= (v1, v2))).any(axis=1)
+    if outside.any():
+        i, j = ij[outside.argmax()] + 1
+        raise DimensionError(f"edge ({i},{j}) out of range for K_{{{v1},{v2}}}")
+    m = np.zeros((len(blocks), v1 * v2), dtype=np.int64)
+    m[np.repeat(np.arange(len(blocks)), list(map(len, blocks))), ij[:, 0] * v2 + ij[:, 1]] = 1
+    return DesignMatrix(v1, v2, m)

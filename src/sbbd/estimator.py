@@ -132,9 +132,20 @@ _CHUNK_RUNS = 1024  # runs drawn together, rounded up to whole tiles; the report
 
 
 def _draw_tiles(seed: int, first: int, out: np.ndarray) -> np.ndarray:
-    """Fill out, shape (k * _TILE, n), with the noise of tiles first .. first + k - 1."""
+    """Fill out, shape (k * _TILE, n), with the noise of tiles first .. first + k - 1.
+
+    One Philox serves all k tiles, since each construction reads OS entropy
+    for a SeedSequence that the explicit key leaves unused.  Before tile t its
+    state is reset to the one Philox(key=seed, counter=t << 64) starts in:
+    counter word 1 set to t, the other words zero and the output buffer empty.
+    """
+    bits = np.random.Philox(key=seed, counter=first << 64)
+    normals = np.random.Generator(bits)
+    start = bits.state
     for t, tile in enumerate(out.reshape(-1, _TILE, out.shape[1]), first):
-        np.random.Generator(np.random.Philox(key=seed, counter=t << 64)).standard_normal(out=tile)
+        start["state"]["counter"][1] = t
+        bits.state = start
+        normals.standard_normal(out=tile)
     return out
 
 
@@ -191,8 +202,8 @@ def simulate(
     """
     if (tau.v1, tau.v2) != (x.v1, x.v2):
         raise DimensionError("effect vector does not match the design dimensions")
-    if runs < 2:
-        raise DimensionError("need at least 2 runs for a variance estimate")
+    if not isinstance(runs, (int, np.integer)) or isinstance(runs, bool) or runs < 2:
+        raise DimensionError(f"need an integer runs >= 2 for a variance estimate, got {runs!r}")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise DimensionError(f"sigma must be finite and >= 0, got {sigma!r}")
     _check_seed(seed)

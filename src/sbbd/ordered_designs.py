@@ -95,9 +95,6 @@ class FiniteField:
     def q(self) -> int:
         return self.p**self.e
 
-    def neg(self, x: int) -> int:
-        return int(np.flatnonzero(self.add[x] == 0)[0])
-
     def inverse(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
@@ -232,35 +229,28 @@ def verify_od(m, n: int, s: int) -> OrderedDesign:
         if len(set(row.tolist())) != s:
             raise RepeatedSymbolInRow(idx + 1)
 
+    # with s = 1 there are no column pairs; the row count alone fixes eta
     n_rows = arr.shape[0]
-    if s >= 2:
-        if n_rows % (n * n - n) != 0:
-            raise DimensionError(
-                f"{n_rows} rows is not a multiple of n^2 - n = {n * n - n}"
-            )
-        eta = n_rows // (n * n - n)
-        off_diag = ~np.eye(n, dtype=bool)
-        for c1 in range(s):
-            for c2 in range(s):
-                if c1 == c2:
-                    continue
-                codes = (arr[:, c1] - 1) * n + (arr[:, c2] - 1)
-                counts = np.bincount(codes, minlength=n * n).reshape(n, n)
-                if (counts[off_diag] != eta).any():
-                    x, y = np.argwhere((counts != eta) & off_diag)[0]
-                    raise PairCountMismatch(
-                        (c1 + 1, c2 + 1),
-                        (int(x) + 1, int(y) + 1),
-                        int(counts[x, y]),
-                        eta,
-                    )
-    else:
-        # a single column has no column pairs; only the row count constrains eta
-        if n_rows % (n * n - n) != 0:
-            raise DimensionError(
-                f"{n_rows} rows is not a multiple of n^2 - n = {n * n - n}"
-            )
-        eta = n_rows // (n * n - n)
+    if n_rows % (n * n - n) != 0:
+        raise DimensionError(
+            f"{n_rows} rows is not a multiple of n^2 - n = {n * n - n}"
+        )
+    eta = n_rows // (n * n - n)
+    off_diag = ~np.eye(n, dtype=bool)
+    for c1 in range(s):
+        for c2 in range(s):
+            if c1 == c2:
+                continue
+            codes = (arr[:, c1] - 1) * n + (arr[:, c2] - 1)
+            counts = np.bincount(codes, minlength=n * n).reshape(n, n)
+            if (counts[off_diag] != eta).any():
+                x, y = np.argwhere((counts != eta) & off_diag)[0]
+                raise PairCountMismatch(
+                    (c1 + 1, c2 + 1),
+                    (int(x) + 1, int(y) + 1),
+                    int(counts[x, y]),
+                    eta,
+                )
     return OrderedDesign(n=n, s=s, eta=eta, rows=arr)
 
 

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .design_core import DimensionError, FormatError, SbbdError
+from .design_core import DimensionError, FormatError, SbbdError, _json_int
 
 
 class NotRegular(SbbdError):
@@ -234,13 +234,14 @@ def catalog_by_id(name: str) -> BlockDesign:
 
 
 def design_from_json(text: str) -> BlockDesign:
+    """Read {"v": int, "blocks": [[point, ...], ...]}; v and every point must be JSON integers."""
     try:
         payload = json.loads(text)
-        v = int(payload["v"])
-        raw = payload["blocks"]
+        v = _json_int(payload["v"])
+        blocks = [[_json_int(p) for p in blk] for blk in payload["blocks"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad block-design JSON: {exc}") from exc
-    return verify_rl_design(v, [frozenset(int(p) for p in blk) for blk in raw])
+    return verify_rl_design(v, blocks)
 
 
 def design_to_json(d: BlockDesign) -> str:

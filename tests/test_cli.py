@@ -28,6 +28,14 @@ def test_design_verify_rejects_bad_design(capsys, tmp_path):
     assert "NotRegular" in err
 
 
+def test_design_verify_rejects_non_integer_points(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"v": 3.7, "blocks": [[1.9, 2], ["2", 3], [true, 3], [1, 2, 3]]}')
+    code, _, err = run(capsys, "design", "verify", str(bad))
+    assert code == 1
+    assert "FormatError" in err
+
+
 def test_od_construct_and_verify(capsys, tmp_path):
     out_file = tmp_path / "od4.csv"
     code, _, _ = run(capsys, "od", "construct", "--q", "4", "--out", str(out_file))
@@ -83,8 +91,7 @@ def test_compose_perms_and_json_output(capsys, tmp_path):
     )
     assert code == 0
     assert "24 x 12" in out
-    blocks = sbbd.blocks_from_json(out_file.read_text())
-    x = sbbd.blocks_to_matrix(blocks)
+    x = sbbd.blocks_from_json(out_file.read_text())
     assert sbbd.check_sbbd(x).lam == (18, 12, 12, 14)
 
 
@@ -123,7 +130,7 @@ def test_analyze_json_payload(capsys, fixture_dir):
 
 def test_analyze_json_design_file(capsys, tmp_path, x22):
     f = tmp_path / "design.json"
-    f.write_text(sbbd.blocks_to_json(sbbd.matrix_to_blocks(x22)))
+    f.write_text(sbbd.blocks_to_json(x22))
     code, out, _ = run(capsys, "analyze", str(f), "--json")
     assert code == 0
     assert json.loads(out)["lambda"] == [6, 3, 4, 4]
@@ -131,7 +138,7 @@ def test_analyze_json_design_file(capsys, tmp_path, x22):
 
 def test_json_design_dims_must_match_flags(capsys, tmp_path, x22):
     f = tmp_path / "design.json"
-    f.write_text(sbbd.blocks_to_json(sbbd.matrix_to_blocks(x22)))
+    f.write_text(sbbd.blocks_to_json(x22))
     out_file = tmp_path / "o.bin"
     mask = ["mask", str(f), "--format", "bin", "--out", str(out_file)]
     for command in (mask, ["analyze", str(f), "--json"]):

@@ -5,13 +5,14 @@ and the byte-level reader with the per-token parser that still serves every
 non-canonical input.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sbbd import (
     DesignMatrix,
-    SBBlock,
     blocks_from_json,
     blocks_to_json,
     matrix_from_csv,
@@ -31,8 +32,8 @@ def join_writer(x: DesignMatrix) -> str:
 
 
 @st.composite
-def design_matrices(draw, max_rows=40):
-    n = draw(st.integers(0, max_rows))
+def design_matrices(draw, max_rows=40, min_rows=0):
+    n = draw(st.integers(min_rows, max_rows))
     v1, v2 = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     bits = draw(st.lists(st.booleans(), min_size=n * v1 * v2, max_size=n * v1 * v2))
     return DesignMatrix(v1, v2, np.array(bits, dtype=np.int64).reshape(n, v1 * v2))
@@ -134,19 +135,17 @@ def test_schedule_bytes_roundtrip_is_identical(x):
 
 
 @SETTINGS
-@given(
-    st.integers(1, 5).flatmap(
-        lambda v1: st.integers(1, 5).flatmap(
-            lambda v2: st.lists(
-                st.frozensets(st.tuples(st.integers(1, v1), st.integers(1, v2))),
-                min_size=1,
-                max_size=8,
-            ).map(lambda sets: [SBBlock(v1, v2, e) for e in sets])
-        )
-    )
-)
-def test_block_json_roundtrip_is_identical(blocks):
-    text = blocks_to_json(blocks)
+@given(design_matrices(min_rows=1))
+def test_block_json_roundtrip_is_identical(x):
+    oracle = {
+        "v1": x.v1,
+        "v2": x.v2,
+        "blocks": [(np.argwhere(row.reshape(x.v1, x.v2)) + 1).tolist() for row in x.matrix],
+    }
+    text = blocks_to_json(x)
+    assert json.loads(text) == oracle
+    assert text == json.dumps(oracle)
     back = blocks_from_json(text)
-    assert back == blocks
+    assert (back.v1, back.v2) == (x.v1, x.v2)
+    assert np.array_equal(back.matrix, x.matrix)
     assert blocks_to_json(back) == text

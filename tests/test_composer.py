@@ -11,7 +11,6 @@ from sbbd import (
     compose,
     construct_od1,
     cyclic_shift_perms,
-    matrix_to_blocks,
     permute_extension,
     permute_panels,
     spanning_guaranteed,
@@ -20,12 +19,15 @@ from sbbd import (
 
 
 def cooccurrence_oracle(x: sbbd.DesignMatrix):
-    """Count edge-pair co-occurrences straight from the block edge sets.
+    """Count edge-pair co-occurrences straight from each row's edge list.
 
-    Independent of the matmul-based panel scan: walks the decoded blocks and
-    tallies (mu, l12, l21, l22) literally from the condition statements.
+    Independent of the matmul-based panel scan: walks the edges (i, j) of
+    every row and tallies (mu, l12, l21, l22) literally from the condition
+    statements.
     """
-    blocks = [b.edges for b in matrix_to_blocks(x)]
+    blocks = [
+        [tuple(e) for e in (np.argwhere(row.reshape(x.v1, x.v2)) + 1).tolist()] for row in x.matrix
+    ]
     single = Counter()
     together = Counter()
     for edges in blocks:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,56 +8,64 @@ from sbbd import (
     DesignMatrix,
     DimensionError,
     FormatError,
-    SBBlock,
     blocks_from_json,
     blocks_to_json,
-    blocks_to_matrix,
-    edge_column,
     matrix_from_csv,
-    matrix_to_blocks,
     matrix_to_csv,
-    submatrix_partition,
 )
 
 
+def sb_json(v1, v2, blocks) -> str:
+    return json.dumps({"v1": v1, "v2": v2, "blocks": blocks})
+
+
+def edge_lists(x: DesignMatrix) -> list:
+    """Per row, its 1-based edges [i, j] in row-major order."""
+    return [(np.argwhere(row.reshape(x.v1, x.v2)) + 1).tolist() for row in x.matrix]
+
+
 def test_column_indexing_law_exhaustive():
-    # edge (i, j) owns column (i-1)*v2 + j, checked for every v1, v2 <= 6
+    # a one-edge block (i, j) decodes to column (i-1)*v2 + j, and back, for every v1, v2 <= 6
     for v1 in range(1, 7):
         for v2 in range(1, 7):
-            cols = set()
-            for i in range(1, v1 + 1):
-                for j in range(1, v2 + 1):
-                    col = edge_column(i, j, v2)
-                    assert col == (i - 1) * v2 + j
-                    cols.add(col)
-            assert cols == set(range(1, v1 * v2 + 1))
+            edges = [[i, j] for i in range(1, v1 + 1) for j in range(1, v2 + 1)]
+            text = sb_json(v1, v2, [[e] for e in edges])
+            x = blocks_from_json(text)
+            assert (x.v1, x.v2) == (v1, v2)
+            assert (x.matrix.sum(axis=1) == 1).all()
+            cols = [(i - 1) * v2 + j for i, j in edges]
+            assert (x.matrix.argmax(axis=1) + 1).tolist() == cols
+            assert sorted(cols) == list(range(1, v1 * v2 + 1))
+            assert blocks_to_json(x) == text
 
 
 def test_single_block_all_edges_is_all_ones_row():
-    edges = frozenset((i, j) for i in range(1, 3) for j in range(1, 4))
-    x = blocks_to_matrix([SBBlock(2, 3, edges)])
+    edges = [[i, j] for i in range(1, 3) for j in range(1, 4)]
+    x = blocks_from_json(sb_json(2, 3, [edges]))
     assert x.matrix.shape == (1, 6)
     assert (x.matrix == 1).all()
 
 
 def test_single_edge_block_hits_column_one():
-    x = blocks_to_matrix([SBBlock(2, 3, frozenset({(1, 1)}))])
+    x = blocks_from_json(sb_json(2, 3, [[[1, 1]]]))
     expected = np.zeros(6, dtype=int)
     expected[0] = 1
     assert (x.matrix[0] == expected).all()
 
 
 def test_fixture_blocks_have_six_edges(x22):
-    blocks = matrix_to_blocks(x22)
+    text = blocks_to_json(x22)
+    blocks = json.loads(text)["blocks"]
     assert len(blocks) == 9
-    assert all(len(b.edges) == 6 for b in blocks)
-    assert blocks_to_matrix(blocks).matrix.tolist() == x22.matrix.tolist()
+    assert all(len(b) == 6 for b in blocks)
+    assert blocks_from_json(text).matrix.tolist() == x22.matrix.tolist()
 
 
 def test_zero_row_decodes_to_empty_block():
     x = DesignMatrix(2, 2, np.zeros((1, 4), dtype=int))
-    (block,) = matrix_to_blocks(x)
-    assert block.edges == frozenset()
+    text = blocks_to_json(x)
+    assert json.loads(text)["blocks"] == [[]]
+    assert blocks_from_json(text).matrix.tolist() == [[0, 0, 0, 0]]
 
 
 def test_random_roundtrip_matrix_blocks_matrix():
@@ -63,46 +73,57 @@ def test_random_roundtrip_matrix_blocks_matrix():
     for _ in range(20):
         m = rng.integers(0, 2, size=(5, 6))
         x = DesignMatrix(2, 3, m)
-        back = blocks_to_matrix(matrix_to_blocks(x))
+        text = blocks_to_json(x)
+        assert json.loads(text)["blocks"] == edge_lists(x)
+        back = blocks_from_json(text)
         assert np.array_equal(back.matrix, x.matrix)
         assert (back.v1, back.v2) == (2, 3)
 
 
 def test_roundtrip_blocks_matrix_blocks():
+    # edges in any order, some repeated within a block, come back sorted and once each
     rng = np.random.default_rng(7)
-    all_edges = [(i, j) for i in range(1, 4) for j in range(1, 4)]
-    blocks = []
+    all_edges = [[i, j] for i in range(1, 4) for j in range(1, 4)]
+    blocks, given = [], []
     for _ in range(6):
         take = rng.integers(0, 2, size=9).astype(bool)
-        blocks.append(SBBlock(3, 3, frozenset(e for e, t in zip(all_edges, take) if t)))
-    assert matrix_to_blocks(blocks_to_matrix(blocks)) == blocks
+        edges = [e for e, t in zip(all_edges, take) if t]
+        blocks.append(edges)
+        given.append([edges[k] for k in rng.permutation(len(edges))] + edges[:2])
+    x = blocks_from_json(sb_json(3, 3, given))
+    assert edge_lists(x) == blocks
+    assert blocks_to_json(x) == sb_json(3, 3, blocks)
 
 
 def test_partition_panels_and_identity(x22):
-    panels = submatrix_partition(x22)
+    panels = [x22.panel(i) for i in range(1, x22.v1 + 1)]
     assert len(panels) == 3
     assert all(p.shape == (9, 3) for p in panels)
     assert np.array_equal(np.hstack(panels), x22.matrix)
+    for i in (0, 4):
+        with pytest.raises(DimensionError):
+            x22.panel(i)
 
 
 def test_partition_v1_equals_one():
     x = DesignMatrix(1, 4, np.array([[1, 0, 1, 1]]))
-    (panel,) = submatrix_partition(x)
-    assert np.array_equal(panel, x.matrix)
+    assert np.array_equal(x.panel(1), x.matrix)
 
 
 def test_mismatched_blocks_rejected():
+    # a block that needs K_{2,3} in a design declared on K_{2,2}
     with pytest.raises(DimensionError):
-        blocks_to_matrix(
-            [SBBlock(2, 2, frozenset({(1, 1)})), SBBlock(2, 3, frozenset({(1, 1)}))]
-        )
+        blocks_from_json(sb_json(2, 2, [[[1, 1]], [[1, 3]]]))
     with pytest.raises(DimensionError):
-        blocks_to_matrix([])
+        blocks_from_json(sb_json(2, 2, []))
+    with pytest.raises(DimensionError):
+        blocks_to_json(DesignMatrix(2, 2, np.zeros((0, 4), dtype=int)))
 
 
 def test_edge_out_of_range_rejected():
-    with pytest.raises(DimensionError):
-        SBBlock(2, 2, frozenset({(3, 1)}))
+    for edge in ([0, 1], [1, 0], [3, 1], [1, 3], [-1, 1], [2**70, 1], [1, 2**63]):
+        with pytest.raises(DimensionError):
+            blocks_from_json(sb_json(2, 2, [[[1, 1]], [[2, 2], edge]]))
 
 
 @pytest.mark.parametrize(
@@ -174,12 +195,36 @@ def test_block_json_edge_out_of_range_is_dimension_error():
         blocks_from_json('{"v1": 2, "v2": 2, "blocks": [[[3, 1]]]}')
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("not json", FormatError),
+        ('{"v1": 2, "v2": 2}', FormatError),
+        ('[2, 2, [[[1, 1]]]]', FormatError),
+        ('{"v1": 2, "v2": 2, "blocks": [[[1, 1]], {}]}', FormatError),
+        ('{"v1": 2, "v2": 2, "blocks": [[[1, 1]], "12"]}', FormatError),
+        ('{"v1": 2, "v2": 2, "blocks": [[[1, 1], "12"]]}', FormatError),
+        ('{"v1": 2, "v2": 2, "blocks": [[[1, 1], {"a": 1, "b": 2}]]}', FormatError),
+        # a type error anywhere wins over a range error earlier in the text
+        ('{"v1": 2, "v2": 2, "blocks": [[[3, 1]], [[1, false]]]}', FormatError),
+        ('{"v1": 2, "v2": 2, "blocks": []}', DimensionError),
+        ('{"v1": 0, "v2": 2, "blocks": [[]]}', DimensionError),
+        ('{"v1": 0, "v2": 2, "blocks": [[[1, 1]]]}', DimensionError),
+        ('{"v1": -1, "v2": 2, "blocks": [[]]}', DimensionError),
+    ],
+)
+def test_block_json_malformed_structure(text, error):
+    with pytest.raises(error):
+        blocks_from_json(text)
+
+
 def test_block_json_roundtrip(x22):
-    blocks = matrix_to_blocks(x22)
-    text = blocks_to_json(blocks)
+    text = blocks_to_json(x22)
+    assert text == sb_json(3, 3, edge_lists(x22))
+    assert text.startswith('{"v1": 3, "v2": 3, "blocks": [[[1, 2], [1, 3], [2, 1], [2, 2], [3, 1]')
     back = blocks_from_json(text)
-    assert back == blocks
-    assert blocks_to_matrix(back).matrix.tolist() == x22.matrix.tolist()
+    assert (back.v1, back.v2) == (3, 3)
+    assert back.matrix.tolist() == x22.matrix.tolist()
 
 
 def test_parameters_coefficients():

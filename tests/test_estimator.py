@@ -143,6 +143,21 @@ def test_simulate_dimension_checks(x22):
         simulate(x22, random_effects(3, 3, seed=1), sigma=1.0, runs=1, seed=1)
 
 
+@pytest.mark.parametrize("runs", [10.5, np.float64(100), 300.0, True, "300", None])
+def test_simulate_runs_must_be_an_integer(x22, runs):
+    tau = random_effects(3, 3, seed=1)
+    with pytest.raises(DimensionError, match="integer runs"):
+        simulate(x22, tau, sigma=1.0, runs=runs, seed=1)
+
+
+def test_simulate_takes_numpy_integer_runs(x22):
+    tau = random_effects(3, 3, seed=1)
+    report = simulate(x22, tau, sigma=1.0, runs=np.int64(300), seed=1)
+    expected = simulate(x22, tau, sigma=1.0, runs=300, seed=1)
+    assert report.runs == 300
+    assert report.empirical_variance.tobytes() == expected.empirical_variance.tobytes()
+
+
 def test_simulate_on_non_spanning_star(single_edge_blocks):
     # SBBD* with alpha = 1: estimable, so simulation must run
     tau = random_effects(2, 2, seed=9)

@@ -145,6 +145,8 @@ def test_verify_od_shape_and_symbol_checks():
         verify_od(np.array([[0, 1], [1, 2]]), n=2, s=2)
     with pytest.raises(DimensionError):
         verify_od(np.array([[1, 2]]), n=3, s=2)  # wrong row count
+    with pytest.raises(DimensionError):
+        verify_od(np.array([[1], [2]]), n=3, s=1)  # wrong row count, one column
 
 
 def test_column_permutation_and_relabeling_preserve_properties():

@@ -159,3 +159,23 @@ def test_catalog_ids_resolve():
 def test_design_json_roundtrip(rl4):
     back = design_from_json(design_to_json(rl4))
     assert back == rl4
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"v": 3.7, "blocks": [[1.9, 2], ["2", 3], [true, 3], [1, 2, 3]]}',
+        '{"v": 3.0, "blocks": [[1, 2], [2, 3], [1, 3], [1, 2, 3]]}',
+        '{"v": true, "blocks": [[1, 2], [2, 3], [1, 3], [1, 2, 3]]}',
+        '{"v": "3", "blocks": [[1, 2], [2, 3], [1, 3], [1, 2, 3]]}',
+        '{"v": 3, "blocks": [[1.9, 2], [2, 3], [1, 3], [1, 2, 3]]}',
+        '{"v": 3, "blocks": [[1, 2], ["2", 3], [1, 3], [1, 2, 3]]}',
+        '{"v": 3, "blocks": [[1, 2], [2, 3], [true, 3], [1, 2, 3]]}',
+        '{"v": 3, "blocks": [[1, 2], [2, 3], [1, 3], [1, 2, null]]}',
+        '{"v": 3, "blocks": [[1, 2], [2, 3], [1, 3], ["x", 2, 3]]}',
+        '{"v": 3, "blocks": [[1, 2], [2, 3], [1, 3], 5]}',
+    ],
+)
+def test_design_json_takes_only_integers(text):
+    with pytest.raises(FormatError, match="bad block-design JSON"):
+        design_from_json(text)
