@@ -3,8 +3,6 @@
 regular SBBD, with closed-form spectrum, exact generalized inverse, and the
 A-optimality verdict."""
 
-import numpy as np
-
 import sbbd
 
 fano = sbbd.catalog_by_id("fano")
@@ -20,8 +18,9 @@ print("spanning guaranteed (s > b - r):", composed.spanning_guaranteed)
 info = sbbd.information_matrix(x)
 spec = sbbd.spectrum(info)
 print("\nspectrum (value, multiplicity):", spec.pairs())
-print("trace check:", spec.trace, "=", int(np.trace(info.dense)))
+print("trace check:", spec.trace, "=", info.trace)
 
+# info holds Lambda and the trace; dense and G are expanded on request
 g = sbbd.generalized_inverse(info)
 m = info.dense.astype(object)
 print("M G M = M:", bool(((m @ g @ m) == m).all()))

@@ -9,10 +9,10 @@ panel products:
     (IV)  diag(X_i^T X_j), i != j, constant lambda21
     (V)   offdiag(X_i^T X_j), i != j, constant lambda22
 
-The panel products are the v2 x v2 blocks of one Gram X^T X, computed as a
-single float64 BLAS product and converted to int64.  Its entries are counts
-of at most N blocks, so it is exact for N < 2^53.  Conditions (II)-(V) are
-checked on its (v1, v2, v1, v2) view in one vectorised comparison.
+The panel products are the v2 x v2 blocks of one float64 BLAS Gram X^T X.
+Its entries are counts of at most N blocks, so it and the comparisons on it
+are exact for N < 2^53.  Conditions (II)-(V) are checked on its panel view
+in one vectorised comparison; only Lambda and the trace are kept.
 
 When (II)-(V) hold the information matrix X^T X is double completely
 symmetric and its spectrum is closed-form.  With a = mu - l12, b = l12,
@@ -63,17 +63,30 @@ class ContrastsNotEstimable(SbbdError):
     """alpha <= 0: the basic contrasts cannot be estimated."""
 
 
+def _expand(table: np.ndarray, v1: int, v2: int) -> np.ndarray:
+    """The v1v2 x v1v2 matrix whose ((i, j), (k, l)) entry is table[i == k, j == l]."""
+    same1 = np.eye(v1, dtype=np.intp)[:, None, :, None]
+    same2 = np.eye(v2, dtype=np.intp)[None, :, None, :]
+    return table[same1, same2].reshape(v1 * v2, v1 * v2)
+
+
 @dataclass(frozen=True)
 class InformationMatrix:
+    """X^T X by its four numbers and its measured trace."""
+
     v1: int
     v2: int
-    dense: np.ndarray
     dcs: SbbdParameters | None  # set iff X^T X is double completely symmetric
+    trace: int
 
-    def __post_init__(self):
-        d = np.ascontiguousarray(self.dense, dtype=np.int64)
-        d.flags.writeable = False
-        object.__setattr__(self, "dense", d)
+    @property
+    def dense(self) -> np.ndarray:
+        """The exact int64 X^T X, expanded from Lambda."""
+        if self.dcs is None:
+            raise MissingDcs("information matrix is not double completely symmetric")
+        p = self.dcs
+        table = np.array([[p.lambda22, p.lambda21], [p.lambda12, p.mu]], dtype=np.int64)
+        return _expand(table, self.v1, self.v2)
 
 
 @dataclass(frozen=True)
@@ -127,46 +140,33 @@ class OptimalityReport:
     is_a_optimal_in_omega: bool
 
 
-def _require_bipartite(x: DesignMatrix) -> None:
+def _measure(x: DesignMatrix):
+    """(params, None, trace) if (II)-(V) hold, else (None, first violation, trace).
+
+    X^T X is one float64 BLAS product, compared in float64: its entries and
+    partial sums are counts of at most N, so both are exact while N < 2^53.
+    The first violation is in the first bad panel pair X_i^T X_j in
+    row-major order, its diagonal before its off-diagonal, and positions in
+    row-major order.
+    """
     if x.v1 < 2 or x.v2 < 2:
         raise DimensionError("analysis needs v1 >= 2 and v2 >= 2")
     if x.n_rows == 0:
         raise DimensionError("need at least one block")
-
-
-def _gram(x: DesignMatrix) -> np.ndarray:
-    """Exact int64 X^T X from one float64 BLAS product.
-
-    Every entry, and every partial sum, is a count of at most N = n_rows,
-    so the float64 product is exact while N < 2^53.
-    """
-    _require_bipartite(x)
     m = x.matrix.astype(np.float64)
     gram = m.T @ m
     del m
-    exact = gram.view(np.int64)
-    for row, counts in zip(exact, gram):  # cast in place, so no second copy is held
-        row[...] = counts
-    return exact
-
-
-def _dcs(x: DesignMatrix, gram: np.ndarray):
-    """Measure (mu, l12, l21, l22) on the panel products X_i^T X_j of the Gram.
-
-    Returns (params, None) when (II)-(V) hold, else (None, violation) for the
-    first bad panel pair in row-major order, its diagonal before its
-    off-diagonal, and positions in row-major order.
-    """
+    trace = int(np.trace(gram))
     v1, v2 = x.v1, x.v2
     p = gram.reshape(v1, v2, v1, v2).transpose(0, 2, 1, 3)  # p[i, j] = X_i^T X_j
-    lam = p[0, :2, 0, :2].ravel().tolist()  # [mu, l12, l21, l22]
+    lam = [int(v) for v in p[0, :2, 0, :2].ravel()]  # [mu, l12, l21, l22]
     on = np.eye(v2, dtype=bool)
     same = np.arange(v1)
     bad = p != np.where(on, lam[2], lam[3])
     bad[same, same] = p[same, same] != np.where(on, lam[0], lam[1])
     pairs = np.flatnonzero(bad.any(axis=(2, 3)))
     if pairs.size == 0:
-        return SbbdParameters(v1, v2, x.n_rows, *lam), None
+        return SbbdParameters(v1, v2, x.n_rows, *lam), None, trace
     i, j = divmod(int(pairs[0]), v1)
     on_bad = np.flatnonzero(np.diagonal(bad[i, j]))
     r, c = (on_bad[0], on_bad[0]) if on_bad.size else np.argwhere(bad[i, j])[0]
@@ -182,7 +182,7 @@ def _dcs(x: DesignMatrix, gram: np.ndarray):
         if k % 2
         else f"diagonal of {prod} is {found} at {pos[0]}, expected {expected}"
     )
-    return None, ConditionViolation(("II", "III", "IV", "V")[k], witness, message)
+    return None, ConditionViolation(("II", "III", "IV", "V")[k], witness, message), trace
 
 
 def is_spanning(x: DesignMatrix) -> bool:
@@ -198,17 +198,16 @@ def check_sbbd(x: DesignMatrix) -> SbbdParameters:
     (I) distinguishes an SBBD from an SBBD* and is reported separately by
     is_spanning().
     """
-    params, violation = _dcs(x, _gram(x))
+    params, violation, _ = _measure(x)
     if violation is not None:
         raise violation
     return params
 
 
 def information_matrix(x: DesignMatrix) -> InformationMatrix:
-    """Exact X^T X with double-complete-symmetry detection."""
-    gram = _gram(x)
-    params, _ = _dcs(x, gram)
-    return InformationMatrix(v1=x.v1, v2=x.v2, dense=gram, dcs=params)
+    """X^T X as Lambda and its trace, with double-complete-symmetry detection."""
+    params, _, trace = _measure(x)
+    return InformationMatrix(v1=x.v1, v2=x.v2, dcs=params, trace=trace)
 
 
 def spectrum(info: InformationMatrix) -> SpectralSummary:
@@ -230,13 +229,23 @@ def spectrum(info: InformationMatrix) -> SpectralSummary:
         trace=p.mu * v1 * v2,
     )
     weighted = sum(val * mult for val, mult in summary.pairs())
-    dense_trace = int(np.trace(info.dense))
-    if not weighted == summary.trace == dense_trace:
+    if not weighted == summary.trace == info.trace:
         raise TraceMismatch(
             f"eigenvalues sum to {weighted}, mu v1 v2 = {summary.trace} and"
-            f" trace(X^T X) = {dense_trace}; they must agree"
+            f" trace(X^T X) = {info.trace}; they must agree"
         )
     return summary
+
+
+def _checked_spectrum(x: DesignMatrix):
+    """(params, spectrum); raises the first ConditionViolation, then ContrastsNotEstimable."""
+    params, violation, trace = _measure(x)
+    if violation is not None:
+        raise violation
+    spec = spectrum(InformationMatrix(v1=x.v1, v2=x.v2, dcs=params, trace=trace))
+    if spec.alpha <= 0:
+        raise ContrastsNotEstimable(f"alpha = {spec.alpha} <= 0; basic contrasts are not estimable")
+    return params, spec
 
 
 def _inverse_weights(spec: SpectralSummary) -> list:
@@ -266,9 +275,7 @@ def generalized_inverse(info: InformationMatrix) -> np.ndarray:
           for t in (0, 1)] for s in (0, 1)],
         dtype=object,
     )
-    same1 = np.eye(v1, dtype=np.intp)[:, None, :, None]
-    same2 = np.eye(v2, dtype=np.intp)[None, :, None, :]
-    return table[same1, same2].reshape(v1 * v2, v1 * v2)
+    return _expand(table, v1, v2)
 
 
 def classify_blocks(x: DesignMatrix):
@@ -299,17 +306,9 @@ def a_optimality(x: DesignMatrix) -> OptimalityReport:
     k = k1 v1 measured from the blocks; equality plus the SBBD conditions
     yields the optimality verdict.
     """
-    gram = _gram(x)
-    params, violation = _dcs(x, gram)
-    if violation is not None:
-        raise violation
-    spec = spectrum(InformationMatrix(v1=x.v1, v2=x.v2, dense=gram, dcs=params))
+    params, spec = _checked_spectrum(x)
     spanning = is_spanning(x)
     reg = classify_blocks(x)
-    if spec.alpha <= 0:
-        raise ContrastsNotEstimable(
-            f"alpha = {spec.alpha} <= 0; basic contrasts are not estimable"
-        )
     n_contrasts = (x.v1 - 1) * (x.v2 - 1)
     a_criterion = Fraction(n_contrasts, spec.alpha)
     a_lower_bound = None

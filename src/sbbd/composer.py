@@ -94,8 +94,8 @@ def permute_panels(x: DesignMatrix, perm) -> DesignMatrix:
     symmetric.
     """
     idx = _as_index(perm, x.v2)
-    panels = [x.panel(i)[:, idx] for i in range(1, x.v1 + 1)]
-    return DesignMatrix(x.v1, x.v2, np.hstack(panels))
+    masks = x.matrix.reshape(x.n_rows, x.v1, x.v2)[:, :, idx]
+    return DesignMatrix(x.v1, x.v2, masks.reshape(x.n_rows, x.v1 * x.v2))
 
 
 def permute_extension(x: DesignMatrix, perms: list) -> DesignMatrix:

@@ -30,12 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analyzer import (
-    ContrastsNotEstimable,
-    _inverse_weights,
-    information_matrix,
-    spectrum,
-)
+from .analyzer import _checked_spectrum, _inverse_weights
 from .design_core import DesignMatrix, DimensionError
 
 
@@ -170,12 +165,12 @@ def estimate_effects(x: DesignMatrix, y: np.ndarray) -> np.ndarray:
     centred row and column means and the grand mean by the four inverse
     eigenvalues.  Only contrasts of tau_hat carry an accuracy contract;
     components along the non-estimable directions are whatever the
-    generalized inverse assigns them.
+    generalized inverse assigns them.  Raises what a_optimality raises.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (x.n_rows,):
         raise DimensionError(f"y length {y.shape} != N = {x.n_rows}")
-    wa, wb, wg, wd = map(float, _inverse_weights(spectrum(information_matrix(x))))
+    wa, wb, wg, wd = map(float, _inverse_weights(_checked_spectrum(x)[1]))
     z = (x.matrix.T.astype(float) @ y).reshape(x.v1, x.v2)
     grand = z.mean()
     rows = z.mean(axis=1, keepdims=True) - grand
@@ -199,6 +194,7 @@ def simulate(
     drawn in full and its rows past `runs` are zeroed before any sum.  The
     report for given arguments is the same bit for bit on every call and
     for every _CHUNK_RUNS, given the numpy/BLAS build and thread count.
+    Raises what a_optimality raises on a failing design.
     """
     if (tau.v1, tau.v2) != (x.v1, x.v2):
         raise DimensionError("effect vector does not match the design dimensions")
@@ -207,11 +203,7 @@ def simulate(
     if not (math.isfinite(sigma) and sigma >= 0):
         raise DimensionError(f"sigma must be finite and >= 0, got {sigma!r}")
     _check_seed(seed)
-    spec = spectrum(information_matrix(x))
-    if spec.alpha <= 0:
-        raise ContrastsNotEstimable(
-            f"alpha = {spec.alpha} <= 0; basic contrasts are not estimable"
-        )
+    _, spec = _checked_spectrum(x)
     c = contrast_basis(x.v1, x.v2)
     xf = x.matrix.astype(float)
     wt = (xf @ c.T) / spec.alpha  # W^T, (N, C): contrast estimates are y @ W^T

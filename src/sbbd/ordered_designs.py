@@ -215,6 +215,8 @@ def verify_od(m, n: int, s: int) -> OrderedDesign:
     Derives eta from the first column pair and insists every ordered pair of
     distinct symbols in every column pair hits the same count.
     """
+    if n < 2:
+        raise DimensionError(f"need n >= 2 symbols for a pair of distinct symbols, got n = {n}")
     arr = np.asarray(m, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != s:
         raise DimensionError(f"array shape {arr.shape} does not match s = {s}")

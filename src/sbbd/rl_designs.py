@@ -83,6 +83,14 @@ class BlockDesign:
         return self.is_bibd and self.b == self.v
 
 
+def _incidence(v: int, blocks) -> np.ndarray:
+    """(b x v) 0/1 matrix with a 1 at (i, p - 1) for each point p of block i."""
+    h = np.zeros((len(blocks), v), dtype=np.int64)
+    h[np.repeat(np.arange(len(blocks)), [len(blk) for blk in blocks]),
+      [p - 1 for blk in blocks for p in blk]] = 1
+    return h
+
+
 def verify_rl_design(v: int, blocks: list) -> BlockDesign:
     """Check the replication and pair-balance axioms by exhaustive counting.
 
@@ -103,22 +111,22 @@ def verify_rl_design(v: int, blocks: list) -> BlockDesign:
     if not norm:
         raise DimensionError("need at least one block")
 
-    point_counts = {p: 0 for p in range(1, v + 1)}
-    pair_counts = {pair: 0 for pair in combinations(range(1, v + 1), 2)}
-    for pts in norm:
-        for p in pts:
-            point_counts[p] += 1
-        for pair in combinations(sorted(pts), 2):
-            pair_counts[pair] += 1
-
-    r = point_counts[1]
-    for p, cnt in point_counts.items():
-        if cnt != r:
-            raise NotRegular(p, cnt, r)
-    lam = pair_counts[(1, 2)]
-    for pair, cnt in pair_counts.items():
-        if cnt != lam:
-            raise NotPairBalanced(pair, cnt, lam)
+    # one integer Gram H^T H: its diagonal counts points, its strict upper
+    # triangle, in row-major (= combinations) order, counts pairs
+    h = _incidence(v, norm)
+    gram = h.T @ h
+    point_counts = np.diagonal(gram)
+    r = int(point_counts[0])
+    bad = np.flatnonzero(point_counts != r)
+    if bad.size:
+        raise NotRegular(int(bad[0]) + 1, int(point_counts[bad[0]]), r)
+    first, second = np.triu_indices(v, 1)
+    pair_counts = gram[first, second]
+    lam = int(pair_counts[0])
+    bad = np.flatnonzero(pair_counts != lam)
+    if bad.size:
+        k = bad[0]
+        raise NotPairBalanced((int(first[k]) + 1, int(second[k]) + 1), int(pair_counts[k]), lam)
     if lam == 0:
         raise NotPairBalanced(
             (1, 2), 0, 1, "pair coverage is zero; lambda = 0 designs are rejected"
@@ -135,10 +143,7 @@ def verify_rl_design(v: int, blocks: list) -> BlockDesign:
 
 def incidence_matrix(d: BlockDesign) -> np.ndarray:
     """(b x v) incidence matrix H; H^T H = r I + lambda (J - I) exactly."""
-    h = np.zeros((d.b, d.v), dtype=np.int64)
-    for i, blk in enumerate(d.blocks):
-        for p in blk:
-            h[i, p - 1] = 1
+    h = _incidence(d.v, d.blocks)
     h.flags.writeable = False
     return h
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from sbbd import (
     is_spanning,
     spectrum,
 )
+from sbbd.analyzer import _measure
 
 
 def int_helmert(n):
@@ -127,6 +129,8 @@ def test_non_dcs_matrix_has_no_closed_form():
     assert info.dcs is None
     with pytest.raises(MissingDcs):
         spectrum(info)
+    with pytest.raises(MissingDcs):
+        info.dense
 
 
 def test_spectrum_fixture(x22):
@@ -206,8 +210,8 @@ def test_generalized_inverse_of_scaled_identity():
     info = InformationMatrix(
         v1=2,
         v2=2,
-        dense=n * np.eye(4, dtype=int),
         dcs=SbbdParameters(2, 2, 10, mu=n, lambda12=0, lambda21=0, lambda22=0),
+        trace=4 * n,
     )
     g = generalized_inverse(info)
     expected = np.array(
@@ -221,8 +225,8 @@ def test_degenerate_design():
     info = InformationMatrix(
         v1=2,
         v2=2,
-        dense=np.zeros((4, 4), dtype=int),
         dcs=SbbdParameters(2, 2, 1, mu=0, lambda12=0, lambda21=0, lambda22=0),
+        trace=0,
     )
     with pytest.raises(DegenerateDesign):
         generalized_inverse(info)
@@ -365,10 +369,37 @@ def test_unperturbed_designs_match_reference(x22, composed_b4, fano_composed):
     )
 )
 def test_gram_equals_int64_reference(case):
+    # the float64 Gram step against the int64 reference m.T @ m: the trace,
+    # Lambda expanded back to the whole Gram, or the first witness
     (v1, v2, _), m = case
-    info = information_matrix(DesignMatrix(v1, v2, m))
-    assert info.dense.dtype == np.int64
-    assert np.array_equal(info.dense, m.T @ m)
+    x = DesignMatrix(v1, v2, m)
+    gram = m.T @ m
+    params, violation, trace = _measure(x)
+    assert type(trace) is int and trace == int(np.trace(gram))
+    if params is None:
+        expected = reference_scan(x)
+        assert (violation.condition, violation.witness) == expected[:2]
+        assert str(violation) == f"condition ({expected[0]}) violated: {expected[2]}"
+    else:
+        assert all(type(v) is int for v in params.lam)
+        dense = InformationMatrix(v1, v2, params, trace).dense
+        assert dense.dtype == np.int64
+        assert np.array_equal(dense, gram)
+
+
+def test_information_matrix_holds_no_array():
+    fields = dataclasses.fields(InformationMatrix)
+    assert [f.name for f in fields] == ["v1", "v2", "dcs", "trace"]
+    info = information_matrix(DesignMatrix(2, 2, np.ones((2, 4), dtype=int)))
+    assert not any(isinstance(getattr(info, f.name), np.ndarray) for f in fields)
+    assert info.trace == 8
+
+
+def test_dense_expands_lambda_to_the_gram(x22, composed_b4, fano_composed, single_edge_blocks):
+    for x in (x22, composed_b4.x, fano_composed.x, single_edge_blocks):
+        dense = information_matrix(x).dense
+        assert dense.dtype == np.int64
+        assert np.array_equal(dense, x.matrix.astype(np.int64).T @ x.matrix.astype(np.int64))
 
 
 def test_zero_row_design_is_rejected():
@@ -381,9 +412,9 @@ def test_zero_row_design_is_rejected():
 def test_spectrum_trace_mismatch_raises_under_optimize():
     # python -O strips assert statements; the trace check must survive it
     code = (
-        "import numpy as np, sbbd\n"
-        "info = sbbd.InformationMatrix(2, 2, 5 * np.eye(4, dtype=int),"
-        " sbbd.SbbdParameters(2, 2, 10, mu=4, lambda12=0, lambda21=0, lambda22=0))\n"
+        "import sbbd\n"
+        "info = sbbd.InformationMatrix(2, 2,"
+        " sbbd.SbbdParameters(2, 2, 10, mu=4, lambda12=0, lambda21=0, lambda22=0), trace=20)\n"
         "try:\n"
         "    sbbd.spectrum(info)\n"
         "except sbbd.TraceMismatch as exc:\n"

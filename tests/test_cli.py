@@ -247,6 +247,27 @@ def test_simulate_human_and_json(capsys, fixture_dir):
     assert len(payload["contrasts"]) == 4
 
 
+def test_simulate_rejection_payload_names_the_witness(capsys, tmp_path, fano_composed):
+    m = fano_composed.x.matrix.copy()
+    m[0, 3] ^= 1
+    bad = tmp_path / "bad.csv"
+    bad.write_text(sbbd.matrix_to_csv(sbbd.DesignMatrix(7, 7, m)))
+    expected = {
+        "error": "ConditionViolation",
+        "condition": "II",
+        "witness": {"panel": 1, "position": [4, 4]},
+        "message": "condition (II) violated: diagonal of X_1^T X_1 is 19 at 4,"
+        " expected mu = 18",
+    }
+    code, out, err = run(capsys, "simulate", str(bad), "--sigma", "1", "--runs", "100", "--json")
+    assert code == 1
+    assert "ConditionViolation" in err
+    assert json.loads(out) == expected
+    code, out, _ = run(capsys, "analyze", "--json", str(bad))
+    assert code == 1
+    assert json.loads(out) == expected
+
+
 def test_simulate_with_tau_file(capsys, fixture_dir, tmp_path):
     tau = sbbd.random_effects(3, 3, seed=11)
     tau_file = tmp_path / "tau.json"

@@ -1,19 +1,24 @@
 from collections import Counter
 from itertools import combinations
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import sbbd
 from sbbd import (
+    DesignMatrix,
     DimensionError,
     check_sbbd,
     compose,
     construct_od1,
     cyclic_shift_perms,
+    information_matrix,
     permute_extension,
     permute_panels,
     spanning_guaranteed,
+    spectrum,
     verify_od,
 )
 
@@ -165,3 +170,47 @@ def test_od_row_permutation_permutes_design_rows(rl4):
     y = compose(rl4, od_shuffled).x
     assert np.array_equal(y.matrix, x.matrix[shuffle])
     assert np.array_equal(y.matrix.T @ y.matrix, x.matrix.T @ x.matrix)
+
+
+_COMPOSED = {}
+
+
+def composed(name):
+    """The catalog design `name` composed with OD_1(b), built once."""
+    if name not in _COMPOSED:
+        d = sbbd.catalog_by_id(name)
+        _COMPOSED[name] = compose(d, construct_od1(d.b)).x
+    return _COMPOSED[name]
+
+
+def relabellings():
+    """(design name, a permutation of the left points, one of the right points)."""
+    return st.sampled_from(["pairs3", "fano", "pg23"]).flatmap(
+        lambda name: st.tuples(
+            st.just(name),
+            st.permutations(range(composed(name).v1)),
+            st.permutations(range(1, composed(name).v2 + 1)),
+        )
+    )
+
+
+def lambda_and_spectrum(x):
+    return check_sbbd(x).lam, spectrum(information_matrix(x)).pairs()
+
+
+@settings(max_examples=30, deadline=None)
+@given(relabellings())
+def test_permuting_panels_preserves_lambda_and_spectrum(case):
+    name, left, _ = case
+    x = composed(name)
+    panels = x.matrix.reshape(x.n_rows, x.v1, x.v2)[:, list(left), :]
+    moved = DesignMatrix(x.v1, x.v2, panels.reshape(x.n_rows, x.v1 * x.v2))
+    assert lambda_and_spectrum(moved) == lambda_and_spectrum(x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(relabellings())
+def test_relabelling_right_points_preserves_lambda_and_spectrum(case):
+    name, _, right = case
+    x = composed(name)
+    assert lambda_and_spectrum(permute_panels(x, list(right))) == lambda_and_spectrum(x)

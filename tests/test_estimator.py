@@ -4,6 +4,7 @@ import pytest
 import sbbd
 from sbbd import estimator
 from sbbd import (
+    ConditionViolation,
     ContrastsNotEstimable,
     DesignMatrix,
     DimensionError,
@@ -133,6 +134,23 @@ def test_simulate_rejects_alpha_zero():
     tau = random_effects(2, 2, seed=1)
     with pytest.raises(ContrastsNotEstimable):
         simulate(x, tau, sigma=1.0, runs=10, seed=1)
+
+
+def test_simulate_and_estimate_effects_raise_the_first_witness(fano_composed):
+    m = fano_composed.x.matrix.copy()
+    m[0, 3] ^= 1  # one more block on edge (1, 4): diag of X_1^T X_1 is off at 4
+    x = DesignMatrix(7, 7, m)
+    tau = random_effects(7, 7, seed=1)
+    for call in (
+        lambda: simulate(x, tau, sigma=1.0, runs=100),
+        lambda: estimate_effects(x, np.zeros(x.n_rows)),
+    ):
+        with pytest.raises(ConditionViolation) as exc:
+            call()
+        assert (exc.value.condition, exc.value.witness) == ("II", {"panel": 1, "position": (4, 4)})
+        assert str(exc.value) == (
+            "condition (II) violated: diagonal of X_1^T X_1 is 19 at 4, expected mu = 18"
+        )
 
 
 def test_simulate_dimension_checks(x22):

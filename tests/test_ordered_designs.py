@@ -13,6 +13,7 @@ from sbbd import (
     od_to_csv,
     verify_od,
 )
+from sbbd.cli import main
 from sbbd.ordered_designs import FiniteField, _check_axioms
 
 PRIME_POWERS_49 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49]
@@ -138,7 +139,7 @@ def test_repeated_symbol_in_row():
     assert exc.value.row == 1
 
 
-def test_verify_od_shape_and_symbol_checks():
+def test_verify_od_shape_and_symbol_checks(capsys, tmp_path):
     with pytest.raises(DimensionError):
         verify_od(np.array([[1, 2, 3]]), n=2, s=3)  # s > n
     with pytest.raises(FormatError):
@@ -147,6 +148,12 @@ def test_verify_od_shape_and_symbol_checks():
         verify_od(np.array([[1, 2]]), n=3, s=2)  # wrong row count
     with pytest.raises(DimensionError):
         verify_od(np.array([[1], [2]]), n=3, s=1)  # wrong row count, one column
+    with pytest.raises(DimensionError, match="n >= 2"):
+        verify_od(np.array([[1]]), n=1, s=1)  # one symbol has no pair of distinct symbols
+    one = tmp_path / "od1.csv"
+    one.write_text("1\n1\n")
+    assert main(["od", "verify", str(one)]) == 1
+    assert "DimensionError" in capsys.readouterr().err
 
 
 def test_column_permutation_and_relabeling_preserve_properties():

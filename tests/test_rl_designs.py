@@ -1,8 +1,10 @@
 from collections import Counter
 from itertools import combinations
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from sbbd import (
     CatalogMismatch,
@@ -30,6 +32,55 @@ def pair_count_oracle(v, blocks):
         for pair in combinations(sorted(blk), 2):
             counts[pair] += 1
     return {pair: counts.get(pair, 0) for pair in combinations(range(1, v + 1), 2)}
+
+
+def rl_oracle(v, blocks):
+    """The error verify_rl_design must raise, or (r, lambda), by brute force.
+
+    Points in order 1..v, then pairs in combinations order, then lambda = 0.
+    """
+    points = Counter(p for blk in blocks for p in blk)
+    r = points[1]
+    for p in range(1, v + 1):
+        if points[p] != r:
+            return NotRegular(p, points[p], r)
+    pairs = pair_count_oracle(v, blocks)
+    lam = pairs[(1, 2)]
+    for pair, cnt in pairs.items():
+        if cnt != lam:
+            return NotPairBalanced(pair, cnt, lam)
+    if lam == 0:
+        return NotPairBalanced(
+            (1, 2), 0, 1, "pair coverage is zero; lambda = 0 designs are rejected"
+        )
+    return r, lam
+
+
+def block_lists(v):
+    """Free block lists, and relabelled cyclic developments mod v, which are regular."""
+    free = st.lists(st.frozensets(st.integers(1, v), min_size=1), min_size=1, max_size=8)
+    bases = st.lists(st.frozensets(st.integers(0, v - 1), min_size=1), min_size=1, max_size=2)
+    developed = st.tuples(bases, st.permutations(range(1, v + 1))).map(
+        lambda t: [frozenset(t[1][(p + s) % v] for p in b) for b in t[0] for s in range(v)]
+    )
+    return st.one_of(free, developed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda v: st.tuples(st.just(v), block_lists(v))))
+# regular, with pairs (1, 4) and (2, 3) both off: (1, 4) comes first in combinations order
+@example((4, [{1, 2}, {3, 4}, {1, 3}, {2, 4}]))
+def test_verify_rl_design_matches_pair_count_oracle(case):
+    v, blocks = case
+    expected = rl_oracle(v, blocks)
+    if isinstance(expected, tuple):
+        d = verify_rl_design(v, blocks)
+        assert (d.r, d.lam) == expected
+        return
+    with pytest.raises(type(expected)) as exc:
+        verify_rl_design(v, blocks)
+    assert vars(exc.value) == vars(expected)
+    assert str(exc.value) == str(expected)
 
 
 def test_four_block_design(rl4):
