@@ -23,8 +23,9 @@ rows = """
 x = sbbd.matrix_from_csv(rows, v1=3, v2=3)
 print(f"design matrix: {x.n_rows} rows x {x.v1 * x.v2} columns")
 
-# column (i-1)*v2 + j carries edge (i, j), so row k is block k
-edges = (np.argwhere(x.matrix[0].reshape(x.v1, x.v2)) + 1).tolist()
+# column (i-1)*v2 + j carries edge (i, j), so row k is block k;
+# x.masks[k] views the same uint8 bytes as a v1 x v2 mask
+edges = (np.argwhere(x.masks[0]) + 1).tolist()
 print(f"first block edges: {edges}")
 
 # SB-block JSON lists each row's edges; the round trip is bit exact

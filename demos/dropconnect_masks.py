@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Export a DropConnect mask schedule: one binary connection mask per
-SB-block, guaranteed to leave no unit disconnected."""
+SB-block, guaranteed to leave no unit disconnected.  The design is its own
+schedule: x.masks views each row as a v1 x v2 mask."""
 
 import numpy as np
 
@@ -11,8 +12,8 @@ x = sbbd.compose(
     sbbd.construct_od1(4),
 ).x
 
-schedule = sbbd.export_masks(x)
-print(f"{schedule.n_masks} masks of shape {schedule.v1} x {schedule.v2}")
+schedule = sbbd.export_masks(x)  # x itself, once checked to be a spanning SBBD
+print(f"{schedule.n_rows} masks of shape {schedule.v1} x {schedule.v2}")
 print("first mask (rows = left units, cols = right units):")
 print(schedule.masks[0])
 
@@ -33,6 +34,6 @@ except sbbd.SpanningViolation as exc:
 
 blob = sbbd.schedule_to_bytes(schedule)
 print(f"\nbinary serialization: {len(blob)} bytes"
-      f" (12-byte header + {schedule.n_masks * schedule.v1 * schedule.v2} mask bytes)")
+      f" (12-byte header + the {schedule.matrix.nbytes} bytes of the design matrix)")
 round_trip = sbbd.schedule_from_bytes(blob)
-print("binary round-trip exact:", np.array_equal(round_trip.masks, schedule.masks))
+print("binary round-trip exact:", np.array_equal(round_trip.matrix, schedule.matrix))

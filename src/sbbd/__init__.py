@@ -48,7 +48,6 @@ from .estimator import (
     simulate,
 )
 from .masks import (
-    MaskSchedule,
     SpanningViolation,
     export_masks,
     schedule_from_bytes,

@@ -187,8 +187,7 @@ def _measure(x: DesignMatrix):
 
 def is_spanning(x: DesignMatrix) -> bool:
     """Condition (I): every block touches every point on both sides."""
-    masks = x.matrix.reshape(x.n_rows, x.v1, x.v2)
-    return bool(masks.any(axis=2).all() and masks.any(axis=1).all())
+    return bool(x.masks.any(axis=2).all() and x.masks.any(axis=1).all())
 
 
 def check_sbbd(x: DesignMatrix) -> SbbdParameters:
@@ -287,9 +286,8 @@ def classify_blocks(x: DesignMatrix):
     """
     if x.n_rows == 0:
         return BlockRegularity(False, False, None, None)
-    masks = x.matrix.reshape(x.n_rows, x.v1, x.v2)
-    left = masks.sum(axis=2)  # (N, v1) left degrees
-    right = masks.sum(axis=1)  # (N, v2) right degrees
+    left = x.masks.sum(axis=2)  # (N, v1) left degrees
+    right = x.masks.sum(axis=1)  # (N, v2) right degrees
     k1 = int(left.flat[0])
     k2 = int(right.flat[0])
     if (left != k1).any() or (right != k2).any():

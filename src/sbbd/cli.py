@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: design verify, od construct, od verify, compose, analyze,
-simulate, mask.  Exit codes: 0 success, 1 verification failure, 2 usage
-error.  On exit 1, commands run with --json and the mask command also print
-{"error", "condition", "witness", "message"} as JSON on stdout.  All
-randomness is seeded; --seed defaults to 1729 so repeated invocations are
-byte-identical.
+simulate, mask.  Exit codes: 0 success, 1 verification failure or an input
+that needs more memory than is available, 2 usage error.  On exit 1,
+commands run with --json and the mask command also print {"error",
+"condition", "witness", "message"} as JSON on stdout.  All randomness is
+seeded; --seed defaults to 1729 so repeated invocations are byte-identical.
 
 Design matrices travel as header-less CSV, which does not carry the
 (v1, v2) split.  Commands reading a CSV accept --v1/--v2 and default to the
@@ -290,31 +290,27 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mask(args) -> int:
-    x = _load_design(args.file, args.v1, args.v2)
-    schedule = export_masks(x)
+    x = export_masks(_load_design(args.file, args.v1, args.v2))
     if args.format == "json":
-        _write_output(schedule_to_json(schedule) + "\n", args.out)
+        _write_output(schedule_to_json(x) + "\n", args.out)
     else:
         if args.out is None or args.out == "-":
-            sys.stdout.buffer.write(schedule_to_bytes(schedule))
+            sys.stdout.buffer.write(schedule_to_bytes(x))
         else:
             with open(args.out, "wb") as fh:
-                fh.write(schedule_to_bytes(schedule))
+                fh.write(schedule_to_bytes(x))
     if args.out and args.out != "-":
-        print(
-            f"wrote {schedule.n_masks} masks of shape"
-            f" {schedule.v1}x{schedule.v2} to {args.out}"
-        )
+        print(f"wrote {x.n_rows} masks of shape {x.v1}x{x.v2} to {args.out}")
     return 0
 
 
-def _error_payload(exc: SbbdError) -> dict:
+def _error_payload(name: str, message: str, exc: Exception) -> dict:
     """Machine-readable exit-1 report; condition and witness are None unless set."""
     return {
-        "error": type(exc).__name__,
+        "error": name,
         "condition": getattr(exc, "condition", None),
         "witness": getattr(exc, "witness", None),
-        "message": str(exc),
+        "message": message,
     }
 
 
@@ -401,10 +397,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read/write: {exc}", file=sys.stderr)
         return 2
-    except SbbdError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    except (SbbdError, MemoryError) as exc:
+        name, message = type(exc).__name__, str(exc)
+        if isinstance(exc, MemoryError):  # numpy raises a private subclass
+            name, message = "MemoryError", f"the input needs more memory than is available: {exc}"
+        print(f"{name}: {message}", file=sys.stderr)
         if getattr(args, "json", False) or args.command == "mask":
-            print(json.dumps(_error_payload(exc)))
+            print(json.dumps(_error_payload(name, message, exc)))
         return 1
 
 

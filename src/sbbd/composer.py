@@ -62,12 +62,11 @@ def compose(d: BlockDesign, od: OrderedDesign) -> ComposedDesign:
         raise DimensionError(
             f"ordered design on {od.n} symbols cannot index {d.b} blocks"
         )
-    h = incidence_matrix(d)
+    h = incidence_matrix(d).astype(np.uint8)
     # rows[p, q] = index of the H-row placed in panel q; reshape concatenates
     # the s chosen rows of H side by side.
     stacked = h[od.rows - 1]  # (N, s, v)
-    matrix = stacked.reshape(od.n_rows, od.s * d.v)
-    x = DesignMatrix(v1=od.s, v2=d.v, matrix=matrix)
+    x = DesignMatrix(v1=od.s, v2=d.v, matrix=stacked.reshape(od.n_rows, od.s * d.v))
     return ComposedDesign(
         x=x,
         predicted=predicted_parameters(d, od),
@@ -94,8 +93,7 @@ def permute_panels(x: DesignMatrix, perm) -> DesignMatrix:
     symmetric.
     """
     idx = _as_index(perm, x.v2)
-    masks = x.matrix.reshape(x.n_rows, x.v1, x.v2)[:, :, idx]
-    return DesignMatrix(x.v1, x.v2, masks.reshape(x.n_rows, x.v1 * x.v2))
+    return DesignMatrix(x.v1, x.v2, x.masks[:, :, idx].reshape(x.n_rows, x.v1 * x.v2))
 
 
 def permute_extension(x: DesignMatrix, perms: list) -> DesignMatrix:

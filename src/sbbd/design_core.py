@@ -6,7 +6,8 @@ such blocks into an N x (v1*v2) (0,1)-matrix whose columns enumerate the
 edges e_11, e_12, ..., e_1v2, e_21, ..., e_v1v2 in lexicographic order, so
 edge (i, j) owns column (i-1)*v2 + j (1-based) and row k is block k.
 
-All matrices are exact integers; nothing in this module touches floats.
+A design matrix is held as read-only uint8 0/1 entries; nothing in this
+module touches floats.
 """
 
 from __future__ import annotations
@@ -28,12 +29,6 @@ class DimensionError(SbbdError):
 
 class FormatError(SbbdError):
     """Input data violates a declared file or value format."""
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=np.int64)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,14 @@ class SbbdParameters:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """N x (v1*v2) (0,1)-matrix whose rows encode SB-blocks."""
+    """N x (v1*v2) (0,1)-matrix whose rows encode SB-blocks.
+
+    `matrix` is read-only, C-contiguous uint8, and is the only in-memory form
+    of the design: its bytes are also the mask schedule (see `masks`).  Any
+    input is cast to uint8 once; an entry that is not exactly 0 or 1 is a
+    FormatError.  Products of its rows or panels must be cast first, to
+    int64 or float64, because uint8 arithmetic wraps past 255.
+    """
 
     v1: int
     v2: int
@@ -86,16 +88,35 @@ class DesignMatrix:
             raise DimensionError(
                 f"matrix shape {m.shape} does not match v1*v2 = {self.v1 * self.v2}"
             )
-        if m.size and not np.isin(m, (0, 1)).all():
+        if m.dtype.kind not in "buif":
+            raise FormatError(f"design matrix entries must be 0 or 1, got dtype {m.dtype}")
+        if m.dtype == np.uint8:
+            bits = np.ascontiguousarray(m)
+        else:
+            with np.errstate(invalid="ignore"):  # NaN and inf then fail the comparison
+                bits = np.ascontiguousarray(m, dtype=np.uint8)
+            if not np.array_equal(bits, m):
+                raise FormatError("design matrix entries must be 0 or 1")
+        if bits.size and bits.max() > 1:
             raise FormatError("design matrix entries must be 0 or 1")
-        object.__setattr__(self, "matrix", _freeze(m))
+        bits.flags.writeable = False
+        object.__setattr__(self, "matrix", bits)
 
     @property
     def n_rows(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def masks(self) -> np.ndarray:
+        """The read-only (N, v1, v2) view: block k as its v1 x v2 0/1 mask."""
+        return self.matrix.reshape(self.n_rows, self.v1, self.v2)
+
     def panel(self, i: int) -> np.ndarray:
-        """Submatrix X_i (1-based): the v2 columns owned by left point i."""
+        """Submatrix X_i (1-based): the v2 columns owned by left point i.
+
+        A uint8 view; cast it to int64 before multiplying panels, since
+        X_i^T X_j counts up to N blocks and uint8 products wrap past 255.
+        """
         if not 1 <= i <= self.v1:
             raise DimensionError(f"panel index {i} out of range 1..{self.v1}")
         return self.matrix[:, (i - 1) * self.v2 : i * self.v2]
@@ -143,18 +164,30 @@ def matrix_from_csv(text: str, v1: int, v2: int) -> DesignMatrix:
 
 def _matrix_from_csv_tokens(text: str, v1: int, v2: int) -> DesignMatrix:
     """Per-token parser for any CSV the byte-level reader does not take."""
+    return DesignMatrix(v1, v2, int_rows_from_csv(text, "design matrix", "entry"))
+
+
+def int_rows_from_csv(text: str, noun: str, entry: str) -> np.ndarray:
+    """Comma-separated integers, one row per line, as an int64 array.
+
+    Every token goes through int(), so spaces and signs are accepted.  A
+    non-integer token, empty or ragged input, or a value outside int64 is a
+    FormatError; `noun` names the file kind and `entry` its tokens.
+    """
     rows = []
     for ln, line in enumerate(text.strip().splitlines(), 1):
         try:
             rows.append([int(tok) for tok in line.strip().split(",")])
         except ValueError as exc:
-            raise FormatError(f"line {ln}: non-integer entry") from exc
+            raise FormatError(f"line {ln}: non-integer {entry}") from exc
     if not rows:
-        raise FormatError("empty design matrix CSV")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise FormatError("ragged design matrix CSV")
-    return DesignMatrix(v1, v2, np.array(rows, dtype=np.int64))
+        raise FormatError(f"empty {noun} CSV")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise FormatError(f"ragged {noun} CSV")
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise FormatError(f"{noun} CSV has a value outside the int64 range") from None
 
 
 def blocks_to_json(x: DesignMatrix) -> str:
@@ -213,6 +246,6 @@ def blocks_from_json(text: str) -> DesignMatrix:
     if outside.any():
         i, j = ij[outside.argmax()] + 1
         raise DimensionError(f"edge ({i},{j}) out of range for K_{{{v1},{v2}}}")
-    m = np.zeros((len(blocks), v1 * v2), dtype=np.int64)
+    m = np.zeros((len(blocks), v1 * v2), dtype=np.uint8)
     m[np.repeat(np.arange(len(blocks)), list(map(len, blocks))), ij[:, 0] * v2 + ij[:, 1]] = 1
     return DesignMatrix(v1, v2, m)

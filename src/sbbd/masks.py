@@ -1,20 +1,20 @@
 """DropConnect-style mask schedules from spanning designs.
 
-Each row of a spanning design matrix reshapes (row-major by left point) into
-one v1 x v2 binary connection mask.  Spanning guarantees no mask has a zero
-row or zero column, so no unit of either layer is ever fully disconnected,
-and stacking all masks edge-wise reproduces the design's replication counts.
+A design is its own mask schedule: `DesignMatrix.masks` views row k
+(row-major by left point) as the v1 x v2 binary connection mask of block k.
+Spanning guarantees no mask has a zero row or zero column, so no unit of
+either layer is ever fully disconnected, and stacking all masks edge-wise
+reproduces the design's replication counts.
 
 Serialization: JSON ({"v1", "v2", "masks": [[[0/1 ...] ...] ...]}) or a flat
 binary layout with a 3 x uint32 little-endian header (N, v1, v2) followed by
-N*v1*v2 row-major mask bytes.
+the N*v1*v2 bytes of the uint8 design matrix itself.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,51 +26,31 @@ class SpanningViolation(SbbdError):
     """Mask export refused: some mask would drop an entire row or column."""
 
 
-@dataclass(frozen=True)
-class MaskSchedule:
-    v1: int
-    v2: int
-    masks: np.ndarray = field(repr=False)  # (N, v1, v2) of 0/1
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.masks, dtype=np.uint8)
-        m.flags.writeable = False
-        object.__setattr__(self, "masks", m)
-
-    @property
-    def n_masks(self) -> int:
-        return self.masks.shape[0]
-
-
-def export_masks(x: DesignMatrix) -> MaskSchedule:
-    """Reshape each design row into a v1 x v2 mask; refuse non-spanning input."""
+def export_masks(x: DesignMatrix) -> DesignMatrix:
+    """Return x once it is checked to be a spanning SBBD; x.masks is the schedule."""
     check_sbbd(x)
     if not is_spanning(x):
         raise SpanningViolation(
             "design does not satisfy the spanning condition; masks would"
             " disconnect a unit"
         )
-    return MaskSchedule(x.v1, x.v2, x.matrix.reshape(x.n_rows, x.v1, x.v2))
+    return x
 
 
-def schedule_to_json(schedule: MaskSchedule) -> str:
-    return json.dumps(
-        {
-            "v1": schedule.v1,
-            "v2": schedule.v2,
-            "masks": schedule.masks.tolist(),
-        }
-    )
+def schedule_to_json(x: DesignMatrix) -> str:
+    return json.dumps({"v1": x.v1, "v2": x.v2, "masks": x.masks.tolist()})
 
 
-def schedule_to_bytes(schedule: MaskSchedule) -> bytes:
-    header = struct.pack(
-        "<III", schedule.n_masks, schedule.v1, schedule.v2
-    )
-    return header + schedule.masks.tobytes()
+def schedule_to_bytes(x: DesignMatrix) -> bytes:
+    return struct.pack("<III", x.n_rows, x.v1, x.v2) + x.matrix.tobytes()
 
 
-def schedule_from_bytes(data: bytes) -> MaskSchedule:
+def schedule_from_bytes(data: bytes) -> DesignMatrix:
+    """Read a mask blob back as the design it came from.
+
+    A short blob or a body of the wrong length is a FormatError, and so is
+    any body byte other than 0 or 1; v1 or v2 of 0 is a DimensionError.
+    """
     if len(data) < 12:
         raise FormatError("mask blob shorter than its 12-byte header")
     n, v1, v2 = struct.unpack("<III", data[:12])
@@ -79,4 +59,4 @@ def schedule_from_bytes(data: bytes) -> MaskSchedule:
         raise FormatError(
             f"mask blob body has {body.size} bytes, expected {n * v1 * v2}"
         )
-    return MaskSchedule(v1, v2, body.reshape(n, v1, v2).copy())
+    return DesignMatrix(v1, v2, body.reshape(n, v1 * v2))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design_core import DimensionError, FormatError, SbbdError
+from .design_core import DimensionError, FormatError, SbbdError, int_rows_from_csv
 
 
 class NotPrimePower(SbbdError):
@@ -277,16 +277,5 @@ def od_to_csv(od: OrderedDesign) -> str:
 
 
 def od_from_csv(text: str) -> OrderedDesign:
-    rows = []
-    for ln, line in enumerate(text.strip().splitlines(), 1):
-        try:
-            rows.append([int(tok) for tok in line.strip().split(",")])
-        except ValueError as exc:
-            raise FormatError(f"line {ln}: non-integer symbol") from exc
-    if not rows:
-        raise FormatError("empty ordered-design CSV")
-    s = len(rows[0])
-    if any(len(r) != s for r in rows):
-        raise FormatError("ragged ordered-design CSV")
-    arr = np.array(rows, dtype=np.int64)
-    return verify_od(arr, n=int(arr.max()), s=s)
+    arr = int_rows_from_csv(text, "ordered-design", "symbol")
+    return verify_od(arr, n=int(arr.max()), s=arr.shape[1])

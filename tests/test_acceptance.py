@@ -70,7 +70,7 @@ def test_criterion_03_composed_design(rl4):
     off = np.array([[6, 7, 7], [7, 6, 7], [7, 7, 6]])
     for i in range(1, 5):
         for j in range(1, 5):
-            prod = x.panel(i).T @ x.panel(j)
+            prod = x.panel(i).astype(np.int64).T @ x.panel(j).astype(np.int64)
             assert np.array_equal(prod, diag if i == j else off)
     ok(3, "SBBD(4,3,12) with Lambda = (9,6,6,7) and exact information blocks")
 
@@ -134,12 +134,13 @@ def test_criterion_07_generalized_inverse_identities(x22, composed_b4):
 
 def test_criterion_08_permutation_extension(composed_b4):
     x = composed_b4.x
-    base_info = x.matrix.T @ x.matrix
+    m = x.matrix.astype(np.int64)
+    base_info = m.T @ m
     rng = np.random.default_rng(20240)
     for _ in range(10):
         perm = (rng.permutation(x.v2) + 1).tolist()
-        xp = permute_panels(x, perm)
-        assert np.array_equal(xp.matrix.T @ xp.matrix, base_info)
+        mp = permute_panels(x, perm).matrix.astype(np.int64)
+        assert np.array_equal(mp.T @ mp, base_info)
     base = check_sbbd(x).lam
     for u in (2, 3):
         stacked = permute_extension(x, cyclic_shift_perms(x.v2, u))

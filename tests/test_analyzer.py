@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -92,8 +93,9 @@ def test_information_matrix_fixture(x22):
 def test_information_matrix_b4_blocks(composed_b4):
     info = information_matrix(composed_b4.x)
     x = composed_b4.x
-    diag = x.panel(1).T @ x.panel(1)
-    off = x.panel(1).T @ x.panel(2)
+    p1, p2 = x.panel(1).astype(np.int64), x.panel(2).astype(np.int64)
+    diag = p1.T @ p1
+    off = p1.T @ p2
     assert diag.tolist() == [[9, 6, 6], [6, 9, 6], [6, 6, 9]]
     assert off.tolist() == [[6, 7, 7], [7, 6, 7], [7, 7, 6]]
     assert info.dcs.lam == (9, 6, 6, 7)
@@ -294,7 +296,7 @@ def reference_scan(x):
     diagonal before the off-diagonal, each in row-major order.  Returns
     ("ok", Lambda) or (condition, witness, message) for the first mismatch.
     """
-    panels = [x.panel(i) for i in range(1, x.v1 + 1)]
+    panels = [x.panel(i).astype(np.int64) for i in range(1, x.v1 + 1)]
     own, cross = panels[0].T @ panels[0], panels[0].T @ panels[1]
     lam = (int(own[0, 0]), int(own[0, 1]), int(cross[0, 0]), int(cross[0, 1]))
     names = ("mu", "lambda12", "lambda21", "lambda22")
@@ -342,6 +344,33 @@ def test_every_single_bit_flip_matches_reference(x22):
             m = x22.matrix.copy()
             m[row, col] ^= 1
             assert_matches_reference(DesignMatrix(3, 3, m))
+
+
+@functools.cache
+def composed(name):
+    """The catalog design `name` composed with OD_1(b)."""
+    d = sbbd.catalog_by_id(name)
+    return sbbd.compose(d, sbbd.construct_od1(d.b)).x
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["pairs3", "fano", "pg23"]).flatmap(
+        lambda name: st.tuples(
+            st.just(name),
+            st.integers(0, composed(name).n_rows - 1),
+            st.integers(0, composed(name).matrix.shape[1] - 1),
+        )
+    )
+)
+def test_single_bit_flip_of_a_composed_design_is_a_violation(case):
+    name, row, col = case
+    x = composed(name)
+    m = x.matrix.copy()
+    m[row, col] ^= 1
+    flipped = DesignMatrix(x.v1, x.v2, m)
+    assert reference_scan(flipped)[0] != "ok"
+    assert_matches_reference(flipped)
 
 
 def test_multi_bit_flips_match_reference(fano_composed):

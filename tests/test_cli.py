@@ -1,5 +1,10 @@
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,7 +348,7 @@ def test_mask_binary_output(capsys, tmp_path, fixture_dir):
     assert code == 0
     blob = out_file.read_bytes()
     schedule = sbbd.schedule_from_bytes(blob)
-    assert schedule.n_masks == 9
+    assert schedule.n_rows == 9
 
 
 def test_analyze_reads_lenient_csv_like_canonical(capsys, tmp_path, fixture_dir):
@@ -365,6 +370,52 @@ def test_non_utf8_design_is_format_error(capsys, tmp_path, command):
     payload = json.loads(out)
     assert payload["error"] == "FormatError"
     assert str(bad) in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["analyze"], "99999999999999999999,1,1,1\n"),
+        (["od", "verify"], "1,2\n2,1\n99999999999999999999,1\n"),
+    ],
+)
+def test_token_beyond_int64_is_format_error(capsys, tmp_path, command, text):
+    big = tmp_path / "big.csv"
+    big.write_text(text)
+    code, _, err = run(capsys, *command, str(big))
+    assert code == 1
+    assert err.startswith("FormatError:") and "int64" in err
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, text, payload",
+    [
+        (["design", "verify"], '{"v": 100000, "blocks": [[1, 2]]}', False),
+        (["analyze", "--json"], '{"v1": 100000, "v2": 100000, "blocks": [[[1, 1]]]}', True),
+        (["od", "construct", "--q", "100003"], None, False),
+    ],
+)
+def test_input_beyond_memory_exits_one(tmp_path, argv, text, payload):
+    # the child's address space is capped at 2 GiB, so numpy refuses the
+    # oversized array up front and no test allocates it
+    if text is not None:
+        (tmp_path / "big.json").write_text(text)
+        argv = argv + ["big.json"]
+    src = Path(sbbd.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "sbbd.cli", *argv], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120, preexec_fn=_cap_address_space,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("MemoryError: the input needs more memory than is available")
+    assert "Unable to allocate" in done.stderr and "Traceback" not in done.stderr
+    if payload:
+        assert json.loads(done.stdout)["error"] == "MemoryError"
 
 
 def test_non_utf8_tau_is_usage_error(capsys, tmp_path, fixture_dir):

@@ -23,6 +23,12 @@ from sbbd import (
 )
 
 
+def gram(x: sbbd.DesignMatrix) -> np.ndarray:
+    """The exact X^T X; the uint8 matrix is cast first, as its products wrap past 255."""
+    m = x.matrix.astype(np.int64)
+    return m.T @ m
+
+
 def cooccurrence_oracle(x: sbbd.DesignMatrix):
     """Count edge-pair co-occurrences straight from each row's edge list.
 
@@ -124,12 +130,11 @@ def test_spanning_guarantee_boundary():
 
 def test_panel_permutation_preserves_information_matrix(composed_b4):
     x = composed_b4.x
-    base_info = x.matrix.T @ x.matrix
+    base_info = gram(x)
     rng = np.random.default_rng(3)
     for _ in range(10):
         perm = (rng.permutation(x.v2) + 1).tolist()
-        xp = permute_panels(x, perm)
-        assert np.array_equal(xp.matrix.T @ xp.matrix, base_info)
+        assert np.array_equal(gram(permute_panels(x, perm)), base_info)
 
 
 def test_identity_permutation_is_a_noop(composed_b4):
@@ -142,9 +147,7 @@ def test_stacking_identity_doubles_information_matrix(composed_b4):
     x = composed_b4.x
     stacked = permute_extension(x, [[1, 2, 3]])
     assert stacked.n_rows == 2 * x.n_rows
-    assert np.array_equal(
-        stacked.matrix.T @ stacked.matrix, 2 * (x.matrix.T @ x.matrix)
-    )
+    assert np.array_equal(gram(stacked), 2 * gram(x))
 
 
 def test_cyclic_extension_scales_parameters(composed_b4):
@@ -169,7 +172,7 @@ def test_od_row_permutation_permutes_design_rows(rl4):
     x = compose(rl4, od).x
     y = compose(rl4, od_shuffled).x
     assert np.array_equal(y.matrix, x.matrix[shuffle])
-    assert np.array_equal(y.matrix.T @ y.matrix, x.matrix.T @ x.matrix)
+    assert np.array_equal(gram(y), gram(x))
 
 
 _COMPOSED = {}

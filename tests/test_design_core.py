@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,27 @@ def test_dimensions_below_one_rejected(v1, v2, m):
 def test_non_binary_matrix_rejected():
     with pytest.raises(FormatError):
         DesignMatrix(2, 2, np.array([[0, 1, 2, 0]]))
+
+
+def test_entries_are_cast_to_read_only_uint8_and_checked():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a bare uint8 cast of NaN warns
+        for bad in (np.nan, np.inf, -np.inf, -1, 256, 0.5, 2):
+            with pytest.raises(FormatError, match="0 or 1"):
+                DesignMatrix(1, 2, np.array([[0, bad]]))
+    accepted = [
+        np.array([[True, False]]),
+        np.array([[1, 0]], dtype=np.int64),
+        np.array([[1.0, 0.0]]),
+        np.array([[1, 0]], dtype=np.uint8),
+        np.array([[1, 1], [0, 0]], dtype=np.uint8).T[:1],  # not C-contiguous
+    ]
+    for m in accepted:
+        x = DesignMatrix(1, 2, m)
+        assert x.matrix.dtype == np.uint8
+        assert x.matrix.flags.c_contiguous and not x.matrix.flags.writeable
+        assert x.matrix.tolist() == [[1, 0]]
+        assert x.masks.shape == (1, 1, 2) and not x.masks.flags.writeable
 
 
 def test_matrix_is_read_only(x22):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from sbbd import (
     DesignMatrix,
     DimensionError,
+    FormatError,
     SpanningViolation,
     export_masks,
     schedule_from_bytes,
@@ -53,6 +55,28 @@ def test_binary_roundtrip(x22):
     assert len(blob) == 12 + 9 * 9
     back = schedule_from_bytes(blob)
     assert np.array_equal(back.masks, schedule.masks)
+
+
+def test_export_returns_the_design_and_the_blob_is_its_bytes(x22):
+    assert export_masks(x22) is x22
+    assert schedule_to_bytes(x22)[12:] == x22.matrix.tobytes()
+    back = schedule_from_bytes(schedule_to_bytes(x22))
+    assert back.matrix.dtype == np.uint8 and not back.matrix.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "blob, error",
+    [
+        (struct.pack("<III", 1, 2, 2) + bytes([2, 1, 1, 255]), FormatError),
+        (struct.pack("<III", 1, 2, 2) + bytes([0, 1, 1, 0, 1]), FormatError),
+        (struct.pack("<II", 1, 2), FormatError),
+        (struct.pack("<III", 1, 0, 2), DimensionError),
+        (struct.pack("<III", 0, 2, 0), DimensionError),
+    ],
+)
+def test_blob_is_validated(blob, error):
+    with pytest.raises(error):
+        schedule_from_bytes(blob)
 
 
 def test_zero_row_design_exports_nothing():
