@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import (
     DesignMatrix,
@@ -105,10 +104,6 @@ def _write_output(data: str, out) -> None:
             fh.write(data)
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def _cmd_design_verify(args) -> int:
     d = design_from_json(_read_text(args.file))
     k = str(d.k) if d.is_bibd else "variable"
@@ -137,7 +132,7 @@ def _resolve_block_design(ref: str):
 
 
 def _resolve_od(ref: str):
-    if ref.isdigit():
+    if ref.isdecimal():
         return construct_od1(int(ref))
     return od_from_csv(_read_text(ref))
 
@@ -149,7 +144,7 @@ def _cmd_compose(args) -> int:
     x = composed.x
     if args.perms:
         name, _, count = args.perms.partition(":")
-        if name != "cyclic" or not count.isdigit() or int(count) < 1:
+        if name != "cyclic" or not count.isdecimal() or int(count) < 1:
             raise UsageError("--perms expects cyclic:<u> with u >= 1")
         x = permute_extension(x, cyclic_shift_perms(x.v2, int(count)))
     if args.out and args.out.endswith(".json"):
@@ -171,12 +166,12 @@ def _analyze_payload(x: DesignMatrix) -> dict:
         "lambda": list(report.params.lam),
         "spanning": report.is_spanning,
         "spectrum": [
-            {"value": _frac_str(val), "mult": mult}
+            {"value": str(val), "mult": mult}
             for val, mult in report.spectral.merged()
         ],
-        "a_criterion": _frac_str(report.a_criterion),
+        "a_criterion": str(report.a_criterion),
         "a_lower_bound": (
-            _frac_str(report.a_lower_bound)
+            str(report.a_lower_bound)
             if report.a_lower_bound is not None
             else None
         ),
@@ -336,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_od = sub.add_parser("od", help="ordered-design utilities")
     od_sub = p_od.add_subparsers(dest="subcommand", required=True)
     p_oc = od_sub.add_parser("construct", help="build an OD_1(q,q) over GF(q)")
-    p_oc.add_argument("--q", type=int, required=True, help="a prime, or a prime power <= 49")
+    p_oc.add_argument("--q", type=int, required=True, help="any prime power, e.g. 7, 64 or 125")
     p_oc.add_argument("--out", help="output CSV path (default stdout)")
     p_oc.set_defaults(func=_cmd_od_construct)
     p_ov = od_sub.add_parser("verify", help="verify an ordered-design CSV file")

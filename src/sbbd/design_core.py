@@ -71,9 +71,10 @@ class DesignMatrix:
 
     `matrix` is read-only, C-contiguous uint8, and is the only in-memory form
     of the design: its bytes are also the mask schedule (see `masks`).  Any
-    input is cast to uint8 once; an entry that is not exactly 0 or 1 is a
-    FormatError.  Products of its rows or panels must be cast first, to
-    int64 or float64, because uint8 arithmetic wraps past 255.
+    input is copied to uint8 once, so the caller's array is neither aliased
+    nor frozen; an entry that is not exactly 0 or 1 is a FormatError.
+    Products of its rows or panels must be cast first, to int64 or float64,
+    because uint8 arithmetic wraps past 255.
     """
 
     v1: int
@@ -90,13 +91,10 @@ class DesignMatrix:
             )
         if m.dtype.kind not in "buif":
             raise FormatError(f"design matrix entries must be 0 or 1, got dtype {m.dtype}")
-        if m.dtype == np.uint8:
-            bits = np.ascontiguousarray(m)
-        else:
-            with np.errstate(invalid="ignore"):  # NaN and inf then fail the comparison
-                bits = np.ascontiguousarray(m, dtype=np.uint8)
-            if not np.array_equal(bits, m):
-                raise FormatError("design matrix entries must be 0 or 1")
+        with np.errstate(invalid="ignore"):  # NaN and inf then fail the comparison
+            bits = np.array(m, dtype=np.uint8, order="C")  # always a private copy
+        if m.dtype != np.uint8 and not np.array_equal(bits, m):
+            raise FormatError("design matrix entries must be 0 or 1")
         if bits.size and bits.max() > 1:
             raise FormatError("design matrix entries must be 0 or 1")
         bits.flags.writeable = False

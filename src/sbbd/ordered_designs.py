@@ -5,10 +5,14 @@ eta*(n^2 - n) x s array over 1..n in which every row has s distinct symbols
 and, for every ordered pair of distinct columns, every ordered pair (x, y)
 of distinct symbols occurs in exactly eta rows.
 
-For a prime power q the affine map c -> a + m*c over GF(q), with a ranging
-over the field and m over its nonzero elements, fills the q^2 - q rows of an
-index-1 ordered design with s = n = q.  Verification never trusts the
-construction: verify_od counts every ordered pair in every column pair.
+For a prime power q = p^e the affine map c -> a + m*c over GF(q), with a
+ranging over the field and m over its nonzero elements, fills the q^2 - q
+rows of an index-1 ordered design with s = n = q.  GF(q) is found by search,
+for every prime power alike: the first monic polynomial of degree e over
+GF(p), in order of the base-p value of its lower coefficients, whose
+quotient ring gives every nonzero element an inverse.  Verification never
+trusts the construction: gf checks every field axiom on every triple, and
+verify_od counts every ordered pair in every column pair.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .design_core import DimensionError, FormatError, SbbdError, int_rows_from_c
 
 
 class NotPrimePower(SbbdError):
-    """q is not p^e for a prime p (or is a prime power beyond the shipped tables)."""
+    """q is not p^e for a prime p, or a GF(q) table fails the field axioms."""
 
 
 class RepeatedSymbolInRow(SbbdError):
@@ -38,23 +42,6 @@ class PairCountMismatch(SbbdError):
             f"columns {columns}: ordered pair {pair} occurs {count} times,"
             f" expected {expected}"
         )
-
-
-# Monic irreducible polynomials used for the extension fields, as coefficient
-# tuples (c0, c1, ..., c_{e-1}) of x^e = -(c0 + c1 x + ...); irreducibility is
-# implied by the exhaustive inverse check run at construction time.
-_IRREDUCIBLE = {
-    4: (1, 1),          # x^2 + x + 1 over GF(2)
-    8: (1, 1, 0),       # x^3 + x + 1
-    9: (1, 0),          # x^2 + 1 over GF(3)
-    16: (1, 1, 0, 0),   # x^4 + x + 1
-    25: (2, 1),         # x^2 + x + 2 over GF(5)
-    27: (1, 2, 0),      # x^3 + 2x + 1
-    32: (1, 0, 1, 0, 0),  # x^5 + x^2 + 1
-    49: (3, 1),         # x^2 + x + 3 over GF(7)
-}
-
-MAX_FIELD_ORDER = 49
 
 
 def _prime_power(q: int):
@@ -101,67 +88,31 @@ class FiniteField:
         return int(np.flatnonzero(self.mul[x] == 1)[0])
 
 
-def _digits(m: int, p: int, e: int) -> list:
-    out = []
-    for _ in range(e):
-        out.append(m % p)
-        m //= p
-    return out
-
-
-def _value(digits, p: int) -> int:
-    val = 0
-    for d in reversed(digits):
-        val = val * p + d
-    return val
-
-
-def _poly_mul_mod(a, b, p, reduction):
-    e = len(reduction)
-    prod = [0] * (2 * e - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # fold x^d down using x^e = -(reduction) repeatedly
-    for d in range(2 * e - 2, e - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for i, ri in enumerate(reduction):
-                prod[d - e + i] = (prod[d - e + i] - c * ri) % p
-    return prod[:e]
-
-
 def gf(q: int) -> FiniteField:
-    """Build GF(q) with verified field axioms: q prime, or a prime power <= 49.
+    """Build GF(q) for any prime power q = p^e, with verified field axioms.
 
-    Prime fields are plain arithmetic modulo q; extension fields need one of
-    the shipped reduction polynomials.
+    The reduction polynomial is the first monic x^e + c_{e-1} x^{e-1} + ...
+    + c_0 in order of the value c_0 + c_1 p + ... + c_{e-1} p^{e-1} under
+    which every nonzero element has an inverse, i.e. the first irreducible
+    one.  For e = 1 that is x itself and the tables are plain arithmetic
+    modulo p.
     """
     pe = _prime_power(q)
     if pe is None:
         raise NotPrimePower(f"{q} is not a prime power")
     p, e = pe
-    if e > 1 and q > MAX_FIELD_ORDER:
-        raise NotPrimePower(
-            f"field tables are shipped only for q <= {MAX_FIELD_ORDER}"
-        )
-    if e == 1:
-        idx = np.arange(q, dtype=np.int64)
-        add = (idx[:, None] + idx[None, :]) % q
-        mul = (idx[:, None] * idx[None, :]) % q
-    else:
-        reduction = list(_IRREDUCIBLE[q])
-        vecs = [_digits(m, p, e) for m in range(q)]
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for x in range(q):
-            for y in range(x, q):
-                s = _value([(a + b) % p for a, b in zip(vecs[x], vecs[y])], p)
-                m = _value(_poly_mul_mod(vecs[x], vecs[y], p, reduction), p)
-                add[x, y] = add[y, x] = s
-                mul[x, y] = mul[y, x] = m
+    powers = p ** np.arange(e)
+    digits = np.arange(q)[:, None] // powers % p  # row m: the base-p digits of m
+    add = (digits[:, None] + digits[None]) % p @ powers
+    for low in digits:  # candidate x^e + low, in order of low's value
+        times_x = np.eye(e, k=1, dtype=np.int64)  # d @ times_x: the digits of x*d
+        times_x[-1] = -low
+        by_x = [digits]  # by_x[k][m]: the digits of m*x^k
+        for _ in range(1, e):
+            by_x.append(by_x[-1] @ times_x % p)
+        mul = np.einsum("bk,kad->abd", digits, np.array(by_x)) % p @ powers
+        if (mul[1:] == 1).any(axis=1).all():
+            break
     fld = FiniteField(p, e, add, mul)
     _check_axioms(fld)
     add.flags.writeable = False
@@ -172,12 +123,11 @@ def gf(q: int) -> FiniteField:
 def _check_axioms(fld: FiniteField) -> None:
     q = fld.q
     add, mul = fld.add, fld.mul
-    # identities and exhaustive inverse existence (for all shipped q)
+    # identities and exhaustive inverse existence
     if not (np.array_equal(add[0], np.arange(q)) and np.array_equal(mul[1], np.arange(q))):
         raise NotPrimePower(f"GF({q}) table identities failed")
-    for x in range(1, q):
-        if 1 not in mul[x]:
-            raise NotPrimePower(f"GF({q}): element {x} has no inverse")
+    if not (mul[1:] == 1).any(axis=1).all():
+        raise NotPrimePower(f"GF({q}): a nonzero element has no inverse")
     # associativity and distributivity, exhaustive over all q^3 triples, for
     # a slab of x values at a time (about 2^16 triples) so memory stays O(q^2);
     # with m = mul[slab], mul[m][x, y, z] = (x y) z and m[:, mul][x, y, z] = x (y z)

@@ -64,6 +64,14 @@ def test_od_verify_bad_file_exits_one(capsys, tmp_path):
     assert "PairCountMismatch" in err
 
 
+def test_od_construct_builds_an_extension_field_beyond_49(capsys):
+    code, out, _ = run(capsys, "od", "construct", "--q", "64")
+    assert code == 0
+    rows = out.strip().splitlines()
+    assert len(rows) == 4032
+    assert all(sorted(map(int, row.split(","))) == list(range(1, 65)) for row in rows)
+
+
 def test_od_construct_rejects_non_prime_power(capsys):
     code, _, err = run(capsys, "od", "construct", "--q", "6")
     assert code == 1
@@ -100,12 +108,19 @@ def test_compose_perms_and_json_output(capsys, tmp_path):
     assert sbbd.check_sbbd(x).lam == (18, 12, 12, 14)
 
 
-def test_compose_bad_perms_is_usage_error(capsys):
+@pytest.mark.parametrize("perms", ["spiral:2", "cyclic:²"])  # "²" isdigit, not isdecimal
+def test_compose_bad_perms_is_usage_error(capsys, perms):
     code, _, err = run(
-        capsys, "compose", "--design", "catalog:fano", "--od", "7", "--perms", "spiral:2"
+        capsys, "compose", "--design", "catalog:fano", "--od", "7", "--perms", perms
     )
     assert code == 2
     assert "usage error" in err
+
+
+def test_compose_od_non_ascii_digit_is_read_as_a_path(capsys):
+    code, _, err = run(capsys, "compose", "--design", "catalog:fano", "--od", "²")
+    assert code == 2
+    assert "No such file" in err and "'²'" in err
 
 
 def test_analyze_human_readable(capsys, fixture_dir):

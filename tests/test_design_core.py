@@ -162,6 +162,17 @@ def test_entries_are_cast_to_read_only_uint8_and_checked():
         assert x.masks.shape == (1, 1, 2) and not x.masks.flags.writeable
 
 
+def test_matrix_never_aliases_the_callers_array():
+    base = np.zeros((4, 4), np.uint8)
+    x = DesignMatrix(2, 2, base[:2])
+    base[0, 0] = 5
+    assert x.matrix[0, 0] == 0
+    assert base.flags.writeable
+    owned = np.eye(2, 4, dtype=np.uint8)
+    DesignMatrix(2, 2, owned)
+    assert owned.flags.writeable
+
+
 def test_matrix_is_read_only(x22):
     with pytest.raises(ValueError):
         x22.matrix[0, 0] = 1

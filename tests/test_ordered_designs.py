@@ -16,7 +16,7 @@ from sbbd import (
 from sbbd.cli import main
 from sbbd.ordered_designs import FiniteField, _check_axioms
 
-PRIME_POWERS_49 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49]
+PRIME_POWERS_TO_49 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49]
 
 
 def test_gf7_is_plain_modular_arithmetic():
@@ -41,12 +41,12 @@ def test_not_prime_power():
             gf(q)
 
 
-def test_field_catalog_bound():
-    # prime fields need no reduction polynomial, so only prime powers are capped
-    assert gf(53).q == 53
-    for q in (64, 81, 121):
-        with pytest.raises(NotPrimePower, match="shipped only for q <= 49"):
-            gf(q)
+def test_extension_fields_are_pinned_by_x_to_the_e():
+    # mul[x^(e-1), x] is x^e, whose digits name the first irreducible found
+    pins = {4: 3, 8: 3, 9: 2, 16: 3, 25: 3, 27: 5, 32: 5, 49: 6, 64: 3, 81: 7, 121: 10, 125: 24}
+    for q, x_to_the_e in pins.items():
+        fld = gf(q)
+        assert fld.mul[fld.p ** (fld.e - 1), fld.p] == x_to_the_e, q
 
 
 @pytest.mark.parametrize("q", [59, 79])
@@ -66,7 +66,7 @@ def test_axiom_check_catches_a_corrupted_large_table():
         _check_axioms(FiniteField(59, 1, fld.add, mul))
 
 
-@pytest.mark.parametrize("q", PRIME_POWERS_49)
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_49 + [53, 64, 81, 121, 125, 128])
 def test_every_cataloged_field_builds(q):
     fld = gf(q)
     assert fld.q == q
@@ -103,7 +103,7 @@ def test_od1_q4_has_twelve_rows():
     assert od.eta == 1
 
 
-@pytest.mark.parametrize("q", PRIME_POWERS_49)
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_49 + [64, 81])
 def test_od1_row_counts_and_verification(q):
     od = construct_od1(q)
     assert od.n_rows == q * q - q
