@@ -96,11 +96,12 @@ def _load_design(path: str, v1, v2) -> DesignMatrix:
     return matrix_from_csv(text, v1, v2)
 
 
-def _write_output(data: str, out) -> None:
+def _write_output(data: str | bytes, out) -> None:
+    binary = isinstance(data, bytes)
     if out is None or out == "-":
-        sys.stdout.write(data)
+        (sys.stdout.buffer if binary else sys.stdout).write(data)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "wb") if binary else open(out, "w", encoding="utf-8") as fh:
             fh.write(data)
 
 
@@ -286,14 +287,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_mask(args) -> int:
     x = export_masks(_load_design(args.file, args.v1, args.v2))
-    if args.format == "json":
-        _write_output(schedule_to_json(x) + "\n", args.out)
-    else:
-        if args.out is None or args.out == "-":
-            sys.stdout.buffer.write(schedule_to_bytes(x))
-        else:
-            with open(args.out, "wb") as fh:
-                fh.write(schedule_to_bytes(x))
+    body = schedule_to_json(x) + "\n" if args.format == "json" else schedule_to_bytes(x)
+    _write_output(body, args.out)
     if args.out and args.out != "-":
         print(f"wrote {x.n_rows} masks of shape {x.v1}x{x.v2} to {args.out}")
     return 0

@@ -27,7 +27,6 @@ from .rl_designs import BlockDesign, incidence_matrix
 class ComposedDesign:
     x: DesignMatrix
     predicted: SbbdParameters
-    source: tuple  # ((v, b, r, lambda), (n, s, eta))
     spanning_guaranteed: bool
 
 
@@ -70,7 +69,6 @@ def compose(d: BlockDesign, od: OrderedDesign) -> ComposedDesign:
     return ComposedDesign(
         x=x,
         predicted=predicted_parameters(d, od),
-        source=((d.v, d.b, d.r, d.lam), (od.n, od.s, od.eta)),
         spanning_guaranteed=spanning_guaranteed(od.s, d.b, d.r),
     )
 

@@ -7,8 +7,10 @@ estimated by least squares, tau_hat = G X^T y with G the exact generalized
 inverse, and compared contrast-by-contrast against the prediction
 Var((p_i (x) q_j)^T tau_hat) = sigma^2 / alpha.
 
-The contrast rows C lie in the alpha eigenspace of X^T X, so C G = C / alpha
-and simulate projects with W = C X^T / alpha without forming G.
+The contrast rows C = H1 (x) H2 (two Helmert bases) lie in the alpha
+eigenspace of X^T X, so C G = C / alpha and simulate projects with
+W = C X^T / alpha without forming G.  Nor does it form C: row k of W^T is
+H1 X_k H2^T / alpha, with X_k block k's v1 x v2 mask.
 
 Runs are processed in tiles of _TILE runs: run i is row i % _TILE of tile
 i // _TILE.  Tile t's noise is the (_TILE, N) array that numpy's ziggurat
@@ -16,10 +18,9 @@ sampler draws from Philox(key=seed, counter=t << 64), the counter-based
 generator of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
 (SC'11).  Each tile is projected by one fixed-shape BLAS product
 (_TILE, N) @ (N, C), so a run's noise and estimates depend only on
-(seed, i, N), never on how many runs are drawn together.  Reports are
-therefore identical bit for bit across chunk sizes and calls for a given
-numpy and BLAS build and BLAS thread count; a different thread count may
-change the last bits of large products (OpenBLAS 0.3.31 does so for a
+(seed, i, N).  Reports are therefore identical bit for bit across calls for
+a given numpy and BLAS build and BLAS thread count; a different thread count
+may change the last bits of large products (OpenBLAS 0.3.31 does so for a
 (256, 506) @ (506, 484) product with 1 and 2 threads).
 """
 
@@ -123,38 +124,37 @@ def random_effects(v1: int, v2: int, scale: float = 1.0, seed: int = 0) -> Effec
 
 
 _TILE = 256  # runs per fixed-shape projection; fixes every run's noise and estimates
-_CHUNK_RUNS = 1024  # runs drawn together, rounded up to whole tiles; the report does not depend on it
 
 
-def _draw_tiles(seed: int, first: int, out: np.ndarray) -> np.ndarray:
-    """Fill out, shape (k * _TILE, n), with the noise of tiles first .. first + k - 1.
+def _tiles(seed: int, stop: int, n: int, first: int = 0):
+    """Yield the (_TILE, n) noise of tiles first .. ceil(stop / _TILE) - 1.
 
-    One Philox serves all k tiles, since each construction reads OS entropy
-    for a SeedSequence that the explicit key leaves unused.  Before tile t its
-    state is reset to the one Philox(key=seed, counter=t << 64) starts in:
-    counter word 1 set to t, the other words zero and the output buffer empty.
+    Tile t is the standard_normal draw of Philox(key=seed, counter=t << 64).
+    The ziggurat consumes a variable number of words, but far fewer than the
+    2^64 blocks between two tiles' counters, so tiles never share a block.
+    One Philox serves every tile, since each construction reads OS entropy
+    for a SeedSequence that the explicit key leaves unused: before tile t its
+    state is reset to the one Philox(key=seed, counter=t << 64) starts in,
+    counter word 1 set to t, the other words zero and the output buffer
+    empty.  Every tile is drawn into the same buffer, which is yielded.
     """
     bits = np.random.Philox(key=seed, counter=first << 64)
     normals = np.random.Generator(bits)
     start = bits.state
-    for t, tile in enumerate(out.reshape(-1, _TILE, out.shape[1]), first):
+    out = np.empty((_TILE, n))
+    for t in range(first, -(-stop // _TILE)):
         start["state"]["counter"][1] = t
         bits.state = start
-        normals.standard_normal(out=tile)
-    return out
+        yield normals.standard_normal(out=out)
 
 
 def _noise(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     """Standard normals for runs start .. stop-1, shape (stop - start, n).
 
-    Run i is row i % _TILE of tile i // _TILE, and tile t is the (_TILE, n)
-    standard_normal draw of Philox(key=seed, counter=t << 64).  The ziggurat
-    consumes a variable number of words, but far fewer than the 2^64 blocks
-    between two tiles' counters, so tiles never share a block.
+    Run i is row i % _TILE of tile i // _TILE (see _tiles).
     """
     first = start // _TILE
-    tiles = -(-stop // _TILE) - first
-    out = _draw_tiles(seed, first, np.empty((tiles * _TILE, n)))
+    out = np.vstack([tile.copy() for tile in _tiles(seed, stop, n, first)])
     return out[start - first * _TILE : stop - first * _TILE]
 
 
@@ -192,8 +192,8 @@ def simulate(
     empirical mean and variance against the predicted sigma^2 / alpha.
     Runs go in tiles of _TILE (see the module docstring); the last tile is
     drawn in full and its rows past `runs` are zeroed before any sum.  The
-    report for given arguments is the same bit for bit on every call and
-    for every _CHUNK_RUNS, given the numpy/BLAS build and thread count.
+    report for given arguments is the same bit for bit on every call, given
+    the numpy/BLAS build and thread count.
     Raises what a_optimality raises on a failing design.
     """
     if (tau.v1, tau.v2) != (x.v1, x.v2):
@@ -204,36 +204,26 @@ def simulate(
         raise DimensionError(f"sigma must be finite and >= 0, got {sigma!r}")
     _check_seed(seed)
     _, spec = _checked_spectrum(x)
-    c = contrast_basis(x.v1, x.v2)
+    h1, h2 = _helmert(x.v1), _helmert(x.v2)
     xf = x.matrix.astype(float)
-    wt = (xf @ c.T) / spec.alpha  # W^T, (N, C): contrast estimates are y @ W^T
+    # W^T, (N, C): row k is H1 X_k H2^T / alpha, and contrast estimates are y @ W^T
+    wt = (h1 @ xf.reshape(x.n_rows, x.v1, x.v2) @ h2.T).reshape(x.n_rows, -1) / spec.alpha
     signal = xf @ tau.tau
+    true = (h1 @ tau.tau.reshape(x.v1, x.v2) @ h2.T).ravel()
 
-    true = c @ tau.tau
-    n_contrasts = c.shape[0]
     # accumulate deviations from the true contrasts to keep the variance
     # update numerically clean
-    dev_sum = np.zeros(n_contrasts)
-    dev_sq = np.zeros(n_contrasts)
-    total_tiles = -(-runs // _TILE)
-    chunk_tiles = -(-_CHUNK_RUNS // _TILE)
-    buf = np.empty((chunk_tiles * _TILE, x.n_rows))
-    for first in range(0, total_tiles, chunk_tiles):
-        tiles = min(chunk_tiles, total_tiles - first)
-        y = _draw_tiles(seed, first, buf[: tiles * _TILE])
+    dev_sum = np.zeros(true.size)
+    dev_sq = np.zeros(true.size)
+    for t, y in enumerate(_tiles(seed, runs, x.n_rows)):
         y *= sigma
         y += signal
-        # one (_TILE, N) @ (N, C) product per tile: the shape, and so the
-        # BLAS kernel, is the same for every tile whatever the chunking
-        deviations = y.reshape(tiles, _TILE, x.n_rows) @ wt
-        deviations -= true
-        deviations.reshape(-1, n_contrasts)[runs - first * _TILE :] = 0.0
-        # per-tile sums, added in tile order
-        tile_sum = deviations.sum(axis=1)
-        deviations *= deviations
-        for s, sq in zip(tile_sum, deviations.sum(axis=1)):
-            dev_sum += s
-            dev_sq += sq
+        dev = y @ wt  # the same (_TILE, N) @ (N, C) BLAS product for every tile
+        dev -= true
+        dev[runs - t * _TILE :] = 0.0
+        dev_sum += dev.sum(axis=0)
+        dev *= dev
+        dev_sq += dev.sum(axis=0)
 
     mean = true + dev_sum / runs
     variance = (dev_sq - dev_sum * dev_sum / runs) / (runs - 1)
