@@ -183,6 +183,44 @@ def test_simulate_on_non_spanning_star(single_edge_blocks):
     assert np.abs(report.empirical_mean - report.true_contrasts).max() <= 1e-9
 
 
+def _report_bytes(report):
+    return b"".join(
+        np.asarray(getattr(report, name)).tobytes()
+        for name in ("true_contrasts", "empirical_mean", "empirical_variance", "max_relative_deviation")
+    )
+
+
+def _check_report_against_chunked_noise(x, tau, sigma, runs, seed, chunks):
+    """The report equals the dense-W estimates of the noise drawn in any chunks."""
+    report = simulate(x, tau, sigma=sigma, runs=runs, seed=seed)
+    assert _report_bytes(report) == _report_bytes(simulate(x, tau, sigma=sigma, runs=runs, seed=seed))
+    alpha = sbbd.spectrum(sbbd.information_matrix(x)).alpha
+    w = contrast_basis(x.v1, x.v2) @ x.matrix.T.astype(float) / alpha
+    signal = x.matrix.astype(float) @ tau.tau
+    whole = estimator._noise(seed, 0, runs, x.n_rows)
+    for chunk in chunks:
+        noise = np.vstack([
+            estimator._noise(seed, start, min(start + chunk, runs), x.n_rows)
+            for start in range(0, runs, chunk)
+        ])
+        assert noise.tobytes() == whole.tobytes()
+        estimates = (signal + sigma * noise) @ w.T
+        assert np.abs(report.empirical_mean - estimates.mean(axis=0)).max() < 1e-12
+        assert np.abs(report.empirical_variance - estimates.var(axis=0, ddof=1)).max() < 1e-12
+
+
+def test_report_does_not_depend_on_chunk_size(fano_composed):
+    tau = random_effects(7, 7, seed=31)
+    # 5000 runs: the last chunk is partial for every size, and so is the last tile
+    _check_report_against_chunked_noise(fano_composed.x, tau, 1.0, 5000, 17, (1, 7, 4096))
+
+
+def test_one_contrast_report_does_not_depend_on_chunk_size(single_edge_blocks):
+    # a 2 x 2 design has a single contrast, so every tile sum runs over one column
+    tau = random_effects(2, 2, seed=5)
+    _check_report_against_chunked_noise(single_edge_blocks, tau, 1.0, 3001, 9, (1, 300, 2048))
+
+
 def test_noise_is_bit_identical_across_chunkings():
     for n in (1, 9, 42):
         whole = estimator._noise(2024, 0, 500, n)
