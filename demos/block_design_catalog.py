@@ -21,9 +21,9 @@ fano = sbbd.symmetric_bibd_from_difference_set(7, [1, 2, 4])
 print(f"\ndeveloped design: v={fano.v} b={fano.b} r={fano.r} k={fano.k} lambda={fano.lam}")
 print("blocks:", [sorted(b) for b in fano.blocks])
 
-# the catalog covers every quadratic-residue design up to 79 blocks
+# the catalog is one rule: qr<p> for every prime p >= 7 with p = 3 (mod 4)
 print("\ncatalog:")
-for name in ("fano", "qr11", "pg23", "qr19", "qr79"):
+for name in ("fano", "qr11", "pg23", "qr19", "qr79", "qr127"):
     c = sbbd.catalog_by_id(name)
     print(f"  {name:6s} -> (v,b,r,k,lambda) = ({c.v},{c.b},{c.r},{c.k},{c.lam})")
 

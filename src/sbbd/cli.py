@@ -337,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
         "compose", help="compose a block design with an ordered design"
     )
     p_compose.add_argument(
-        "--design", required=True, help="block-design JSON file or catalog:<id>"
+        "--design", required=True,
+        help="block-design JSON file or catalog:<id>, with id pairs3, pg23, fano (= qr7)"
+        " or qr<p> for a prime p >= 7, p = 3 (mod 4), e.g. qr127",
     )
     p_compose.add_argument(
         "--od", required=True, help="ordered-design CSV file or a prime power q"

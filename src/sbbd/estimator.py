@@ -206,8 +206,9 @@ def simulate(
     _, spec = _checked_spectrum(x)
     h1, h2 = _helmert(x.v1), _helmert(x.v2)
     xf = x.matrix.astype(float)
-    # W^T, (N, C): row k is H1 X_k H2^T / alpha, and contrast estimates are y @ W^T
-    wt = (h1 @ xf.reshape(x.n_rows, x.v1, x.v2) @ h2.T).reshape(x.n_rows, -1) / spec.alpha
+    # W^T, (N, C): row k is H1 X_k H2^T / alpha (every X_k H2^T in one 2-D product)
+    xh2 = (xf.reshape(-1, x.v2) @ h2.T).reshape(x.n_rows, x.v1, x.v2 - 1)
+    wt = (h1 @ xh2).reshape(x.n_rows, -1) / spec.alpha
     signal = xf @ tau.tau
     true = (h1 @ tau.tau.reshape(x.v1, x.v2) @ h2.T).ravel()
 

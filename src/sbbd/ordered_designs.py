@@ -17,7 +17,9 @@ verify_od counts every ordered pair in every column pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -45,22 +47,22 @@ class PairCountMismatch(SbbdError):
 
 
 def _prime_power(q: int):
-    """Return (p, e) with q = p^e, or None."""
+    """Return (p, e) with q = p^e, or None.
+
+    An order whose q x q tables numpy cannot index is a DimensionError,
+    raised before trial division, which below that bound takes at most
+    about 55 000 steps.
+    """
     if q < 2:
         return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return (q, 1)
+    if q > math.isqrt(np.iinfo(np.intp).max):
+        raise DimensionError(f"{q} is too large: q^2 exceeds the largest array index")
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     e = 0
-    n = q
-    while n % p == 0:
-        n //= p
+    while q % p == 0:
+        q //= p
         e += 1
-    return (p, e) if n == 1 else None
+    return (p, e) if q == 1 else None
 
 
 @dataclass(frozen=True)
@@ -177,9 +179,10 @@ def verify_od(m, n: int, s: int) -> OrderedDesign:
     if arr.min() < 1 or arr.max() > n:
         raise FormatError(f"symbols must lie in 1..{n}")
 
-    for idx, row in enumerate(arr):
-        if len(set(row.tolist())) != s:
-            raise RepeatedSymbolInRow(idx + 1)
+    ordered = np.sort(arr, axis=1)
+    bad = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if bad.size:
+        raise RepeatedSymbolInRow(int(bad[0]) + 1)
 
     # with s = 1 there are no column pairs; the row count alone fixes eta
     n_rows = arr.shape[0]
@@ -189,20 +192,17 @@ def verify_od(m, n: int, s: int) -> OrderedDesign:
         )
     eta = n_rows // (n * n - n)
     off_diag = ~np.eye(n, dtype=bool)
-    for c1 in range(s):
-        for c2 in range(s):
-            if c1 == c2:
-                continue
-            codes = (arr[:, c1] - 1) * n + (arr[:, c2] - 1)
-            counts = np.bincount(codes, minlength=n * n).reshape(n, n)
-            if (counts[off_diag] != eta).any():
-                x, y = np.argwhere((counts != eta) & off_diag)[0]
-                raise PairCountMismatch(
-                    (c1 + 1, c2 + 1),
-                    (int(x) + 1, int(y) + 1),
-                    int(counts[x, y]),
-                    eta,
-                )
+    for c1, c2 in permutations(range(s), 2):
+        codes = (arr[:, c1] - 1) * n + (arr[:, c2] - 1)
+        counts = np.bincount(codes, minlength=n * n).reshape(n, n)
+        if (counts[off_diag] != eta).any():
+            x, y = np.argwhere((counts != eta) & off_diag)[0]
+            raise PairCountMismatch(
+                (c1 + 1, c2 + 1),
+                (int(x) + 1, int(y) + 1),
+                int(counts[x, y]),
+                eta,
+            )
     return OrderedDesign(n=n, s=s, eta=eta, rows=arr)
 
 

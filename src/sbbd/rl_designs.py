@@ -7,9 +7,11 @@ BIBD symmetric.  Verification is exhaustive pair counting, never trusted
 parameters.
 
 The built-in catalog ships symmetric BIBDs whose block count is a prime
-power: quadratic-residue difference-set designs for primes v = 3 (mod 4) up
-to 79, plus the (13, 4, 1) design developed from the base block {0, 1, 3, 9}
-mod 13.  Every catalog entry is re-verified on construction.
+power, each developed from a difference set by one rule (_difference_set):
+the quadratic-residue (Paley) design qr<p> for every prime p >= 7 with
+p = 3 (mod 4), and the (13, 4, 1) design pg23 from the base block
+{0, 1, 3, 9} mod 13.  Every catalog design is re-verified on construction.
+References: Paley (1933); Handbook of Combinatorial Designs, 2nd ed.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .design_core import DimensionError, FormatError, SbbdError, _json_int
+from .ordered_designs import _prime_power
 
 
 class NotRegular(SbbdError):
@@ -158,9 +161,9 @@ def symmetric_bibd_from_difference_set(modulus: int, base_block) -> BlockDesign:
     base = sorted(int(x) % modulus for x in base_block)
     if len(set(base)) != len(base):
         raise FormatError("base block has repeated residues")
-    blocks = [
-        frozenset((x + t) % modulus + 1 for x in base) for t in range(modulus)
-    ]
+    # every shift in one array first: a design too large for memory fails here
+    shifts = (np.array(base) + np.arange(modulus)[:, None]) % modulus + 1
+    blocks = [frozenset(row) for row in shifts.tolist()]
     try:
         return verify_rl_design(modulus, blocks)
     except (NotRegular, NotPairBalanced) as exc:
@@ -180,59 +183,51 @@ def all_pairs_plus_full(v: int) -> BlockDesign:
     return verify_rl_design(v, blocks)
 
 
-def _qr_base(p: int) -> list:
-    return sorted({(x * x) % p for x in range(1, p)})
+def _difference_set(name: str):
+    """The catalog's one rule: (key, modulus, base) for an id, or None.
 
-
-# (v, b, r, k, lambda) -> builder.  Symmetric entries have b = v, r = k.
-_QR_PRIMES = (7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79)
-
-_CATALOG = {}
-for _p in _QR_PRIMES:
-    _k = (_p - 1) // 2
-    _lam = (_p - 3) // 4
-    _CATALOG[(_p, _p, _k, _k, _lam)] = (_p, _qr_base(_p))
-_CATALOG[(13, 13, 4, 4, 1)] = (13, [0, 1, 3, 9])
-
-# Memorable ids for the CLI and for composition helpers.
-CATALOG_IDS = {
-    "fano": (7, 7, 3, 3, 1),
-    "qr11": (11, 11, 5, 5, 2),
-    "pg23": (13, 13, 4, 4, 1),
-    "qr19": (19, 19, 9, 9, 4),
-    "qr23": (23, 23, 11, 11, 5),
-    "qr31": (31, 31, 15, 15, 7),
-    "qr43": (43, 43, 21, 21, 10),
-    "qr47": (47, 47, 23, 23, 11),
-    "qr59": (59, 59, 29, 29, 14),
-    "qr67": (67, 67, 33, 33, 16),
-    "qr71": (71, 71, 35, 35, 17),
-    "qr79": (79, 79, 39, 39, 19),
-    # not a BIBD; the 4-block workhorse for small composed examples
-    "pairs3": "pairs3",
-}
+    key is the (v, b, r, k, lambda) the developed design must count to.
+    "pg23" is the (13, 4, 1) base block {0, 1, 3, 9}.  "qr<p>", with p in
+    ASCII digits and no leading zero, is the Paley difference set of the
+    squares mod p for every prime p >= 7 with p = 3 (mod 4); "fano" is qr7.
+    """
+    if name == "pg23":
+        return (13, 13, 4, 4, 1), 13, [0, 1, 3, 9]
+    digits = "7" if name == "fano" else name.removeprefix("qr")
+    if name == digits or not (digits.isascii() and digits.isdecimal()) or digits[0] == "0":
+        return None
+    p = int(digits)
+    if p < 7 or p % 4 != 3 or _prime_power(p) != (p, 1):
+        return None
+    k = (p - 1) // 2
+    # x and p - x have the same square, so x in 1..k gives every square once
+    squares = np.unique(np.arange(1, k + 1) ** 2 % p)
+    return (p, p, k, k, (p - 3) // 4), p, squares
 
 
 def catalog_lookup(v: int, b: int, r: int, k: int, lam: int) -> BlockDesign:
     """Return a verified design with the given parameters, or NotInCatalog."""
     key = (v, b, r, k, lam)
-    if key not in _CATALOG:
+    name = "pg23" if v == 13 else f"qr{v}"
+    rule = _difference_set(name)
+    if rule is None or rule[0] != key:
         raise NotInCatalog(f"no shipped design with (v,b,r,k,lambda) = {key}")
-    modulus, base = _CATALOG[key]
+    return catalog_by_id(name)
+
+
+def catalog_by_id(name: str) -> BlockDesign:
+    """Catalog access by id: "pairs3", "pg23", "fano" or "qr<p>" (see _difference_set)."""
+    if name == "pairs3":  # not a BIBD; the 4-block workhorse for small examples
+        return all_pairs_plus_full(3)
+    rule = _difference_set(name)
+    if rule is None:
+        raise NotInCatalog(f"unknown catalog id {name!r}")
+    key, modulus, base = rule
     d = symmetric_bibd_from_difference_set(modulus, base)
     got = (d.v, d.b, d.r, d.k, d.lam)
     if got != key:
         raise CatalogMismatch(f"catalog entry {key} builds a design with {got}")
     return d
-
-
-def catalog_by_id(name: str) -> BlockDesign:
-    """Catalog access by memorable id ("fano", "qr11", "pg23", "pairs3", ...)."""
-    if name not in CATALOG_IDS:
-        raise NotInCatalog(f"unknown catalog id {name!r}")
-    if name == "pairs3":
-        return all_pairs_plus_full(3)
-    return catalog_lookup(*CATALOG_IDS[name])
 
 
 # Block-design JSON ingestion: {"v": int, "blocks": [[points], ...]}, 1-based.

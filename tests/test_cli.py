@@ -412,6 +412,7 @@ def _cap_address_space():
         (["design", "verify"], '{"v": 100000, "blocks": [[1, 2]]}', False),
         (["analyze", "--json"], '{"v1": 100000, "v2": 100000, "blocks": [[[1, 1]]]}', True),
         (["od", "construct", "--q", "100003"], None, False),
+        (["compose", "--design", "catalog:qr100003", "--od", "7"], None, False),
     ],
 )
 def test_input_beyond_memory_exits_one(tmp_path, argv, text, payload):
@@ -431,6 +432,29 @@ def test_input_beyond_memory_exits_one(tmp_path, argv, text, payload):
     assert "Unable to allocate" in done.stderr and "Traceback" not in done.stderr
     if payload:
         assert json.loads(done.stdout)["error"] == "MemoryError"
+
+
+HUGE = "1000000000000000000000000000057"  # 10^30 + 57; trial division would take about 10^15 steps
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["od", "construct", "--q", HUGE], "DimensionError"),
+        (["compose", "--design", "catalog:fano", "--od", HUGE], "DimensionError"),
+        (["compose", "--design", f"catalog:qr{HUGE}", "--od", "7"], "NotInCatalog"),  # HUGE = 1 (mod 4)
+        (["compose", "--design", "catalog:qr1000000000000000000000000000059", "--od", "7"], "DimensionError"),
+    ],
+)
+def test_huge_orders_exit_one_at_once(tmp_path, argv, error):
+    src = Path(sbbd.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "sbbd.cli", *argv], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=5,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith(f"{error}:") and "Traceback" not in done.stderr
 
 
 def test_non_utf8_tau_is_usage_error(capsys, tmp_path, fixture_dir):

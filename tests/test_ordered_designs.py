@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,23 @@ def test_repeated_symbol_in_row():
     with pytest.raises(RepeatedSymbolInRow) as exc:
         verify_od(np.array([[1, 1], [2, 1]]), n=2, s=2)
     assert exc.value.row == 1
+
+
+def test_repeated_symbol_witness_is_the_first_bad_row():
+    rows = construct_od1(5).rows.copy()
+    rows[17, 2] = rows[17, 3]
+    rows[6, 4] = rows[6, 0]  # not adjacent: found only once the row is sorted
+    with pytest.raises(RepeatedSymbolInRow) as exc:
+        verify_od(rows, n=5, s=5)
+    assert exc.value.row == 7
+
+
+def test_field_order_too_large_to_index():
+    # refused before any trial division, which would take about 10^15 steps
+    with pytest.raises(DimensionError, match="too large"):
+        gf(10**30 + 57)
+    with pytest.raises(DimensionError, match="too large"):
+        gf(math.isqrt(np.iinfo(np.intp).max) + 2)
 
 
 def test_verify_od_shape_and_symbol_checks(capsys, tmp_path):

@@ -22,7 +22,27 @@ from sbbd import (
     symmetric_bibd_from_difference_set,
     verify_rl_design,
 )
-from sbbd.rl_designs import CATALOG_IDS, _CATALOG
+from sbbd import rl_designs
+
+# every id the catalog shipped before it became one rule, with its (v, b, r, k, lambda)
+SHIPPED = {
+    "fano": (7, 7, 3, 3, 1),
+    "qr11": (11, 11, 5, 5, 2),
+    "pg23": (13, 13, 4, 4, 1),
+    "qr19": (19, 19, 9, 9, 4),
+    "qr23": (23, 23, 11, 11, 5),
+    "qr31": (31, 31, 15, 15, 7),
+    "qr43": (43, 43, 21, 21, 10),
+    "qr47": (47, 47, 23, 23, 11),
+    "qr59": (59, 59, 29, 29, 14),
+    "qr67": (67, 67, 33, 33, 16),
+    "qr71": (71, 71, 35, 35, 17),
+    "qr79": (79, 79, 39, 39, 19),
+    "pairs3": (3, 4, 3, None, 2),
+}
+
+# primes 7 <= p <= 131 with p = 3 (mod 4), by trial division
+QR_PRIMES = [p for p in range(7, 132) if p % 4 == 3 and all(p % d for d in range(2, p))]
 
 
 def pair_count_oracle(v, blocks):
@@ -166,43 +186,71 @@ def test_bad_base_block_rejected():
         symmetric_bibd_from_difference_set(7, [1, 1, 2])
 
 
-def test_catalog_all_entries_verify():
-    for key in _CATALOG:
-        v, b, r, k, lam = key
-        d = catalog_lookup(*key)
-        assert (d.v, d.b, d.r, d.k, d.lam) == key
-        h = incidence_matrix(d)
-        expected = r * np.eye(v, dtype=int) + lam * (
-            np.ones((v, v), dtype=int) - np.eye(v, dtype=int)
-        )
-        assert np.array_equal(h.T @ h, expected)
-        # symmetric designs: b = v and k = r row sums
-        assert d.b == d.v
-        assert (h.sum(axis=1) == k).all()
-        # every point appears in exactly k = |base| blocks
-        assert (h.sum(axis=0) == r).all()
+def assert_symmetric_bibd(d, key):
+    v, b, r, k, lam = key
+    assert (d.v, d.b, d.r, d.k, d.lam) == key
+    h = incidence_matrix(d)
+    expected = r * np.eye(v, dtype=int) + lam * (
+        np.ones((v, v), dtype=int) - np.eye(v, dtype=int)
+    )
+    assert np.array_equal(h.T @ h, expected)
+    # symmetric designs: b = v and k = r row sums
+    assert d.b == d.v
+    assert (h.sum(axis=1) == k).all()
+    # every point appears in exactly k = |base| blocks
+    assert (h.sum(axis=0) == r).all()
+
+
+@pytest.mark.parametrize("name", [n for n in SHIPPED if n != "pairs3"])
+def test_catalog_all_entries_verify(name):
+    key = SHIPPED[name]
+    assert_symmetric_bibd(catalog_lookup(*key), key)
+    assert catalog_lookup(*key) == catalog_by_id(name)
+
+
+@pytest.mark.parametrize("p", QR_PRIMES)
+def test_qr_rule_closed_form(p):
+    key = (p, p, (p - 1) // 2, (p - 1) // 2, (p - 3) // 4)
+    d = catalog_by_id(f"qr{p}")
+    assert_symmetric_bibd(d, key)
+    assert catalog_lookup(*key) == d
+    # block t is t + the squares mod p, on points 1..p
+    assert d.blocks[0] == frozenset((x * x) % p + 1 for x in range(1, p))
+
+
+@pytest.mark.parametrize("name", ["qr3", "qr9", "qr13", "qr031", "qr", "qr\u0663\u0661", "qr7 ", "7", "nope"])
+def test_catalog_rejects_ids_outside_the_rule(name):
+    with pytest.raises(NotInCatalog, match="unknown catalog id"):
+        catalog_by_id(name)
 
 
 def test_catalog_unknown_tuple():
     with pytest.raises(NotInCatalog):
         catalog_lookup(7, 49, 21, 3, 7)
+    with pytest.raises(NotInCatalog):
+        catalog_lookup(7, 7, 3, 3, 2)
+    with pytest.raises(NotInCatalog):
+        catalog_lookup(13, 13, 6, 6, 2)  # 13 = 1 (mod 4) has no QR design
 
 
 def test_catalog_entry_with_wrong_parameters(monkeypatch):
-    # a table entry filed under the wrong key is refused by a named error
+    # the rule filing fano under the wrong key is refused by a named error
     wrong = (7, 7, 3, 3, 2)
-    monkeypatch.setitem(_CATALOG, wrong, _CATALOG[(7, 7, 3, 3, 1)])
+    fano = {"fano": (wrong, 7, [1, 2, 4]), "qr7": (wrong, 7, [1, 2, 4])}
+    monkeypatch.setattr(rl_designs, "_difference_set", fano.get)
+    with pytest.raises(CatalogMismatch, match="builds a design with"):
+        catalog_by_id("fano")
     with pytest.raises(CatalogMismatch, match="builds a design with"):
         catalog_lookup(*wrong)
 
 
 def test_catalog_ids_resolve():
-    for name in CATALOG_IDS:
+    for name, (v, b, r, k, lam) in SHIPPED.items():
         d = catalog_by_id(name)
-        assert d.b >= 4
-    assert catalog_by_id("fano").v == 7
-    assert catalog_by_id("pg23").k == 4
-    assert catalog_by_id("pairs3").b == 4
+        assert (d.v, d.b, d.r, d.k, d.lam) == (v, b, r, k, lam)
+    assert catalog_by_id("fano") == catalog_by_id("qr7")
+    assert catalog_by_id("pg23").blocks[0] == frozenset({1, 2, 4, 10})
+    assert catalog_by_id("pairs3") == all_pairs_plus_full(3)
     with pytest.raises(NotInCatalog):
         catalog_by_id("nope")
 
