@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The full construction pipeline: symmetric BIBD + ordered design ->
-regular SBBD, with closed-form spectrum, exact generalized inverse, and the
-A-optimality verdict."""
+regular SBBD, with closed-form spectrum, the exact generalized inverse as
+four weights, and the A-optimality verdict."""
 
 import sbbd
 
@@ -20,11 +20,11 @@ spec = sbbd.spectrum(info)
 print("\nspectrum (value, multiplicity):", spec.pairs())
 print("trace check:", spec.trace, "=", info.trace)
 
-# info holds Lambda and the trace; dense and G are expanded on request
-g = sbbd.generalized_inverse(info)
-m = info.dense.astype(object)
-print("M G M = M:", bool(((m @ g @ m) == m).all()))
-print("G M G = G:", bool(((g @ m @ g) == g).all()))
+# info holds Lambda and the trace; G is four exact weights, one per
+# eigenspace, so M G M = M reads w * lambda^2 = lambda on each eigenvalue
+weights = sbbd.generalized_inverse(info)
+print("G weights (1/alpha, 1/beta, 1/gamma, 1/delta):", [str(w) for w in weights])
+print("M G M = M:", all(w * val * val == val for w, (val, _) in zip(weights, spec.pairs())))
 
 report = sbbd.a_optimality(x)
 print(f"\nregular blocks: k1 = {report.k1}, k2 = {report.k2}")

@@ -34,7 +34,8 @@ print(f"SB-block JSON, {len(text)} characters: {text[:62]}...")
 back = sbbd.blocks_from_json(text)
 print("round-trip exact:", np.array_equal(back.matrix, x.matrix))
 
-panels = [x.panel(i) for i in range(1, x.v1 + 1)]
+# panel X_i, the v2 columns of left point i, is x.masks[:, i - 1]
+panels = [x.masks[:, i] for i in range(x.v1)]
 print("panel shapes:", [p.shape for p in panels])
 print("panel 1:")
 print(panels[0])

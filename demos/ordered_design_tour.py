@@ -10,7 +10,7 @@ import sbbd
 fld = sbbd.gf(4)
 print("GF(4) multiplication table:")
 print(fld.mul)
-print("inverse of 2:", fld.inverse(2))
+print("inverse of 2:", int(np.flatnonzero(fld.mul[2] == 1)[0]))
 
 od3 = sbbd.construct_od1(3)
 print(f"\nOD_1(3,3): {od3.n_rows} rows, eta = {od3.eta}")

@@ -77,7 +77,6 @@ from .rl_designs import (
     catalog_by_id,
     catalog_lookup,
     design_from_json,
-    design_to_json,
     incidence_matrix,
     symmetric_bibd_from_difference_set,
     verify_rl_design,

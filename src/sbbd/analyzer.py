@@ -23,9 +23,10 @@ c = l21 - l22, d = l22:
     gamma = a + c (v1-1)               multiplicity v2-1
     delta = a + b v2 + (v1-1)(c + d v2)  multiplicity 1
 
-A Moore-Penrose generalized inverse follows from the same decomposition in
-exact rational arithmetic, dropping zero-eigenvalue terms: it is fixed by
-the four rationals 1/alpha, 1/beta, 1/gamma and 1/delta.
+A Moore-Penrose generalized inverse follows from the same decomposition,
+dropping zero-eigenvalue terms.  X^T X, its spectrum and G are each kept as
+four numbers: Lambda, the four eigenvalues, and the exact rational weights
+1/alpha, 1/beta, 1/gamma and 1/delta.  No dense form of any of them is built.
 """
 
 from __future__ import annotations
@@ -63,13 +64,6 @@ class ContrastsNotEstimable(SbbdError):
     """alpha <= 0: the basic contrasts cannot be estimated."""
 
 
-def _expand(table: np.ndarray, v1: int, v2: int) -> np.ndarray:
-    """The v1v2 x v1v2 matrix whose ((i, j), (k, l)) entry is table[i == k, j == l]."""
-    same1 = np.eye(v1, dtype=np.intp)[:, None, :, None]
-    same2 = np.eye(v2, dtype=np.intp)[None, :, None, :]
-    return table[same1, same2].reshape(v1 * v2, v1 * v2)
-
-
 @dataclass(frozen=True)
 class InformationMatrix:
     """X^T X by its four numbers and its measured trace."""
@@ -78,15 +72,6 @@ class InformationMatrix:
     v2: int
     dcs: SbbdParameters | None  # set iff X^T X is double completely symmetric
     trace: int
-
-    @property
-    def dense(self) -> np.ndarray:
-        """The exact int64 X^T X, expanded from Lambda."""
-        if self.dcs is None:
-            raise MissingDcs("information matrix is not double completely symmetric")
-        p = self.dcs
-        table = np.array([[p.lambda22, p.lambda21], [p.lambda12, p.mu]], dtype=np.int64)
-        return _expand(table, self.v1, self.v2)
 
 
 @dataclass(frozen=True)
@@ -237,44 +222,31 @@ def spectrum(info: InformationMatrix) -> SpectralSummary:
 
 
 def _checked_spectrum(x: DesignMatrix):
-    """(params, spectrum); raises the first ConditionViolation, then ContrastsNotEstimable."""
+    """(info, spectrum); raises the first ConditionViolation, then ContrastsNotEstimable."""
     params, violation, trace = _measure(x)
     if violation is not None:
         raise violation
-    spec = spectrum(InformationMatrix(v1=x.v1, v2=x.v2, dcs=params, trace=trace))
+    info = InformationMatrix(v1=x.v1, v2=x.v2, dcs=params, trace=trace)
+    spec = spectrum(info)
     if spec.alpha <= 0:
         raise ContrastsNotEstimable(f"alpha = {spec.alpha} <= 0; basic contrasts are not estimable")
-    return params, spec
+    return info, spec
 
 
-def _inverse_weights(spec: SpectralSummary) -> list:
-    """1/alpha, 1/beta, 1/gamma, 1/delta as exact rationals, 0 for a zero eigenvalue."""
+def generalized_inverse(info: InformationMatrix) -> tuple:
+    """The Moore-Penrose generalized inverse G of X^T X as its four weights.
+
+    G weights the four Kronecker products of I - J/n and J/n that span the
+    eigenspaces of X^T X by the inverse eigenvalues, with 0 for a vanishing
+    eigenvalue.  Returns those exact weights (1/alpha, 1/beta, 1/gamma,
+    1/delta) as Fractions, in SpectralSummary.pairs() order; no dense form
+    is built.  Raises DegenerateDesign when all four eigenvalues vanish.
+    """
+    spec = spectrum(info)
     vals = [spec.alpha, spec.beta, spec.gamma, spec.delta]
     if not any(vals):
         raise DegenerateDesign("all four eigenvalues are zero")
-    return [Fraction(1, val) if val else Fraction(0) for val in vals]
-
-
-def generalized_inverse(info: InformationMatrix) -> np.ndarray:
-    """Exact rational Moore-Penrose generalized inverse of X^T X.
-
-    G weights the four Kronecker products of I - J/n and J/n by the
-    inverse eigenvalues, omitting any whose eigenvalue vanishes.  Its entry
-    ((i, j), (k, l)) depends only on [i == k] and [j == l], so a 2 x 2 table
-    is expanded to the dense matrix.  The result G satisfies M G M = M and
-    G M G = G exactly in rationals.
-    """
-    wa, wb, wg, wd = _inverse_weights(spectrum(info))
-    v1, v2 = info.v1, info.v2
-    # projector entries indexed by [i == k]: I - J/n, then J/n
-    c1, j1 = [Fraction(-1, v1), 1 - Fraction(1, v1)], Fraction(1, v1)
-    c2, j2 = [Fraction(-1, v2), 1 - Fraction(1, v2)], Fraction(1, v2)
-    table = np.array(
-        [[wa * c1[s] * c2[t] + wb * c1[s] * j2 + wg * j1 * c2[t] + wd * j1 * j2
-          for t in (0, 1)] for s in (0, 1)],
-        dtype=object,
-    )
-    return _expand(table, v1, v2)
+    return tuple(Fraction(1, val) if val else Fraction(0) for val in vals)
 
 
 def classify_blocks(x: DesignMatrix):
@@ -304,7 +276,8 @@ def a_optimality(x: DesignMatrix) -> OptimalityReport:
     k = k1 v1 measured from the blocks; equality plus the SBBD conditions
     yields the optimality verdict.
     """
-    params, spec = _checked_spectrum(x)
+    info, spec = _checked_spectrum(x)
+    params = info.dcs
     spanning = is_spanning(x)
     reg = classify_blocks(x)
     n_contrasts = (x.v1 - 1) * (x.v2 - 1)

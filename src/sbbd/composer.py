@@ -75,10 +75,12 @@ def compose(d: BlockDesign, od: OrderedDesign) -> ComposedDesign:
 
 def _as_index(perm, v2: int) -> np.ndarray:
     """Validate a 1-based permutation of 1..v2 and return it 0-based."""
-    p = np.asarray(perm, dtype=np.int64)
+    raw = np.asarray(perm)
+    with np.errstate(invalid="ignore"):
+        p = raw.astype(np.int64)
     if p.shape != (v2,):
         raise DimensionError(f"permutation length {p.shape} != v2 = {v2}")
-    if sorted(p.tolist()) != list(range(1, v2 + 1)):
+    if not np.array_equal(p, raw) or sorted(p.tolist()) != list(range(1, v2 + 1)):
         raise DimensionError("not a permutation of 1..v2")
     return p - 1
 

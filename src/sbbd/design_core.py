@@ -106,18 +106,8 @@ class DesignMatrix:
 
     @property
     def masks(self) -> np.ndarray:
-        """The read-only (N, v1, v2) view: block k as its v1 x v2 0/1 mask."""
+        """The read-only (N, v1, v2) view: block k is [k], panel X_i is [:, i - 1]."""
         return self.matrix.reshape(self.n_rows, self.v1, self.v2)
-
-    def panel(self, i: int) -> np.ndarray:
-        """Submatrix X_i (1-based): the v2 columns owned by left point i.
-
-        A uint8 view; cast it to int64 before multiplying panels, since
-        X_i^T X_j counts up to N blocks and uint8 products wrap past 255.
-        """
-        if not 1 <= i <= self.v1:
-            raise DimensionError(f"panel index {i} out of range 1..{self.v1}")
-        return self.matrix[:, (i - 1) * self.v2 : i * self.v2]
 
 
 # --- file formats -----------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analyzer import _checked_spectrum, _inverse_weights
+from .analyzer import _checked_spectrum, generalized_inverse
 from .design_core import DesignMatrix, DimensionError
 
 
@@ -170,7 +170,7 @@ def estimate_effects(x: DesignMatrix, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (x.n_rows,):
         raise DimensionError(f"y length {y.shape} != N = {x.n_rows}")
-    wa, wb, wg, wd = map(float, _inverse_weights(_checked_spectrum(x)[1]))
+    wa, wb, wg, wd = map(float, generalized_inverse(_checked_spectrum(x)[0]))
     z = (x.matrix.T.astype(float) @ y).reshape(x.v1, x.v2)
     grand = z.mean()
     rows = z.mean(axis=1, keepdims=True) - grand
@@ -206,10 +206,15 @@ def simulate(
     _, spec = _checked_spectrum(x)
     h1, h2 = _helmert(x.v1), _helmert(x.v2)
     xf = x.matrix.astype(float)
-    # W^T, (N, C): row k is H1 X_k H2^T / alpha (every X_k H2^T in one 2-D product)
-    xh2 = (xf.reshape(-1, x.v2) @ h2.T).reshape(x.n_rows, x.v1, x.v2 - 1)
-    wt = (h1 @ xh2).reshape(x.n_rows, -1) / spec.alpha
     signal = xf @ tau.tau
+    # W^T, (N, C): row k is H1 X_k H2^T / alpha (every X_k H2^T in one 2-D
+    # product); each intermediate is dropped once used, so at most two
+    # arrays of W^T's size are held at once
+    xh2 = (xf.reshape(-1, x.v2) @ h2.T).reshape(x.n_rows, x.v1, x.v2 - 1)
+    del xf
+    wt = (h1 @ xh2).reshape(x.n_rows, -1)
+    del xh2
+    wt /= spec.alpha
     true = (h1 @ tau.tau.reshape(x.v1, x.v2) @ h2.T).ravel()
 
     # accumulate deviations from the true contrasts to keep the variance

@@ -84,11 +84,6 @@ class FiniteField:
     def q(self) -> int:
         return self.p**self.e
 
-    def inverse(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(np.flatnonzero(self.mul[x] == 1)[0])
-
 
 def gf(q: int) -> FiniteField:
     """Build GF(q) for any prime power q = p^e, with verified field axioms.
@@ -169,7 +164,11 @@ def verify_od(m, n: int, s: int) -> OrderedDesign:
     """
     if n < 2:
         raise DimensionError(f"need n >= 2 symbols for a pair of distinct symbols, got n = {n}")
-    arr = np.asarray(m, dtype=np.int64)
+    raw = np.asarray(m)
+    with np.errstate(invalid="ignore"):  # NaN and inf then fail the comparison
+        arr = raw.astype(np.int64)
+    if not np.array_equal(arr, raw):
+        raise FormatError("symbols must be integers")
     if arr.ndim != 2 or arr.shape[1] != s:
         raise DimensionError(f"array shape {arr.shape} does not match s = {s}")
     if s > n:

@@ -242,7 +242,3 @@ def design_from_json(text: str) -> BlockDesign:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad block-design JSON: {exc}") from exc
     return verify_rl_design(v, blocks)
-
-
-def design_to_json(d: BlockDesign) -> str:
-    return json.dumps({"v": d.v, "blocks": [sorted(blk) for blk in d.blocks]})

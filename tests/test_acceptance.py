@@ -70,7 +70,7 @@ def test_criterion_03_composed_design(rl4):
     off = np.array([[6, 7, 7], [7, 6, 7], [7, 7, 6]])
     for i in range(1, 5):
         for j in range(1, 5):
-            prod = x.panel(i).astype(np.int64).T @ x.panel(j).astype(np.int64)
+            prod = x.masks[:, i - 1].astype(np.int64).T @ x.masks[:, j - 1].astype(np.int64)
             assert np.array_equal(prod, diag if i == j else off)
     ok(3, "SBBD(4,3,12) with Lambda = (9,6,6,7) and exact information blocks")
 
@@ -122,11 +122,11 @@ def test_criterion_06_fano_a_optimality(fano_composed):
     ok(6, "regular SBBD(7,7,42), alpha = 14, A-criterion = 18/7 = bound, optimal")
 
 
-def test_criterion_07_generalized_inverse_identities(x22, composed_b4):
+def test_criterion_07_generalized_inverse_identities(x22, composed_b4, dense_ginv):
     for name, x in (("(3,3,9)", x22), ("(4,3,12)", composed_b4.x)):
-        info = information_matrix(x)
-        g = generalized_inverse(info)
-        m = info.dense.astype(object)
+        g = dense_ginv(x.v1, x.v2, generalized_inverse(information_matrix(x)))
+        xm = x.matrix.astype(np.int64)
+        m = (xm.T @ xm).astype(object)
         assert ((m @ g @ m) == m).all(), name
         assert ((g @ m @ g) == g).all(), name
     ok(7, "M G M = M and G M G = G exactly in rationals for both designs")

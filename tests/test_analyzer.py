@@ -44,37 +44,43 @@ def int_helmert(n):
     return rows
 
 
-def eigen_check(info, summary):
-    """Multiply the dense matrix against each structured eigenvector.
+def int_gram(x):
+    """The int64 reference X^T X."""
+    m = x.matrix.astype(np.int64)
+    return m.T @ m
+
+
+def eigen_check(x, summary):
+    """Multiply the int64 X^T X against each structured eigenvector.
 
     Exact integer arithmetic throughout, so this confirms all four
     eigenvalues without any numerical eigensolver.
     """
-    m = info.dense
-    ones1 = np.ones(info.v1, dtype=np.int64)
-    ones2 = np.ones(info.v2, dtype=np.int64)
-    for p in int_helmert(info.v1):
-        for q in int_helmert(info.v2):
+    m = int_gram(x)
+    ones1 = np.ones(x.v1, dtype=np.int64)
+    ones2 = np.ones(x.v2, dtype=np.int64)
+    for p in int_helmert(x.v1):
+        for q in int_helmert(x.v2):
             vec = np.kron(p, q)
             assert np.array_equal(m @ vec, summary.alpha * vec)
         vec = np.kron(p, ones2)
         assert np.array_equal(m @ vec, summary.beta * vec)
-    for q in int_helmert(info.v2):
+    for q in int_helmert(x.v2):
         vec = np.kron(ones1, q)
         assert np.array_equal(m @ vec, summary.gamma * vec)
     vec = np.kron(ones1, ones2)
     assert np.array_equal(m @ vec, summary.delta * vec)
 
 
-def numeric_spectrum_oracle(info, summary):
+def numeric_spectrum_oracle(x, summary):
     """Dense eigendecomposition must reproduce the closed-form multiset."""
     closed = []
     for val, mult in summary.pairs():
         closed.extend([float(val)] * mult)
-    zeros = info.v1 * info.v2 - len(closed)
+    zeros = x.v1 * x.v2 - len(closed)
     # multiplicities already cover the full dimension
     assert zeros == 0
-    numeric = np.linalg.eigvalsh(info.dense.astype(float))
+    numeric = np.linalg.eigvalsh(int_gram(x).astype(float))
     assert np.allclose(sorted(numeric), sorted(closed), atol=1e-9)
 
 
@@ -85,7 +91,7 @@ def test_information_matrix_fixture(x22):
     expected = np.kron(np.eye(3, dtype=int), diag) + np.kron(
         np.ones((3, 3), dtype=int) - np.eye(3, dtype=int), off
     )
-    assert np.array_equal(info.dense, expected)
+    assert np.array_equal(int_gram(x22), expected)
     assert info.dcs is not None
     assert info.dcs.lam == (6, 3, 4, 4)
 
@@ -93,7 +99,7 @@ def test_information_matrix_fixture(x22):
 def test_information_matrix_b4_blocks(composed_b4):
     info = information_matrix(composed_b4.x)
     x = composed_b4.x
-    p1, p2 = x.panel(1).astype(np.int64), x.panel(2).astype(np.int64)
+    p1, p2 = x.masks[:, 0].astype(np.int64), x.masks[:, 1].astype(np.int64)
     diag = p1.T @ p1
     off = p1.T @ p2
     assert diag.tolist() == [[9, 6, 6], [6, 9, 6], [6, 6, 9]]
@@ -104,7 +110,7 @@ def test_information_matrix_b4_blocks(composed_b4):
 def test_information_matrix_all_ones():
     x = DesignMatrix(2, 2, np.ones((2, 4), dtype=int))
     info = information_matrix(x)
-    assert np.array_equal(info.dense, 2 * np.ones((4, 4), dtype=int))
+    assert np.array_equal(int_gram(x), 2 * np.ones((4, 4), dtype=int))
     assert info.dcs.lam == (2, 2, 2, 2)
 
 
@@ -131,8 +137,6 @@ def test_non_dcs_matrix_has_no_closed_form():
     assert info.dcs is None
     with pytest.raises(MissingDcs):
         spectrum(info)
-    with pytest.raises(MissingDcs):
-        info.dense
 
 
 def test_spectrum_fixture(x22):
@@ -142,16 +146,16 @@ def test_spectrum_fixture(x22):
     assert (s.m_alpha, s.m_beta, s.m_gamma, s.m_delta) == (4, 2, 2, 1)
     assert s.merged() == [(36, 1), (3, 6), (0, 2)]
     assert s.trace == 6 * 9
-    eigen_check(info, s)
-    numeric_spectrum_oracle(info, s)
+    eigen_check(x22, s)
+    numeric_spectrum_oracle(x22, s)
 
 
 def test_spectrum_b4(composed_b4):
     info = information_matrix(composed_b4.x)
     s = spectrum(info)
     assert (s.alpha, s.beta, s.gamma, s.delta) == (4, 1, 0, 81)
-    eigen_check(info, s)
-    numeric_spectrum_oracle(info, s)
+    eigen_check(composed_b4.x, s)
+    numeric_spectrum_oracle(composed_b4.x, s)
 
 
 def test_spectrum_fano(fano_composed):
@@ -160,12 +164,12 @@ def test_spectrum_fano(fano_composed):
     assert s.alpha == 14
     assert (s.beta, s.gamma) == (0, 0)
     assert s.delta == 18 * 21  # mu * k for a semi-regular design
-    eigen_check(info, s)
-    numeric_spectrum_oracle(info, s)
+    eigen_check(fano_composed.x, s)
+    numeric_spectrum_oracle(fano_composed.x, s)
 
 
 def test_semi_regular_zero_eigenvectors(fano_composed):
-    m = information_matrix(fano_composed.x).dense
+    m = int_gram(fano_composed.x)
     ones = np.ones(7, dtype=np.int64)
     for z in int_helmert(7):
         assert not (m @ np.kron(z, ones)).any()
@@ -178,12 +182,16 @@ def test_trace_identity_semi_regular(fano_composed):
     assert s.m_alpha * s.alpha == 18 * (49 - k)
 
 
-def test_generalized_inverse_identities(x22, composed_b4, fano_composed, single_edge_blocks):
+def test_generalized_inverse_identities(
+    x22, composed_b4, fano_composed, single_edge_blocks, dense_ginv
+):
     # fano is semi-regular with beta = gamma = 0; single_edge_blocks is an SBBD*
     for x in (x22, composed_b4.x, fano_composed.x, single_edge_blocks):
-        info = information_matrix(x)
-        g = generalized_inverse(info)
-        m = info.dense.astype(object)
+        weights = generalized_inverse(information_matrix(x))
+        assert type(weights) is tuple and len(weights) == 4
+        assert all(type(w) is Fraction for w in weights)
+        g = dense_ginv(x.v1, x.v2, weights)
+        m = int_gram(x).astype(object)
         mg = m @ g
         gm = g @ m
         assert ((mg @ m) == m).all()
@@ -193,21 +201,21 @@ def test_generalized_inverse_identities(x22, composed_b4, fano_composed, single_
         assert (gm == gm.T).all()
 
 
-def test_generalized_inverse_drops_zero_terms(x22, composed_b4):
+def test_generalized_inverse_drops_zero_terms(x22, composed_b4, dense_ginv):
     # beta = 0 for the fixture, gamma = 0 for the composed design; the
     # corresponding projector must be annihilated by G
     a1 = np.eye(3) - np.ones((3, 3)) / 3
     b2 = np.ones((3, 3)) / 3
-    g22 = generalized_inverse(information_matrix(x22)).astype(float)
+    g22 = dense_ginv(3, 3, generalized_inverse(information_matrix(x22))).astype(float)
     assert np.allclose(g22 @ np.kron(a1, b2), 0)
 
     a2_4 = np.ones((4, 4)) / 4
     b1_3 = np.eye(3) - np.ones((3, 3)) / 3
-    g47 = generalized_inverse(information_matrix(composed_b4.x)).astype(float)
+    g47 = dense_ginv(4, 3, generalized_inverse(information_matrix(composed_b4.x))).astype(float)
     assert np.allclose(g47 @ np.kron(a2_4, b1_3), 0)
 
 
-def test_generalized_inverse_of_scaled_identity():
+def test_generalized_inverse_of_scaled_identity(dense_ginv):
     n = 5
     info = InformationMatrix(
         v1=2,
@@ -215,7 +223,9 @@ def test_generalized_inverse_of_scaled_identity():
         dcs=SbbdParameters(2, 2, 10, mu=n, lambda12=0, lambda21=0, lambda22=0),
         trace=4 * n,
     )
-    g = generalized_inverse(info)
+    weights = generalized_inverse(info)
+    assert weights == (Fraction(1, n),) * 4
+    g = dense_ginv(2, 2, weights)
     expected = np.array(
         [[Fraction(1, n) if i == j else Fraction(0) for j in range(4)] for i in range(4)],
         dtype=object,
@@ -232,6 +242,26 @@ def test_degenerate_design():
     )
     with pytest.raises(DegenerateDesign):
         generalized_inverse(info)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(2, 6), st.lists(st.integers(0, 4), min_size=4, max_size=4))
+def test_weights_satisfy_moore_penrose(dense_ginv, expand_lambda, v1, v2, lam):
+    # any integer Lambda, so every pattern of vanishing eigenvalues is reached
+    params = SbbdParameters(v1, v2, 1, *lam)
+    info = InformationMatrix(v1, v2, params, lam[0] * v1 * v2)
+    s = spectrum(info)
+    if not any((s.alpha, s.beta, s.gamma, s.delta)):
+        with pytest.raises(DegenerateDesign):
+            generalized_inverse(info)
+        return
+    g = dense_ginv(v1, v2, generalized_inverse(info))
+    m = expand_lambda(v1, v2, lam).astype(object)
+    mg, gm = m @ g, g @ m
+    assert ((mg @ m) == m).all()
+    assert ((gm @ g) == g).all()
+    assert (mg == mg.T).all()
+    assert (gm == gm.T).all()
 
 
 def test_classify_blocks_fano(fano_composed):
@@ -296,7 +326,7 @@ def reference_scan(x):
     diagonal before the off-diagonal, each in row-major order.  Returns
     ("ok", Lambda) or (condition, witness, message) for the first mismatch.
     """
-    panels = [x.panel(i).astype(np.int64) for i in range(1, x.v1 + 1)]
+    panels = [x.masks[:, i].astype(np.int64) for i in range(x.v1)]
     own, cross = panels[0].T @ panels[0], panels[0].T @ panels[1]
     lam = (int(own[0, 0]), int(own[0, 1]), int(cross[0, 0]), int(cross[0, 1]))
     names = ("mu", "lambda12", "lambda21", "lambda22")
@@ -397,7 +427,7 @@ def test_unperturbed_designs_match_reference(x22, composed_b4, fano_composed):
         )
     )
 )
-def test_gram_equals_int64_reference(case):
+def test_gram_equals_int64_reference(expand_lambda, case):
     # the float64 Gram step against the int64 reference m.T @ m: the trace,
     # Lambda expanded back to the whole Gram, or the first witness
     (v1, v2, _), m = case
@@ -411,7 +441,7 @@ def test_gram_equals_int64_reference(case):
         assert str(violation) == f"condition ({expected[0]}) violated: {expected[2]}"
     else:
         assert all(type(v) is int for v in params.lam)
-        dense = InformationMatrix(v1, v2, params, trace).dense
+        dense = expand_lambda(v1, v2, params.lam)
         assert dense.dtype == np.int64
         assert np.array_equal(dense, gram)
 
@@ -424,9 +454,11 @@ def test_information_matrix_holds_no_array():
     assert info.trace == 8
 
 
-def test_dense_expands_lambda_to_the_gram(x22, composed_b4, fano_composed, single_edge_blocks):
+def test_dense_expands_lambda_to_the_gram(
+    x22, composed_b4, fano_composed, single_edge_blocks, expand_lambda
+):
     for x in (x22, composed_b4.x, fano_composed.x, single_edge_blocks):
-        dense = information_matrix(x).dense
+        dense = expand_lambda(x.v1, x.v2, information_matrix(x).dcs.lam)
         assert dense.dtype == np.int64
         assert np.array_equal(dense, x.matrix.astype(np.int64).T @ x.matrix.astype(np.int64))
 

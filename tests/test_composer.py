@@ -81,7 +81,7 @@ def test_compose_b4_structure(rl4, composed_b4):
     # panel q of row p is the H row named by the ordered design
     for p in (0, 3, 11):
         for q in range(4):
-            assert np.array_equal(x.panel(q + 1)[p], h[od.rows[p, q] - 1])
+            assert np.array_equal(x.masks[p, q], h[od.rows[p, q] - 1])
 
 
 def test_compose_b4_parameters(composed_b4):
@@ -162,6 +162,11 @@ def test_bad_permutation_rejected(composed_b4):
         permute_panels(composed_b4.x, [1, 2])
     with pytest.raises(DimensionError):
         permute_panels(composed_b4.x, [1, 2, 2])
+    # truncated to int, [1.5, 2, 3] would pass as the identity
+    for perm in ([1.5, 2, 3], [1.0, 2.0, float("nan")]):
+        with pytest.raises(DimensionError, match="not a permutation of 1..v2"):
+            permute_panels(composed_b4.x, perm)
+    assert np.array_equal(permute_panels(composed_b4.x, [1.0, 2.0, 3.0]).matrix, composed_b4.x.matrix)
 
 
 def test_od_row_permutation_permutes_design_rows(rl4):

@@ -97,18 +97,15 @@ def test_roundtrip_blocks_matrix_blocks():
 
 
 def test_partition_panels_and_identity(x22):
-    panels = [x22.panel(i) for i in range(1, x22.v1 + 1)]
+    panels = [x22.masks[:, i] for i in range(x22.v1)]
     assert len(panels) == 3
     assert all(p.shape == (9, 3) for p in panels)
     assert np.array_equal(np.hstack(panels), x22.matrix)
-    for i in (0, 4):
-        with pytest.raises(DimensionError):
-            x22.panel(i)
 
 
 def test_partition_v1_equals_one():
     x = DesignMatrix(1, 4, np.array([[1, 0, 1, 1]]))
-    assert np.array_equal(x.panel(1), x.matrix)
+    assert np.array_equal(x.masks[:, 0], x.matrix)
 
 
 def test_mismatched_blocks_rejected():

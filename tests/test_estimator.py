@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -245,14 +247,16 @@ def test_box_muller_moments():
     assert abs(draws.var() - 1.0) < 6 * np.sqrt(2.0 / n)
 
 
-def test_projection_matches_generalized_inverse(x22, composed_b4, fano_composed, single_edge_blocks):
+def test_projection_matches_generalized_inverse(
+    x22, composed_b4, fano_composed, single_edge_blocks, dense_ginv
+):
     pg23 = sbbd.compose(sbbd.catalog_by_id("pg23"), sbbd.construct_od1(13)).x  # 13 x 13, 156 blocks
     for x in (x22, composed_b4.x, fano_composed.x, single_edge_blocks, pg23):
         info = sbbd.information_matrix(x)
         alpha = sbbd.spectrum(info).alpha
         c = contrast_basis(x.v1, x.v2)
         xt = x.matrix.T.astype(float)
-        g = sbbd.generalized_inverse(info).astype(float)
+        g = dense_ginv(x.v1, x.v2, sbbd.generalized_inverse(info)).astype(float)
         with_g = c @ g @ xt
         assert np.abs(c @ xt / alpha - with_g).max() < 1e-12
 
@@ -340,3 +344,18 @@ def test_padded_rows_of_the_last_tile_never_enter_the_report(fano_composed):
     assert np.abs(report.empirical_mean - estimates.mean(axis=0)).max() < 1e-12
     assert np.abs(report.empirical_variance - estimates.var(axis=0, ddof=1)).max() < 1e-12
 
+
+
+def test_simulate_peak_memory_stays_near_two_w_sized_arrays():
+    # W^T is N (v1-1)(v2-1) float64; the set-up drops each intermediate once
+    # it is used, so no more than two arrays of about that size are live
+    x = sbbd.compose(sbbd.catalog_by_id("qr31"), sbbd.construct_od1(31)).x  # 930 x 961
+    tau = random_effects(31, 31, seed=1)
+    w_bytes = x.n_rows * 30 * 30 * 8
+    tracemalloc.start()
+    try:
+        simulate(x, tau, sigma=1.0, runs=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * w_bytes, peak / w_bytes
