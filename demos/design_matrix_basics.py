@@ -7,8 +7,9 @@ import numpy as np
 
 import sbbd
 
-# The 9-block design on K_{3,3}: every block has 6 of the 9 edges.
-rows = """
+# The 9-block design on K_{3,3}: every block has 6 of the 9 edges, as the
+# ASCII bytes of its CSV
+rows = b"""
 0,1,1,1,1,0,1,1,0
 1,0,1,0,1,1,0,1,1
 1,1,0,1,0,1,1,0,1

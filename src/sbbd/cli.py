@@ -7,11 +7,13 @@ commands run with --json and the mask command also print {"error",
 "condition", "witness", "message"} as JSON on stdout.  All randomness is
 seeded; --seed defaults to 1729 so repeated invocations are byte-identical.
 
-Design matrices travel as header-less CSV, which does not carry the
-(v1, v2) split.  Commands reading a CSV accept --v1/--v2 and default to the
-square split when the column count is a perfect square.  Files that start
-with '{' are parsed as SB-block JSON, which embeds v1 and v2; --v1/--v2
-given with such a file must match the embedded values.
+Input files are read as bytes and handed to their parsers unchanged.
+Design matrices travel as header-less CSV of ASCII 0/1 digits, which does
+not carry the (v1, v2) split.  Commands reading a CSV accept --v1/--v2 and
+default to the square split when the first line's column count is a perfect
+square.  Files that start with '{' are SB-block JSON, which embeds v1 and
+v2; --v1/--v2 given with such a file must match.  A design file its parser
+rejects is a FormatError that names the file.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 from . import (
     DesignMatrix,
@@ -41,6 +44,7 @@ from . import (
     random_effects,
     simulate,
 )
+from .design_core import int_rows_from_csv
 from .estimator import EffectVector
 from .masks import export_masks, schedule_to_bytes, schedule_to_json
 
@@ -51,30 +55,25 @@ class UsageError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
-    try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path!r} is not UTF-8 text: {exc}") from None
+def _read_bytes(path: str) -> bytes:
+    return sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
 
 
 def _load_design(path: str, v1, v2) -> DesignMatrix:
-    text = _read_text(path)
-    body = text.lstrip()
+    data = _read_bytes(path)
+    body = data.lstrip()
     if not body:
         raise UsageError(f"no design data in {path!r}")
-    if body.startswith("{"):
-        x = blocks_from_json(text)
+    if body.startswith(b"{"):
+        x = blocks_from_json(data)
         for flag, given, embedded in (("--v1", v1, x.v1), ("--v2", v2, x.v2)):
             if given is not None and given != embedded:
                 raise UsageError(f"{flag} {given} != {embedded} in the SB-block JSON {path!r}")
         return x
-    # the first line alone fixes the column count
-    first = body.partition("\n")[0].splitlines()[0]
-    cols = len(first.split(","))
+    # the first line alone fixes the column count; it is parsed, so a token
+    # there that is not an integer is a FormatError rather than a usage error
+    first = body[: body.find(b"\n") + 1 or len(body)]
+    cols = int_rows_from_csv(first, "design matrix", "entry").shape[1]
     if v1 is None and v2 is None:
         root = math.isqrt(cols)
         if root * root != cols:
@@ -93,20 +92,19 @@ def _load_design(path: str, v1, v2) -> DesignMatrix:
         v1 = cols // v2
     if v1 * v2 != cols:
         raise UsageError(f"--v1 {v1} x --v2 {v2} != {cols} columns")
-    return matrix_from_csv(text, v1, v2)
+    return matrix_from_csv(data, v1, v2)
 
 
-def _write_output(data: str | bytes, out) -> None:
-    binary = isinstance(data, bytes)
+def _write_output(data: bytes, out) -> None:
     if out is None or out == "-":
-        (sys.stdout.buffer if binary else sys.stdout).write(data)
+        sys.stdout.buffer.write(data)
     else:
-        with open(out, "wb") if binary else open(out, "w", encoding="utf-8") as fh:
+        with open(out, "wb") as fh:
             fh.write(data)
 
 
 def _cmd_design_verify(args) -> int:
-    d = design_from_json(_read_text(args.file))
+    d = design_from_json(_read_bytes(args.file))
     k = str(d.k) if d.is_bibd else "variable"
     print(f"v={d.v} b={d.b} r={d.r} lambda={d.lam} k={k}")
     return 0
@@ -121,7 +119,7 @@ def _cmd_od_construct(args) -> int:
 
 
 def _cmd_od_verify(args) -> int:
-    od = od_from_csv(_read_text(args.file))
+    od = od_from_csv(_read_bytes(args.file))
     print(f"ordered design verified: eta={od.eta} s={od.s} n={od.n} rows={od.n_rows}")
     return 0
 
@@ -129,13 +127,13 @@ def _cmd_od_verify(args) -> int:
 def _resolve_block_design(ref: str):
     if ref.startswith("catalog:"):
         return catalog_by_id(ref.split(":", 1)[1])
-    return design_from_json(_read_text(ref))
+    return design_from_json(_read_bytes(ref))
 
 
 def _resolve_od(ref: str):
     if ref.isdecimal():
         return construct_od1(int(ref))
-    return od_from_csv(_read_text(ref))
+    return od_from_csv(_read_bytes(ref))
 
 
 def _cmd_compose(args) -> int:
@@ -149,7 +147,7 @@ def _cmd_compose(args) -> int:
             raise UsageError("--perms expects cyclic:<u> with u >= 1")
         x = permute_extension(x, cyclic_shift_perms(x.v2, int(count)))
     if args.out and args.out.endswith(".json"):
-        _write_output(blocks_to_json(x) + "\n", args.out)
+        _write_output((blocks_to_json(x) + "\n").encode(), args.out)
     else:
         _write_output(matrix_to_csv(x), args.out)
     if args.out and args.out != "-":
@@ -166,16 +164,9 @@ def _analyze_payload(x: DesignMatrix) -> dict:
     return {
         "lambda": list(report.params.lam),
         "spanning": report.is_spanning,
-        "spectrum": [
-            {"value": str(val), "mult": mult}
-            for val, mult in report.spectral.merged()
-        ],
+        "spectrum": [{"value": str(val), "mult": mult} for val, mult in report.spectral.merged()],
         "a_criterion": str(report.a_criterion),
-        "a_lower_bound": (
-            str(report.a_lower_bound)
-            if report.a_lower_bound is not None
-            else None
-        ),
+        "a_lower_bound": None if report.a_lower_bound is None else str(report.a_lower_bound),
         "semi_regular": report.is_semi_regular,
         "regular": report.is_regular,
         "a_optimal_in_omega": report.is_a_optimal_in_omega,
@@ -228,8 +219,8 @@ def _positive_arg(text: str) -> int:
 
 def _load_tau(path: str) -> EffectVector:
     try:
-        blob = json.loads(_read_text(path))
-    except (FormatError, ValueError) as exc:  # undecodable bytes, bad JSON
+        blob = json.loads(_read_bytes(path))
+    except ValueError as exc:  # bad JSON, or bytes json.loads cannot decode
         raise UsageError(f"--tau {path!r} is not JSON: {exc}") from None
     if not (
         isinstance(blob, dict)
@@ -237,18 +228,13 @@ def _load_tau(path: str) -> EffectVector:
         and isinstance(blob.get("tau"), list)
         and all(type(t) in (int, float) for t in blob["tau"])
     ):
-        raise UsageError(
-            f"--tau {path!r} needs an object with integers v1, v2 and a list of numbers tau"
-        )
+        raise UsageError(f"--tau {path!r} needs an object with integers v1, v2 and a list of numbers tau")
     return EffectVector(blob["v1"], blob["v2"], blob["tau"])
 
 
 def _cmd_simulate(args) -> int:
     x = _load_design(args.file, args.v1, args.v2)
-    if args.tau:
-        tau = _load_tau(args.tau)
-    else:
-        tau = random_effects(x.v1, x.v2, scale=1.0, seed=args.seed)
+    tau = _load_tau(args.tau) if args.tau else random_effects(x.v1, x.v2, seed=args.seed)
     report = simulate(x, tau, sigma=args.sigma, runs=args.runs, seed=args.seed)
     if args.json:
         payload = {
@@ -287,7 +273,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_mask(args) -> int:
     x = export_masks(_load_design(args.file, args.v1, args.v2))
-    body = schedule_to_json(x) + "\n" if args.format == "json" else schedule_to_bytes(x)
+    body = (schedule_to_json(x) + "\n").encode() if args.format == "json" else schedule_to_bytes(x)
     _write_output(body, args.out)
     if args.out and args.out != "-":
         print(f"wrote {x.n_rows} masks of shape {x.v1}x{x.v2} to {args.out}")
@@ -333,23 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_ov.add_argument("file")
     p_ov.set_defaults(func=_cmd_od_verify)
 
-    p_compose = sub.add_parser(
-        "compose", help="compose a block design with an ordered design"
-    )
+    p_compose = sub.add_parser("compose", help="compose a block design with an ordered design")
     p_compose.add_argument(
         "--design", required=True,
         help="block-design JSON file or catalog:<id>, with id pairs3, pg23, fano (= qr7)"
         " or qr<p> for a prime p >= 7, p = 3 (mod 4), e.g. qr127",
     )
-    p_compose.add_argument(
-        "--od", required=True, help="ordered-design CSV file or a prime power q"
-    )
-    p_compose.add_argument(
-        "--perms", help="cyclic:<u> stacks u layers of cyclic column shifts"
-    )
-    p_compose.add_argument(
-        "--out", help="output path; .json writes SB-block JSON, else CSV"
-    )
+    p_compose.add_argument("--od", required=True, help="ordered-design CSV file or a prime power q")
+    p_compose.add_argument("--perms", help="cyclic:<u> stacks u layers of cyclic column shifts")
+    p_compose.add_argument("--out", help="output path; .json writes SB-block JSON, else CSV")
     p_compose.set_defaults(func=_cmd_compose)
 
     p_analyze = sub.add_parser("analyze", help="verify conditions and report spectrum")
@@ -391,6 +369,8 @@ def main(argv=None) -> int:
         return 2
     except (SbbdError, MemoryError) as exc:
         name, message = type(exc).__name__, str(exc)
+        if isinstance(exc, FormatError) and getattr(args, "file", None):
+            message = f"{args.file!r}: {message}"  # bad --tau input is a UsageError instead
         if isinstance(exc, MemoryError):  # numpy raises a private subclass
             name, message = "MemoryError", f"the input needs more memory than is available: {exc}"
         print(f"{name}: {message}", file=sys.stderr)

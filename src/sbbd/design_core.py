@@ -7,7 +7,8 @@ edges e_11, e_12, ..., e_1v2, e_21, ..., e_v1v2 in lexicographic order, so
 edge (i, j) owns column (i-1)*v2 + j (1-based) and row k is block k.
 
 A design matrix is held as read-only uint8 0/1 entries; nothing in this
-module touches floats.
+module touches floats.  Design CSV is read and written as ASCII bytes, and
+SB-block JSON is read from the file's bytes by json.loads.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ class DimensionError(SbbdError):
 
 class FormatError(SbbdError):
     """Input data violates a declared file or value format."""
+
+
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer; bool is an int subclass but not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_dims(v1, v2, least: int = 1) -> None:
+    if not (_is_int(v1) and _is_int(v2) and v1 >= least and v2 >= least):
+        raise DimensionError(f"need integers v1 >= {least} and v2 >= {least}, got {v1!r} x {v2!r}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +93,7 @@ class DesignMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.v1 < 1 or self.v2 < 1:
-            raise DimensionError(f"need v1 >= 1 and v2 >= 1, got {self.v1} x {self.v2}")
+        _check_dims(self.v1, self.v2)
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[1] != self.v1 * self.v2:
             raise DimensionError(
@@ -112,60 +122,61 @@ class DesignMatrix:
 
 # --- file formats -----------------------------------------------------------
 #
-# Design matrix CSV: one row per line, comma-separated 0/1, no header.
-#                    The writer emits the canonical form "d,d,...,d\n" per
-#                    row ("\n" alone for 0 rows); the reader takes canonical
-#                    text as one byte array and hands anything else
-#                    (spaces, "+0", CRLF, errors) to the per-token parser.
+# Design matrix CSV: one row per line, comma-separated 0/1, no header, as
+#                    ASCII bytes.  The writer emits the canonical form
+#                    b"d,d,...,d\n" per row (b"\n" alone for 0 rows); the
+#                    reader takes canonical bytes as one array and hands
+#                    anything else (spaces, "+0", CRLF, errors) to the
+#                    per-token parser.
 # SB-block JSON:     {"v1": int, "v2": int, "blocks": [[[i, j], ...], ...]}
 #                    with 1-based edge indices.
 
 _COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
 
 
-def matrix_to_csv(x: DesignMatrix) -> str:
+def matrix_to_csv(x: DesignMatrix) -> bytes:
     n, w = x.matrix.shape
     if n == 0:
-        return "\n"
+        return b"\n"
     buf = np.full((n, 2 * w), _COMMA, dtype=np.uint8)
     buf[:, 0::2] = x.matrix + _ZERO
     buf[:, -1] = _NEWLINE
-    return buf.tobytes().decode("ascii")
+    return buf.tobytes()
 
 
-def matrix_from_csv(text: str, v1: int, v2: int) -> DesignMatrix:
-    body = text.strip()
-    if body.isascii():
-        buf = np.frombuffer((body + "\n").encode("ascii"), dtype=np.uint8)
-        line = body.find("\n") + 1 or len(buf)
-        if len(buf) % line == 0:  # an odd line length puts "\n" among the digits
-            rows = buf.reshape(-1, line)
-            digits = rows[:, 0::2]
-            if (
-                (rows[:, 1:-1:2] == _COMMA).all()
-                and (rows[:, -1] == _NEWLINE).all()
-                and ((digits | 1) == _ZERO + 1).all()
-            ):
-                return DesignMatrix(v1, v2, digits - _ZERO)
+def matrix_from_csv(text: bytes, v1: int, v2: int) -> DesignMatrix:
+    body = text.strip() + b"\n"
+    buf = np.frombuffer(body, dtype=np.uint8)
+    line = body.find(b"\n") + 1
+    if len(buf) % line == 0:  # an odd line length puts "\n" among the digits
+        rows = buf.reshape(-1, line)
+        digits = rows[:, 0::2]
+        if (
+            (rows[:, 1:-1:2] == _COMMA).all()
+            and (rows[:, -1] == _NEWLINE).all()
+            and ((digits | 1) == _ZERO + 1).all()
+        ):
+            return DesignMatrix(v1, v2, digits - _ZERO)
     return _matrix_from_csv_tokens(body, v1, v2)
 
 
-def _matrix_from_csv_tokens(text: str, v1: int, v2: int) -> DesignMatrix:
+def _matrix_from_csv_tokens(text: bytes, v1: int, v2: int) -> DesignMatrix:
     """Per-token parser for any CSV the byte-level reader does not take."""
     return DesignMatrix(v1, v2, int_rows_from_csv(text, "design matrix", "entry"))
 
 
-def int_rows_from_csv(text: str, noun: str, entry: str) -> np.ndarray:
+def int_rows_from_csv(text: bytes, noun: str, entry: str) -> np.ndarray:
     """Comma-separated integers, one row per line, as an int64 array.
 
-    Every token goes through int(), so spaces and signs are accepted.  A
-    non-integer token, empty or ragged input, or a value outside int64 is a
-    FormatError; `noun` names the file kind and `entry` its tokens.
+    Every token goes through int() on bytes, so spaces and signs are
+    accepted and only ASCII digits are digits.  A non-integer token, empty
+    or ragged input, or a value outside int64 is a FormatError; `noun` names
+    the file kind and `entry` its tokens.
     """
     rows = []
     for ln, line in enumerate(text.strip().splitlines(), 1):
         try:
-            rows.append([int(tok) for tok in line.strip().split(",")])
+            rows.append([int(tok) for tok in line.strip().split(b",")])
         except ValueError as exc:
             raise FormatError(f"line {ln}: non-integer {entry}") from exc
     if not rows:
@@ -200,7 +211,7 @@ def _json_int(value) -> int:
     return value
 
 
-def blocks_from_json(text: str) -> DesignMatrix:
+def blocks_from_json(text: bytes) -> DesignMatrix:
     """Read SB-block JSON: block k becomes row k, with a 1 in the column of each edge.
 
     v1, v2 and every endpoint must be JSON integers and blocks a list of lists

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analyzer import _checked_spectrum, generalized_inverse
-from .design_core import DesignMatrix, DimensionError
+from .design_core import DesignMatrix, DimensionError, _check_dims, _is_int
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,7 @@ class EffectVector:
     tau: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _check_dims(self.v1, self.v2)
         t = np.ascontiguousarray(self.tau, dtype=float)
         if t.shape != (self.v1 * self.v2,):
             raise DimensionError(
@@ -93,8 +94,7 @@ def contrast_basis(v1: int, v2: int) -> np.ndarray:
     contrast_index.  Every row is orthogonal to the all-ones vector and the
     Gram matrix is the identity to 1e-12.
     """
-    if v1 < 2 or v2 < 2:
-        raise DimensionError("contrasts need v1 >= 2 and v2 >= 2")
+    _check_dims(v1, v2, least=2)
     return np.kron(_helmert(v1), _helmert(v2))
 
 
@@ -115,6 +115,7 @@ def random_effects(v1: int, v2: int, scale: float = 1.0, seed: int = 0) -> Effec
     residue of the first, which is relative to z rather than to tau.  A
     fixed seed reproduces tau bit for bit.
     """
+    _check_dims(v1, v2)
     _check_seed(seed)
     if not (math.isfinite(scale) and scale >= 0):
         raise DimensionError(f"scale must be finite and >= 0, got {scale!r}")
@@ -198,7 +199,7 @@ def simulate(
     """
     if (tau.v1, tau.v2) != (x.v1, x.v2):
         raise DimensionError("effect vector does not match the design dimensions")
-    if not isinstance(runs, (int, np.integer)) or isinstance(runs, bool) or runs < 2:
+    if not _is_int(runs) or runs < 2:
         raise DimensionError(f"need an integer runs >= 2 for a variance estimate, got {runs!r}")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise DimensionError(f"sigma must be finite and >= 0, got {sigma!r}")

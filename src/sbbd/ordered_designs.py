@@ -218,13 +218,13 @@ def construct_od1(q: int) -> OrderedDesign:
     return verify_od(rows, n=q, s=q)
 
 
-# OD CSV: one row per line, comma-separated symbols, no header.
+# OD CSV: one row per line, comma-separated symbols, no header, as ASCII bytes.
 
 
-def od_to_csv(od: OrderedDesign) -> str:
-    return "\n".join(",".join(str(int(x)) for x in row) for row in od.rows) + "\n"
+def od_to_csv(od: OrderedDesign) -> bytes:
+    return ("\n".join(",".join(map(str, row)) for row in od.rows.tolist()) + "\n").encode()
 
 
-def od_from_csv(text: str) -> OrderedDesign:
+def od_from_csv(text: bytes) -> OrderedDesign:
     arr = int_rows_from_csv(text, "ordered-design", "symbol")
     return verify_od(arr, n=int(arr.max()), s=arr.shape[1])

@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .design_core import DimensionError, FormatError, SbbdError, _json_int
+from .design_core import DimensionError, FormatError, SbbdError, _is_int, _json_int
 from .ordered_designs import _prime_power
 
 
@@ -99,13 +99,17 @@ def verify_rl_design(v: int, blocks: list) -> BlockDesign:
 
     Raises NotRegular / NotPairBalanced with a witness on the first failed
     count.  Designs with lambda = 0 are rejected: downstream composition
-    needs genuine pair balance.
+    needs genuine pair balance.  A point that is a bool, or not a Python or
+    numpy integer, is a FormatError.
     """
-    if v < 2:
-        raise DimensionError("need at least 2 points")
+    if not _is_int(v) or v < 2:
+        raise DimensionError(f"need an integer v >= 2 points, got {v!r}")
     norm = []
     for blk in blocks:
-        pts = frozenset(int(p) for p in blk)
+        pts = list(blk)  # checked before a set merges 1 with True or 1.0
+        if not all(map(_is_int, pts)):
+            raise FormatError(f"block {pts} has a point that is not an integer")
+        pts = frozenset(map(int, pts))
         if not pts:
             raise FormatError("empty block")
         if any(not 1 <= p <= v for p in pts):
@@ -156,8 +160,12 @@ def symmetric_bibd_from_difference_set(modulus: int, base_block) -> BlockDesign:
 
     Block t is {x + t mod modulus : x in base_block}, shifted to points
     1..modulus.  The result is re-verified; a base block whose differences
-    are not balanced raises NotADifferenceSet.
+    are not balanced raises NotADifferenceSet; a residue that is not an
+    integer is a FormatError.
     """
+    base_block = list(base_block)
+    if not all(map(_is_int, base_block)):
+        raise FormatError(f"base block {base_block} has a residue that is not an integer")
     base = sorted(int(x) % modulus for x in base_block)
     if len(set(base)) != len(base):
         raise FormatError("base block has repeated residues")
@@ -233,7 +241,7 @@ def catalog_by_id(name: str) -> BlockDesign:
 # Block-design JSON ingestion: {"v": int, "blocks": [[points], ...]}, 1-based.
 
 
-def design_from_json(text: str) -> BlockDesign:
+def design_from_json(text: bytes) -> BlockDesign:
     """Read {"v": int, "blocks": [[point, ...], ...]}; v and every point must be JSON integers."""
     try:
         payload = json.loads(text)

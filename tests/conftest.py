@@ -58,7 +58,7 @@ def dense_ginv():
 @pytest.fixture(scope="session")
 def x22() -> sbbd.DesignMatrix:
     """The 9-block SBBD(3,3,9) golden design, read from its fixture CSV."""
-    text = (FIXTURES / "design_3_3_9.csv").read_text()
+    text = (FIXTURES / "design_3_3_9.csv").read_bytes()
     return sbbd.matrix_from_csv(text, 3, 3)
 
 

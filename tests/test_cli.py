@@ -173,10 +173,10 @@ def test_json_design_dims_must_match_flags(capsys, tmp_path, x22):
 
 
 def test_analyze_stdin_matches_file(capsys, fixture_dir, monkeypatch):
-    text = (fixture_dir / "design_3_3_9.csv").read_text()
+    data = (fixture_dir / "design_3_3_9.csv").read_bytes()
     code, from_file, _ = run(capsys, "analyze", str(fixture_dir / "design_3_3_9.csv"), "--json")
     assert code == 0
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
     code, from_stdin, _ = run(capsys, "analyze", "-", "--json")
     assert code == 0
     assert from_stdin == from_file
@@ -185,7 +185,7 @@ def test_analyze_stdin_matches_file(capsys, fixture_dir, monkeypatch):
 def test_full_pipeline_fano(capsys, monkeypatch):
     code, csv_text, _ = run(capsys, "compose", "--design", "catalog:fano", "--od", "7")
     assert code == 0
-    monkeypatch.setattr("sys.stdin", io.StringIO(csv_text))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(csv_text.encode())))
     code, out, _ = run(capsys, "analyze", "-", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -198,7 +198,7 @@ def test_analyze_flags_violation(capsys, tmp_path, x22):
     m = x22.matrix.copy()
     m[0, 0] ^= 1
     bad = tmp_path / "bad.csv"
-    bad.write_text(sbbd.matrix_to_csv(sbbd.DesignMatrix(3, 3, m)))
+    bad.write_bytes(sbbd.matrix_to_csv(sbbd.DesignMatrix(3, 3, m)))
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 1
     assert "ConditionViolation" in err
@@ -208,7 +208,7 @@ def test_analyze_json_rejection_payload(capsys, tmp_path, x22):
     m = x22.matrix.copy()
     m[0, 0] ^= 1  # mu is read at (1, 1), so the witness is the next diagonal cell
     bad = tmp_path / "bad.csv"
-    bad.write_text(sbbd.matrix_to_csv(sbbd.DesignMatrix(3, 3, m)))
+    bad.write_bytes(sbbd.matrix_to_csv(sbbd.DesignMatrix(3, 3, m)))
     code, out, err = run(capsys, "analyze", "--json", str(bad))
     assert code == 1
     assert "ConditionViolation" in err
@@ -223,7 +223,7 @@ def test_analyze_json_rejection_payload(capsys, tmp_path, x22):
 
 def test_analyze_non_square_needs_dims(capsys, tmp_path, composed_b4):
     f = tmp_path / "b4.csv"
-    f.write_text(sbbd.matrix_to_csv(composed_b4.x))
+    f.write_bytes(sbbd.matrix_to_csv(composed_b4.x))
     code, _, err = run(capsys, "analyze", str(f))
     assert code == 2
     assert "--v1" in err
@@ -271,7 +271,7 @@ def test_simulate_rejection_payload_names_the_witness(capsys, tmp_path, fano_com
     m = fano_composed.x.matrix.copy()
     m[0, 3] ^= 1
     bad = tmp_path / "bad.csv"
-    bad.write_text(sbbd.matrix_to_csv(sbbd.DesignMatrix(7, 7, m)))
+    bad.write_bytes(sbbd.matrix_to_csv(sbbd.DesignMatrix(7, 7, m)))
     expected = {
         "error": "ConditionViolation",
         "condition": "II",
@@ -321,7 +321,7 @@ def test_mask_json(capsys, fixture_dir):
 
 def test_mask_refuses_non_spanning(capsys, tmp_path, single_edge_blocks):
     f = tmp_path / "star.csv"
-    f.write_text(sbbd.matrix_to_csv(single_edge_blocks))
+    f.write_bytes(sbbd.matrix_to_csv(single_edge_blocks))
     code, _, err = run(capsys, "mask", str(f), "--v1", "2")
     assert code == 1
     assert "SpanningViolation" in err
@@ -329,7 +329,7 @@ def test_mask_refuses_non_spanning(capsys, tmp_path, single_edge_blocks):
 
 def test_mask_rejection_payload(capsys, tmp_path, single_edge_blocks, x22):
     f = tmp_path / "star.csv"
-    f.write_text(sbbd.matrix_to_csv(single_edge_blocks))
+    f.write_bytes(sbbd.matrix_to_csv(single_edge_blocks))
     code, out, _ = run(capsys, "mask", str(f), "--v1", "2", "--format", "bin")
     assert code == 1
     payload = json.loads(out)
@@ -338,7 +338,7 @@ def test_mask_rejection_payload(capsys, tmp_path, single_edge_blocks, x22):
 
     m = x22.matrix.copy()
     m[4, 7] ^= 1
-    f.write_text(sbbd.matrix_to_csv(sbbd.DesignMatrix(3, 3, m)))
+    f.write_bytes(sbbd.matrix_to_csv(sbbd.DesignMatrix(3, 3, m)))
     code, out, _ = run(capsys, "mask", str(f))
     assert code == 1
     payload = json.loads(out)
@@ -385,6 +385,29 @@ def test_non_utf8_design_is_format_error(capsys, tmp_path, command):
     payload = json.loads(out)
     assert payload["error"] == "FormatError"
     assert str(bad) in payload["message"]
+
+
+@pytest.mark.parametrize("command", [["analyze", "--json"], ["mask", "--format", "bin"]])
+@pytest.mark.parametrize("which", ["first", "last"])
+def test_non_ascii_digit_in_design_is_format_error(capsys, tmp_path, fano_composed, command, which):
+    text = "\n".join(",".join(map(str, row)) for row in fano_composed.x.matrix.tolist()) + "\n"
+    k = text.index("1") if which == "first" else text.rindex("1")
+    bad = tmp_path / "fano.csv"
+    bad.write_text(text[:k] + "\u0661" + text[k + 1 :], encoding="utf-8")  # ARABIC-INDIC DIGIT ONE
+    code, out, err = run(capsys, *command, str(bad))
+    assert code == 1
+    assert err.startswith("FormatError:") and "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["error"] == "FormatError"
+    assert str(bad) in payload["message"]
+
+
+def test_od_verify_non_ascii_digits_is_format_error(capsys, tmp_path):
+    bad = tmp_path / "od.csv"
+    bad.write_text("\u0661,\u0662\n\u0662,\u0661\n", encoding="utf-8")
+    code, out, err = run(capsys, "od", "verify", str(bad))
+    assert code == 1
+    assert err.startswith("FormatError:") and out == ""
 
 
 @pytest.mark.parametrize(

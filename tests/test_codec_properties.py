@@ -25,9 +25,9 @@ from sbbd.design_core import _matrix_from_csv_tokens
 SETTINGS = settings(max_examples=100, deadline=None)
 
 
-def join_writer(x: DesignMatrix) -> str:
+def join_writer(x: DesignMatrix) -> bytes:
     """The per-element writer: one str() per entry, joined by ',' and newlines."""
-    return "\n".join(",".join(str(int(e)) for e in row) for row in x.matrix) + "\n"
+    return ("\n".join(",".join(str(int(e)) for e in row) for row in x.matrix) + "\n").encode()
 
 
 @st.composite
@@ -76,7 +76,7 @@ def _malformed(text: str, data) -> str:
 
 def _parse(parser, text, v1, v2):
     try:
-        return parser(text, v1, v2).matrix
+        return parser(text.encode(), v1, v2).matrix
     except Exception as exc:  # noqa: BLE001 - the class is what is compared
         return type(exc)
 
@@ -100,12 +100,12 @@ def test_csv_writer_matches_join_writer(x):
 @SETTINGS
 @given(design_matrices(), st.data())
 def test_csv_reader_matches_token_parser(x, data):
-    text = matrix_to_csv(x)
+    text = matrix_to_csv(x).decode()
     _assert_same_parse(text, x.v1, x.v2)
     _assert_same_parse(_lenient(text, data), x.v1, x.v2)
     if x.n_rows:  # 0 rows write a blank line, read back as empty
         _assert_same_parse(_malformed(text, data), x.v1, x.v2)
-        assert np.array_equal(matrix_from_csv(text, x.v1, x.v2).matrix, x.matrix)
+        assert np.array_equal(matrix_from_csv(text.encode(), x.v1, x.v2).matrix, x.matrix)
 
 
 @SETTINGS

@@ -133,6 +133,17 @@ def test_dimensions_below_one_rejected(v1, v2, m):
         DesignMatrix(v1, v2, m)
 
 
+@pytest.mark.parametrize("v1, v2", [(2.5, 2), (5, 1.0), (True, 5), ("5", 1)])
+def test_non_integer_dimensions_rejected(v1, v2):
+    with pytest.raises(DimensionError, match="integers"):
+        DesignMatrix(v1, v2, np.ones((1, 5)))
+
+
+def test_numpy_integer_dimensions_accepted():
+    x = DesignMatrix(np.int64(1), np.uint8(5), np.ones((1, 5)))
+    assert x.matrix.shape == (1, 5)
+
+
 def test_non_binary_matrix_rejected():
     with pytest.raises(FormatError):
         DesignMatrix(2, 2, np.array([[0, 1, 2, 0]]))
@@ -177,24 +188,26 @@ def test_matrix_is_read_only(x22):
 
 def test_csv_roundtrip(x22):
     text = matrix_to_csv(x22)
-    assert text.splitlines()[0] == "0,1,1,1,1,0,1,1,0"
+    assert text.splitlines()[0] == b"0,1,1,1,1,0,1,1,0"
     back = matrix_from_csv(text, 3, 3)
     assert np.array_equal(back.matrix, x22.matrix)
-    assert matrix_to_csv(DesignMatrix(2, 2, np.zeros((0, 4), dtype=int))) == "\n"
+    assert matrix_to_csv(DesignMatrix(2, 2, np.zeros((0, 4), dtype=int))) == b"\n"
     # spaces, a sign, CRLF and surrounding blank lines go to the per-token parser
-    text = "\n  0, +1\r\n1 ,0\r\n\n"
+    text = b"\n  0, +1\r\n1 ,0\r\n\n"
     assert matrix_from_csv(text, 1, 2).matrix.tolist() == [[0, 1], [1, 0]]
 
 
 def test_csv_rejects_ragged_and_nonint(x22):
     with pytest.raises(FormatError):
-        matrix_from_csv("0,1\n0", 1, 2)
+        matrix_from_csv(b"0,1\n0", 1, 2)
     with pytest.raises(FormatError):
-        matrix_from_csv("0,x", 1, 2)
+        matrix_from_csv(b"0,x", 1, 2)
     with pytest.raises(FormatError, match="line 2"):
-        matrix_from_csv("0,1\n\n1,0\n", 1, 2)  # blank middle line
+        matrix_from_csv(b"0,1\n\n1,0\n", 1, 2)  # blank middle line
     with pytest.raises(FormatError, match="0 or 1"):
-        matrix_from_csv("0,1\n2,0\n", 1, 2)
+        matrix_from_csv(b"0,1\n2,0\n", 1, 2)
+    with pytest.raises(FormatError, match="line 2: non-integer"):
+        matrix_from_csv("0,1\n1,\u0660\n".encode(), 1, 2)  # ARABIC-INDIC DIGIT ZERO
     with pytest.raises(DimensionError):
         matrix_from_csv(matrix_to_csv(x22), 2, 2)
 

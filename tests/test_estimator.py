@@ -73,6 +73,18 @@ def test_random_effects_deterministic():
     assert a.tau.tobytes() == b.tau.tobytes()
 
 
+def test_non_integer_dimensions_are_dimension_errors():
+    with pytest.raises(DimensionError, match="integers"):
+        random_effects(3.0, 3)
+    with pytest.raises(DimensionError, match="integers"):
+        EffectVector(3.0, 3, np.zeros(9))
+    with pytest.raises(DimensionError, match="integers"):
+        contrast_basis(3, 3.0)
+    with pytest.raises(DimensionError, match="integers"):
+        contrast_basis(True, 3)
+    assert random_effects(np.int64(3), 3).tau.shape == (9,)
+
+
 def test_effect_vector_validation():
     with pytest.raises(DimensionError):
         EffectVector(2, 2, np.array([1.0, -1.0, -1.0]))

@@ -262,6 +262,31 @@ def test_design_json_roundtrip(rl4):
 
 
 @pytest.mark.parametrize(
+    "blocks",
+    [
+        [{1.5, 2}, {2, 3}, {1, 3}, {1, 2, 3}],
+        [[1, 2, True], [2, 3], [1, 3], [1, 2, 3]],  # True would merge with 1 in a set
+        [[1, 2.0], [2, 3], [1, 3], [1, 2, 3]],
+    ],
+)
+def test_points_must_be_integers(blocks):
+    with pytest.raises(FormatError, match="not an integer"):
+        verify_rl_design(3, blocks)
+
+
+@pytest.mark.parametrize("base", [[1.5, 2, 4], [True, 2, 4], ["1", 2, 4]])
+def test_base_block_residues_must_be_integers(base):
+    with pytest.raises(FormatError, match="not an integer"):
+        symmetric_bibd_from_difference_set(7, base)
+
+
+def test_numpy_integer_points_are_accepted():
+    d = verify_rl_design(3, [np.array([1, 2]), [np.int64(2), 3], [1, 3], range(1, 4)])
+    assert d.blocks == (frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3}), frozenset({1, 2, 3}))
+    assert symmetric_bibd_from_difference_set(7, np.array([1, 2, 4])).lam == 1
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"v": 3.7, "blocks": [[1.9, 2], ["2", 3], [true, 3], [1, 2, 3]]}',
