@@ -7,7 +7,6 @@ from .analyzer import (
     ContrastsNotEstimable,
     DegenerateDesign,
     InformationMatrix,
-    MissingDcs,
     OptimalityReport,
     SpectralSummary,
     TraceMismatch,

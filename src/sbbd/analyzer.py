@@ -12,7 +12,9 @@ panel products:
 The panel products are the v2 x v2 blocks of one float64 BLAS Gram X^T X.
 Its entries are counts of at most N blocks, so it and the comparisons on it
 are exact for N < 2^53.  Conditions (II)-(V) are checked on its panel view
-in one vectorised comparison; only Lambda and the trace are kept.
+in one vectorised comparison and only Lambda is kept.  A design that fails
+them has no closed form: every entry point raises the first
+ConditionViolation, with its witness, before any other result.
 
 When (II)-(V) hold the information matrix X^T X is double completely
 symmetric and its spectrum is closed-form.  With a = mu - l12, b = l12,
@@ -48,10 +50,6 @@ class ConditionViolation(SbbdError):
         super().__init__(f"condition ({condition}) violated: {message}")
 
 
-class MissingDcs(SbbdError):
-    """The information matrix is not double completely symmetric."""
-
-
 class TraceMismatch(SbbdError):
     """The closed-form spectrum disagrees with the trace of X^T X."""
 
@@ -66,12 +64,12 @@ class ContrastsNotEstimable(SbbdError):
 
 @dataclass(frozen=True)
 class InformationMatrix:
-    """X^T X by its four numbers and its measured trace."""
+    """X^T X of a design meeting (II)-(V): its four numbers and its trace."""
 
     v1: int
     v2: int
-    dcs: SbbdParameters | None  # set iff X^T X is double completely symmetric
-    trace: int
+    dcs: SbbdParameters
+    trace: int  # the number of ones in X
 
 
 @dataclass(frozen=True)
@@ -125,14 +123,15 @@ class OptimalityReport:
     is_a_optimal_in_omega: bool
 
 
-def _measure(x: DesignMatrix):
-    """(params, None, trace) if (II)-(V) hold, else (None, first violation, trace).
+def check_sbbd(x: DesignMatrix) -> SbbdParameters:
+    """Verify conditions (II)-(V) exactly and return the measured parameters.
 
     X^T X is one float64 BLAS product, compared in float64: its entries and
     partial sums are counts of at most N, so both are exact while N < 2^53.
-    The first violation is in the first bad panel pair X_i^T X_j in
+    Raises ConditionViolation for the first bad panel pair X_i^T X_j in
     row-major order, its diagonal before its off-diagonal, and positions in
-    row-major order.
+    row-major order.  The spanning condition (I) distinguishes an SBBD from
+    an SBBD* and is reported separately by is_spanning().
     """
     if x.v1 < 2 or x.v2 < 2:
         raise DimensionError("analysis needs v1 >= 2 and v2 >= 2")
@@ -141,7 +140,6 @@ def _measure(x: DesignMatrix):
     m = x.matrix.astype(np.float64)
     gram = m.T @ m
     del m
-    trace = int(np.trace(gram))
     v1, v2 = x.v1, x.v2
     p = gram.reshape(v1, v2, v1, v2).transpose(0, 2, 1, 3)  # p[i, j] = X_i^T X_j
     lam = [int(v) for v in p[0, :2, 0, :2].ravel()]  # [mu, l12, l21, l22]
@@ -151,7 +149,7 @@ def _measure(x: DesignMatrix):
     bad[same, same] = p[same, same] != np.where(on, lam[0], lam[1])
     pairs = np.flatnonzero(bad.any(axis=(2, 3)))
     if pairs.size == 0:
-        return SbbdParameters(v1, v2, x.n_rows, *lam), None, trace
+        return SbbdParameters(v1, v2, x.n_rows, *lam)
     i, j = divmod(int(pairs[0]), v1)
     on_bad = np.flatnonzero(np.diagonal(bad[i, j]))
     r, c = (on_bad[0], on_bad[0]) if on_bad.size else np.argwhere(bad[i, j])[0]
@@ -167,7 +165,7 @@ def _measure(x: DesignMatrix):
         if k % 2
         else f"diagonal of {prod} is {found} at {pos[0]}, expected {expected}"
     )
-    return None, ConditionViolation(("II", "III", "IV", "V")[k], witness, message), trace
+    raise ConditionViolation(("II", "III", "IV", "V")[k], witness, message)
 
 
 def is_spanning(x: DesignMatrix) -> bool:
@@ -175,29 +173,16 @@ def is_spanning(x: DesignMatrix) -> bool:
     return bool(x.masks.any(axis=2).all() and x.masks.any(axis=1).all())
 
 
-def check_sbbd(x: DesignMatrix) -> SbbdParameters:
-    """Verify conditions (II)-(V) exactly and return the measured parameters.
-
-    Raises ConditionViolation on the first failure.  The spanning condition
-    (I) distinguishes an SBBD from an SBBD* and is reported separately by
-    is_spanning().
-    """
-    params, violation, _ = _measure(x)
-    if violation is not None:
-        raise violation
-    return params
-
-
 def information_matrix(x: DesignMatrix) -> InformationMatrix:
-    """X^T X as Lambda and its trace, with double-complete-symmetry detection."""
-    params, _, trace = _measure(x)
-    return InformationMatrix(v1=x.v1, v2=x.v2, dcs=params, trace=trace)
+    """X^T X as Lambda and its trace; raises what check_sbbd raises.
+
+    The trace is the number of ones in the 0/1 X, counted apart from the Gram.
+    """
+    return InformationMatrix(x.v1, x.v2, check_sbbd(x), int(np.count_nonzero(x.matrix)))
 
 
 def spectrum(info: InformationMatrix) -> SpectralSummary:
     """Closed-form eigenvalues with multiplicities; trace identity enforced."""
-    if info.dcs is None:
-        raise MissingDcs("information matrix is not double completely symmetric")
     p = info.dcs
     v1, v2 = info.v1, info.v2
     a, b, c, d = p.a, p.b, p.c, p.d
@@ -223,10 +208,7 @@ def spectrum(info: InformationMatrix) -> SpectralSummary:
 
 def _checked_spectrum(x: DesignMatrix):
     """(info, spectrum); raises the first ConditionViolation, then ContrastsNotEstimable."""
-    params, violation, trace = _measure(x)
-    if violation is not None:
-        raise violation
-    info = InformationMatrix(v1=x.v1, v2=x.v2, dcs=params, trace=trace)
+    info = information_matrix(x)
     spec = spectrum(info)
     if spec.alpha <= 0:
         raise ContrastsNotEstimable(f"alpha = {spec.alpha} <= 0; basic contrasts are not estimable")

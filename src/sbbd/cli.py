@@ -95,12 +95,18 @@ def _load_design(path: str, v1, v2) -> DesignMatrix:
     return matrix_from_csv(data, v1, v2)
 
 
-def _write_output(data: bytes, out) -> None:
-    if out is None or out == "-":
-        sys.stdout.buffer.write(data)
-    else:
+def _write_output(data: bytes, out, binary: bool = False) -> None:
+    # a stdout with no byte buffer (an in-process io.StringIO) takes CSV and
+    # JSON as ASCII text, but binary data there is a usage error
+    if out is not None and out != "-":
         with open(out, "wb") as fh:
             fh.write(data)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.buffer.write(data)
+    elif binary:
+        raise UsageError("binary output to a text stdout; pass --out FILE")
+    else:
+        sys.stdout.write(data.decode("ascii"))
 
 
 def _cmd_design_verify(args) -> int:
@@ -274,7 +280,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_mask(args) -> int:
     x = export_masks(_load_design(args.file, args.v1, args.v2))
     body = (schedule_to_json(x) + "\n").encode() if args.format == "json" else schedule_to_bytes(x)
-    _write_output(body, args.out)
+    _write_output(body, args.out, binary=args.format == "bin")
     if args.out and args.out != "-":
         print(f"wrote {x.n_rows} masks of shape {x.v1}x{x.v2} to {args.out}")
     return 0

@@ -113,15 +113,17 @@ def random_effects(v1: int, v2: int, scale: float = 1.0, seed: int = 0) -> Effec
     Draws z uniform in [-scale, scale] and projects through the centering
     operators on both axes, twice: the second pass removes the rounding
     residue of the first, which is relative to z rather than to tau.  A
-    fixed seed reproduces tau bit for bit.
+    fixed seed reproduces tau bit for bit.  A scale so large that the draw
+    or the centring overflows float64 is a DimensionError.
     """
     _check_dims(v1, v2)
     _check_seed(seed)
-    if not (math.isfinite(scale) and scale >= 0):
-        raise DimensionError(f"scale must be finite and >= 0, got {scale!r}")
+    if not (math.isfinite(2 * scale) and scale >= 0):  # the draw spans 2 * scale
+        raise DimensionError(f"scale must be >= 0 with 2 * scale finite, got {scale!r}")
     rng = np.random.default_rng(seed)
     z = rng.uniform(-scale, scale, size=v1 * v2).reshape(v1, v2)
-    return EffectVector(v1, v2, _center(_center(z)).reshape(-1))
+    with np.errstate(over="ignore", invalid="ignore"):  # EffectVector rejects the inf
+        return EffectVector(v1, v2, _center(_center(z)).reshape(-1))
 
 
 _TILE = 256  # runs per fixed-shape projection; fixes every run's noise and estimates
@@ -179,6 +181,7 @@ def estimate_effects(x: DesignMatrix, y: np.ndarray) -> np.ndarray:
     return (wa * _center(z) + wb * rows + wg * cols + wd * grand).reshape(-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is checked on the report
 def simulate(
     x: DesignMatrix,
     tau: EffectVector,
@@ -195,7 +198,8 @@ def simulate(
     drawn in full and its rows past `runs` are zeroed before any sum.  The
     report for given arguments is the same bit for bit on every call, given
     the numpy/BLAS build and thread count.
-    Raises what a_optimality raises on a failing design.
+    Raises what a_optimality raises on a failing design, and DimensionError
+    when sigma and tau are so large that the report overflows float64.
     """
     if (tau.v1, tau.v2) != (x.v1, x.v2):
         raise DimensionError("effect vector does not match the design dimensions")
@@ -239,6 +243,8 @@ def simulate(
         max_rel = float(np.max(np.abs(variance - predicted)) / predicted)
     else:
         max_rel = float(np.max(np.abs(variance)))
+    if not (np.isfinite(mean).all() and np.isfinite(variance).all() and math.isfinite(max_rel)):
+        raise DimensionError(f"the report overflows float64 at sigma = {sigma!r} with this tau")
     return SimulationReport(
         runs=runs,
         sigma=sigma,

@@ -20,7 +20,6 @@ from sbbd import (
     DesignMatrix,
     DimensionError,
     InformationMatrix,
-    MissingDcs,
     SbbdParameters,
     a_optimality,
     check_sbbd,
@@ -30,7 +29,6 @@ from sbbd import (
     is_spanning,
     spectrum,
 )
-from sbbd.analyzer import _measure
 
 
 def int_helmert(n):
@@ -133,10 +131,14 @@ def test_single_bit_flip_violates_conditions(x22):
 def test_non_dcs_matrix_has_no_closed_form():
     rng = np.random.default_rng(2)
     x = DesignMatrix(2, 2, rng.integers(0, 2, size=(5, 4)))
-    info = information_matrix(x)
-    assert info.dcs is None
-    with pytest.raises(MissingDcs):
-        spectrum(info)
+    with pytest.raises(ConditionViolation) as first:
+        check_sbbd(x)
+    with pytest.raises(ConditionViolation) as again:
+        information_matrix(x)
+    assert (again.value.condition, again.value.witness) == (
+        first.value.condition,
+        first.value.witness,
+    )
 
 
 def test_spectrum_fixture(x22):
@@ -362,10 +364,10 @@ def assert_matches_reference(x):
     condition, witness, message = expected
     assert (exc.value.condition, exc.value.witness) == (condition, witness)
     assert str(exc.value) == f"condition ({condition}) violated: {message}"
-    assert information_matrix(x).dcs is None
-    with pytest.raises(ConditionViolation) as again:
-        a_optimality(x)
-    assert (again.value.condition, again.value.witness) == (condition, witness)
+    for fn in (information_matrix, a_optimality):
+        with pytest.raises(ConditionViolation) as again:
+            fn(x)
+        assert (again.value.condition, again.value.witness) == (condition, witness)
 
 
 def test_every_single_bit_flip_matches_reference(x22):
@@ -433,17 +435,21 @@ def test_gram_equals_int64_reference(expand_lambda, case):
     (v1, v2, _), m = case
     x = DesignMatrix(v1, v2, m)
     gram = m.T @ m
-    params, violation, trace = _measure(x)
-    assert type(trace) is int and trace == int(np.trace(gram))
-    if params is None:
-        expected = reference_scan(x)
-        assert (violation.condition, violation.witness) == expected[:2]
-        assert str(violation) == f"condition ({expected[0]}) violated: {expected[2]}"
-    else:
-        assert all(type(v) is int for v in params.lam)
-        dense = expand_lambda(v1, v2, params.lam)
-        assert dense.dtype == np.int64
-        assert np.array_equal(dense, gram)
+    expected = reference_scan(x)
+    if expected[0] != "ok":
+        for fn in (check_sbbd, information_matrix):
+            with pytest.raises(ConditionViolation) as exc:
+                fn(x)
+            assert (exc.value.condition, exc.value.witness) == expected[:2]
+            assert str(exc.value) == f"condition ({expected[0]}) violated: {expected[2]}"
+        return
+    info = information_matrix(x)
+    assert type(info.trace) is int and info.trace == int(np.trace(gram))
+    assert info.dcs == check_sbbd(x)
+    assert all(type(v) is int for v in info.dcs.lam)
+    dense = expand_lambda(v1, v2, info.dcs.lam)
+    assert dense.dtype == np.int64
+    assert np.array_equal(dense, gram)
 
 
 def test_information_matrix_holds_no_array():

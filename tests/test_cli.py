@@ -1,9 +1,11 @@
+import contextlib
 import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -543,3 +545,38 @@ def test_simulate_malformed_tau_is_usage_error(capsys, fixture_dir, tmp_path, te
     )
     assert code == 2
     assert "usage error: --tau" in err
+
+
+def _main_to_text_stdout(*argv):
+    """main() with stdout an io.StringIO, which has no byte buffer."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def test_text_stdout_takes_csv_and_json(capsys, fixture_dir):
+    code, text = _main_to_text_stdout("compose", "--design", "catalog:fano", "--od", "7")
+    fano = sbbd.compose(sbbd.catalog_by_id("fano"), sbbd.construct_od1(7)).x
+    assert code == 0 and text.encode() == sbbd.matrix_to_csv(fano)
+    code, text = _main_to_text_stdout("mask", str(fixture_dir / "design_3_3_9.csv"))
+    assert code == 0 and len(json.loads(text)["masks"]) == 9
+
+
+def test_binary_mask_to_text_stdout_is_usage_error(capsys, fixture_dir):
+    code, text = _main_to_text_stdout("mask", str(fixture_dir / "design_3_3_9.csv"), "--format", "bin")
+    assert (code, text) == (2, "")
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_simulate_report_that_overflows_exits_one(capsys, fixture_dir):
+    # the report at sigma 1e200 is inf and NaN, which no JSON payload may carry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "simulate", str(fixture_dir / "design_3_3_9.csv"),
+            "--sigma", "1e200", "--runs", "10", "--json",
+        )
+    assert code == 1
+    assert json.loads(out)["error"] == "DimensionError"
+    assert "DimensionError: the report overflows float64" in err

@@ -222,3 +222,36 @@ def test_relabelling_right_points_preserves_lambda_and_spectrum(case):
     name, _, right = case
     x = composed(name)
     assert lambda_and_spectrum(permute_panels(x, list(right))) == lambda_and_spectrum(x)
+
+
+def theorem_inputs():
+    """The (r,lambda)-designs the composition theorem is checked on."""
+    designs = [sbbd.catalog_by_id("pairs3")]
+    designs += [sbbd.all_pairs_plus_full(v) for v in (4, 5, 6)]  # b = 7, 11, 16
+    designs += [sbbd.catalog_by_id(name) for name in ("fano", "qr11", "pg23", "qr19")]
+    return designs
+
+
+def relabelled_od1():
+    """(design, OD_1(b) with symbols relabelled, rows reordered, s of b columns kept)."""
+    return st.sampled_from(theorem_inputs()).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.permutations(range(1, d.b + 1)),
+            st.randoms(use_true_random=False),
+            st.permutations(range(d.b)),
+            st.integers(2, d.b),
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_od1())
+def test_composition_theorem_holds_for_relabelled_ods(case):
+    d, symbols, rng, columns, s = case
+    rows = np.array([0, *symbols])[construct_od1(d.b).rows]
+    rows = rows[rng.sample(range(len(rows)), len(rows))][:, list(columns[:s])]
+    composed_design = compose(d, verify_od(rows, n=d.b, s=s))
+    assert check_sbbd(composed_design.x) == composed_design.predicted
+    if composed_design.spanning_guaranteed:
+        assert sbbd.is_spanning(composed_design.x)

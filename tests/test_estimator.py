@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -61,7 +62,8 @@ def test_random_effects_two_by_two_shape():
     assert np.allclose(t, [t[0], -t[0], -t[0], t[0]])
 
 
-@pytest.mark.parametrize("scale", [float("inf"), float("nan"), -1.0])
+# 1e308 is finite, but the range 2 * scale of its draw is not
+@pytest.mark.parametrize("scale", [float("inf"), float("nan"), -1.0, 1e308])
 def test_random_effects_rejects_bad_scale(scale):
     with pytest.raises(DimensionError, match="scale"):
         random_effects(3, 3, scale=scale)
@@ -302,6 +304,26 @@ def test_largest_seed_is_accepted(x22):
 def test_bad_sigma_is_rejected(x22, sigma):
     with pytest.raises(DimensionError, match="sigma"):
         simulate(x22, random_effects(3, 3, seed=1), sigma=sigma, runs=10, seed=1)
+
+
+@pytest.mark.parametrize("v, scale", [(2, 8.98e307), (10, 5e307)])
+def test_scale_whose_centring_overflows_is_rejected(v, scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError):
+            random_effects(v, v, scale=scale)
+
+
+@pytest.mark.parametrize("sigma, big", [(1e200, 0.0), (1.5e154, 0.0), (0.0, 1e308)])
+def test_report_that_overflows_is_a_dimension_error(x22, sigma, big):
+    # huge noise, or tau whose signal X tau overflows, leaves no finite report
+    table = np.zeros((3, 3))
+    table[:2, :2] = [[big, -big], [-big, big]]
+    tau = EffectVector(3, 3, table.ravel()) if big else random_effects(3, 3, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match="overflows float64"):
+            simulate(x22, tau, sigma=sigma, runs=10, seed=1)
 
 
 def test_zero_sum_tolerance_scales_with_tau():
