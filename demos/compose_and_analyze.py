@@ -11,18 +11,19 @@ composed = sbbd.compose(fano, od)
 x = composed.x
 
 print(f"composed: {x.n_rows} x {x.v1 * x.v2} on K_{{{x.v1},{x.v2}}}")
+# X^T X is double completely symmetric, so Lambda fixes all of it
+params = sbbd.check_sbbd(x)
 print("predicted Lambda:", composed.predicted.lam)
-print("measured Lambda: ", sbbd.check_sbbd(x).lam)
+print("measured Lambda: ", params.lam)
 print("spanning guaranteed (s > b - r):", composed.spanning_guaranteed)
 
-info = sbbd.information_matrix(x)
-spec = sbbd.spectrum(info)
+spec = sbbd.spectrum(params)
 print("\nspectrum (value, multiplicity):", spec.pairs())
-print("trace check:", spec.trace, "=", info.trace)
+print("trace check:", spec.trace, "=", int(x.matrix.sum()), "ones in X")
 
-# info holds Lambda and the trace; G is four exact weights, one per
-# eigenspace, so M G M = M reads w * lambda^2 = lambda on each eigenvalue
-weights = sbbd.generalized_inverse(info)
+# G is four exact weights, one per eigenspace, so M G M = M reads
+# w * lambda^2 = lambda on each eigenvalue
+weights = sbbd.generalized_inverse(params)
 print("G weights (1/alpha, 1/beta, 1/gamma, 1/delta):", [str(w) for w in weights])
 print("M G M = M:", all(w * val * val == val for w, (val, _) in zip(weights, spec.pairs())))
 

@@ -10,7 +10,7 @@ RUNS = 50_000
 SEED = 1729
 
 x = sbbd.compose(sbbd.catalog_by_id("fano"), sbbd.construct_od1(7)).x
-alpha = sbbd.spectrum(sbbd.information_matrix(x)).alpha
+alpha = sbbd.spectrum(sbbd.check_sbbd(x)).alpha
 print(f"design: {x.n_rows} observations, {x.v1 * x.v2} effects, alpha = {alpha}")
 
 tau = sbbd.random_effects(x.v1, x.v2, scale=1.0, seed=SEED)

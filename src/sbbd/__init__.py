@@ -6,7 +6,6 @@ from .analyzer import (
     ConditionViolation,
     ContrastsNotEstimable,
     DegenerateDesign,
-    InformationMatrix,
     OptimalityReport,
     SpectralSummary,
     TraceMismatch,
@@ -14,7 +13,6 @@ from .analyzer import (
     check_sbbd,
     classify_blocks,
     generalized_inverse,
-    information_matrix,
     is_spanning,
     spectrum,
 )

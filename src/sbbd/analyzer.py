@@ -12,8 +12,9 @@ panel products:
 The panel products are the v2 x v2 blocks of one float64 BLAS Gram X^T X.
 Its entries are counts of at most N blocks, so it and the comparisons on it
 are exact for N < 2^53.  Conditions (II)-(V) are checked on its panel view
-in one vectorised comparison and only Lambda is kept.  A design that fails
-them has no closed form: every entry point raises the first
+in one vectorised comparison and only Lambda is kept; then the ones of X,
+counted apart from the Gram, must be mu v1 v2 = trace(X^T X).  A design
+that fails (II)-(V) has no closed form: every entry point raises the first
 ConditionViolation, with its witness, before any other result.
 
 When (II)-(V) hold the information matrix X^T X is double completely
@@ -27,8 +28,9 @@ c = l21 - l22, d = l22:
 
 A Moore-Penrose generalized inverse follows from the same decomposition,
 dropping zero-eigenvalue terms.  X^T X, its spectrum and G are each kept as
-four numbers: Lambda, the four eigenvalues, and the exact rational weights
-1/alpha, 1/beta, 1/gamma and 1/delta.  No dense form of any of them is built.
+four numbers: Lambda (an SbbdParameters), the four eigenvalues, and the
+exact rational weights 1/alpha, 1/beta, 1/gamma and 1/delta.  No dense form
+of any of them is built.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class ConditionViolation(SbbdError):
 
 
 class TraceMismatch(SbbdError):
-    """The closed-form spectrum disagrees with the trace of X^T X."""
+    """Lambda or the closed-form spectrum disagrees with the trace of X^T X."""
 
 
 class DegenerateDesign(SbbdError):
@@ -60,16 +62,6 @@ class DegenerateDesign(SbbdError):
 
 class ContrastsNotEstimable(SbbdError):
     """alpha <= 0: the basic contrasts cannot be estimated."""
-
-
-@dataclass(frozen=True)
-class InformationMatrix:
-    """X^T X of a design meeting (II)-(V): its four numbers and its trace."""
-
-    v1: int
-    v2: int
-    dcs: SbbdParameters
-    trace: int  # the number of ones in X
 
 
 @dataclass(frozen=True)
@@ -130,8 +122,8 @@ def check_sbbd(x: DesignMatrix) -> SbbdParameters:
     partial sums are counts of at most N, so both are exact while N < 2^53.
     Raises ConditionViolation for the first bad panel pair X_i^T X_j in
     row-major order, its diagonal before its off-diagonal, and positions in
-    row-major order.  The spanning condition (I) distinguishes an SBBD from
-    an SBBD* and is reported separately by is_spanning().
+    row-major order, then TraceMismatch unless X has mu v1 v2 ones.  The
+    spanning condition (I) that tells an SBBD from an SBBD* is is_spanning().
     """
     if x.v1 < 2 or x.v2 < 2:
         raise DimensionError("analysis needs v1 >= 2 and v2 >= 2")
@@ -149,6 +141,9 @@ def check_sbbd(x: DesignMatrix) -> SbbdParameters:
     bad[same, same] = p[same, same] != np.where(on, lam[0], lam[1])
     pairs = np.flatnonzero(bad.any(axis=(2, 3)))
     if pairs.size == 0:
+        ones = int(np.count_nonzero(x.matrix))
+        if ones != lam[0] * v1 * v2:
+            raise TraceMismatch(f"X has {ones} ones, but mu v1 v2 = {lam[0] * v1 * v2}")
         return SbbdParameters(v1, v2, x.n_rows, *lam)
     i, j = divmod(int(pairs[0]), v1)
     on_bad = np.flatnonzero(np.diagonal(bad[i, j]))
@@ -173,19 +168,10 @@ def is_spanning(x: DesignMatrix) -> bool:
     return bool(x.masks.any(axis=2).all() and x.masks.any(axis=1).all())
 
 
-def information_matrix(x: DesignMatrix) -> InformationMatrix:
-    """X^T X as Lambda and its trace; raises what check_sbbd raises.
-
-    The trace is the number of ones in the 0/1 X, counted apart from the Gram.
-    """
-    return InformationMatrix(x.v1, x.v2, check_sbbd(x), int(np.count_nonzero(x.matrix)))
-
-
-def spectrum(info: InformationMatrix) -> SpectralSummary:
-    """Closed-form eigenvalues with multiplicities; trace identity enforced."""
-    p = info.dcs
+def spectrum(info: SbbdParameters) -> SpectralSummary:
+    """Closed-form eigenvalues with multiplicities from Lambda; trace identity enforced."""
     v1, v2 = info.v1, info.v2
-    a, b, c, d = p.a, p.b, p.c, p.d
+    a, b, c, d = info.a, info.b, info.c, info.d
     summary = SpectralSummary(
         alpha=a - c,
         beta=a - c + (b - d) * v2,
@@ -195,28 +181,25 @@ def spectrum(info: InformationMatrix) -> SpectralSummary:
         m_beta=v1 - 1,
         m_gamma=v2 - 1,
         m_delta=1,
-        trace=p.mu * v1 * v2,
+        trace=info.mu * v1 * v2,
     )
     weighted = sum(val * mult for val, mult in summary.pairs())
-    if not weighted == summary.trace == info.trace:
-        raise TraceMismatch(
-            f"eigenvalues sum to {weighted}, mu v1 v2 = {summary.trace} and"
-            f" trace(X^T X) = {info.trace}; they must agree"
-        )
+    if weighted != summary.trace:
+        raise TraceMismatch(f"eigenvalues sum to {weighted}, but mu v1 v2 = {summary.trace}")
     return summary
 
 
 def _checked_spectrum(x: DesignMatrix):
-    """(info, spectrum); raises the first ConditionViolation, then ContrastsNotEstimable."""
-    info = information_matrix(x)
-    spec = spectrum(info)
+    """(params, spectrum); raises the first ConditionViolation, then ContrastsNotEstimable."""
+    params = check_sbbd(x)
+    spec = spectrum(params)
     if spec.alpha <= 0:
         raise ContrastsNotEstimable(f"alpha = {spec.alpha} <= 0; basic contrasts are not estimable")
-    return info, spec
+    return params, spec
 
 
-def generalized_inverse(info: InformationMatrix) -> tuple:
-    """The Moore-Penrose generalized inverse G of X^T X as its four weights.
+def generalized_inverse(info: SbbdParameters) -> tuple:
+    """The Moore-Penrose generalized inverse G of X^T X, from Lambda, as its four weights.
 
     G weights the four Kronecker products of I - J/n and J/n that span the
     eigenspaces of X^T X by the inverse eigenvalues, with 0 for a vanishing
@@ -258,8 +241,7 @@ def a_optimality(x: DesignMatrix) -> OptimalityReport:
     k = k1 v1 measured from the blocks; equality plus the SBBD conditions
     yields the optimality verdict.
     """
-    info, spec = _checked_spectrum(x)
-    params = info.dcs
+    params, spec = _checked_spectrum(x)
     spanning = is_spanning(x)
     reg = classify_blocks(x)
     n_contrasts = (x.v1 - 1) * (x.v2 - 1)

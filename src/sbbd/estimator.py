@@ -27,6 +27,7 @@ may change the last bits of large products (OpenBLAS 0.3.31 does so for a
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,8 +100,17 @@ def contrast_basis(v1: int, v2: int) -> np.ndarray:
 
 
 def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+    if not (_is_int(seed) and 0 <= seed < 2**128):
         raise DimensionError(f"seed must be an integer in [0, 2^128), got {seed!r}")
+
+
+def _nonnegative(name: str, value, largest: float) -> float:
+    """value as a float, checked to be an int or float in [0, largest]; ints compare exactly."""
+    if isinstance(value, np.floating):
+        value = float(value)  # a float32 compared with a float64 largest would overflow its cast
+    if not ((_is_int(value) or isinstance(value, float)) and 0 <= value <= largest):
+        raise DimensionError(f"{name} must be an int or float in [0, {largest!r}], got {value!r}")
+    return abs(float(value))  # -0.0 passes the check, but uniform(0.0, -0.0) is an error
 
 
 def _center(z: np.ndarray) -> np.ndarray:
@@ -118,8 +128,7 @@ def random_effects(v1: int, v2: int, scale: float = 1.0, seed: int = 0) -> Effec
     """
     _check_dims(v1, v2)
     _check_seed(seed)
-    if not (math.isfinite(2 * scale) and scale >= 0):  # the draw spans 2 * scale
-        raise DimensionError(f"scale must be >= 0 with 2 * scale finite, got {scale!r}")
+    scale = _nonnegative("scale", scale, sys.float_info.max / 2)  # the draw spans 2 * scale
     rng = np.random.default_rng(seed)
     z = rng.uniform(-scale, scale, size=v1 * v2).reshape(v1, v2)
     with np.errstate(over="ignore", invalid="ignore"):  # EffectVector rejects the inf
@@ -205,8 +214,7 @@ def simulate(
         raise DimensionError("effect vector does not match the design dimensions")
     if not _is_int(runs) or runs < 2:
         raise DimensionError(f"need an integer runs >= 2 for a variance estimate, got {runs!r}")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise DimensionError(f"sigma must be finite and >= 0, got {sigma!r}")
+    sigma = _nonnegative("sigma", sigma, sys.float_info.max)
     _check_seed(seed)
     _, spec = _checked_spectrum(x)
     h1, h2 = _helmert(x.v1), _helmert(x.v2)
@@ -239,10 +247,8 @@ def simulate(
     mean = true + dev_sum / runs
     variance = (dev_sq - dev_sum * dev_sum / runs) / (runs - 1)
     predicted = sigma * sigma / spec.alpha
-    if predicted > 0:
-        max_rel = float(np.max(np.abs(variance - predicted)) / predicted)
-    else:
-        max_rel = float(np.max(np.abs(variance)))
+    # relative to the prediction, or absolute when sigma = 0 predicts 0
+    max_rel = float(np.max(np.abs(variance - predicted)) / (predicted or 1.0))
     if not (np.isfinite(mean).all() and np.isfinite(variance).all() and math.isfinite(max_rel)):
         raise DimensionError(f"the report overflows float64 at sigma = {sigma!r} with this tau")
     return SimulationReport(

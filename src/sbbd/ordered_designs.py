@@ -23,7 +23,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .design_core import DimensionError, FormatError, SbbdError, int_rows_from_csv
+from .design_core import DimensionError, FormatError, SbbdError, _is_int, int_rows_from_csv
 
 
 class NotPrimePower(SbbdError):
@@ -162,8 +162,8 @@ def verify_od(m, n: int, s: int) -> OrderedDesign:
     Derives eta from the first column pair and insists every ordered pair of
     distinct symbols in every column pair hits the same count.
     """
-    if n < 2:
-        raise DimensionError(f"need n >= 2 symbols for a pair of distinct symbols, got n = {n}")
+    if not (_is_int(n) and _is_int(s) and n >= 2):  # n >= 2 for a pair of distinct symbols
+        raise DimensionError(f"need integers n >= 2 and s, got n = {n!r} and s = {s!r}")
     raw = np.asarray(m)
     with np.errstate(invalid="ignore"):  # NaN and inf then fail the comparison
         arr = raw.astype(np.int64)

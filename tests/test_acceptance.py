@@ -22,7 +22,6 @@ from sbbd import (
     cyclic_shift_perms,
     export_masks,
     generalized_inverse,
-    information_matrix,
     is_spanning,
     permute_extension,
     permute_panels,
@@ -51,7 +50,7 @@ def test_criterion_01_lambda_reproduction(x22):
 
 
 def test_criterion_02_spectrum(x22):
-    s = spectrum(information_matrix(x22))
+    s = spectrum(check_sbbd(x22))
     assert (s.alpha, s.beta, s.gamma, s.delta) == (3, 0, 3, 36)
     assert (s.m_alpha, s.m_beta, s.m_gamma, s.m_delta) == (4, 2, 2, 1)
     assert s.merged() == [(36, 1), (3, 6), (0, 2)]
@@ -124,7 +123,7 @@ def test_criterion_06_fano_a_optimality(fano_composed):
 
 def test_criterion_07_generalized_inverse_identities(x22, composed_b4, dense_ginv):
     for name, x in (("(3,3,9)", x22), ("(4,3,12)", composed_b4.x)):
-        g = dense_ginv(x.v1, x.v2, generalized_inverse(information_matrix(x)))
+        g = dense_ginv(x.v1, x.v2, generalized_inverse(check_sbbd(x)))
         xm = x.matrix.astype(np.int64)
         m = (xm.T @ xm).astype(object)
         assert ((m @ g @ m) == m).all(), name

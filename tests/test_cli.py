@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -580,3 +581,65 @@ def test_simulate_report_that_overflows_exits_one(capsys, fixture_dir):
     assert code == 1
     assert json.loads(out)["error"] == "DimensionError"
     assert "DimensionError: the report overflows float64" in err
+
+
+# SHA-256 of exit code, stdout, stderr and output file of each command below,
+# recorded from a known-good build; a change that alters any byte of these
+# outputs must re-record them on purpose.  simulate is left out: its last
+# bits depend on the BLAS build and thread count.
+GOLDEN = {
+    "pairs3 compose csv": "4ccae63cd84632d9c15d2693c83ac1a477932862d4b2da86c48134f28b526523",
+    "pairs3 compose json": "cf815987c3205e7aec2abb845575c279884185c39c17dbc62969a4ce1b57933c",
+    "pairs3 analyze": "6b48009c8881d33a69bebc10fd190c3c920fbcddca51d66051b1a935a0ffd492",
+    "pairs3 analyze json": "c1eb5281aa3e35f9e9916f7dcd61b79cf29380f3df3d3ac0226ed25be2135f82",
+    "pairs3 mask bin": "d615519bc7a7121bfe80104f69ac5ebfa9116b8db877e0b490e43afc9bed05a5",
+    "pairs3 mask json": "fc6e55f90fa6a47ed6d98418c18e85fd0724ce5d845dea962c3a524fbc979299",
+    "fano compose csv": "93cdd8ccb6b0c953c576c3e46cf21599c1d61356d41ffe1b22b3873995c49ad8",
+    "fano compose json": "9be630e74bbe9649161ff24050c859fbf81d5e8cc26bcac397767ea20de3bfda",
+    "fano analyze": "1bea3e52030cc50b41783c6d4af82a32b54fc4d328c30e3dafd8b110e311ec50",
+    "fano analyze json": "90925f6e1d523ad6735408b4d31abda77aa6772dce4f786a88458f4295156ee6",
+    "fano mask bin": "e34276798a1d049b9278fcd197cb2081dfc0daa4396057e96326a0376b4778e6",
+    "fano mask json": "9116c820c39abf21df324e176e0d67ee6741454bbcc81c8c32ddf2fa3e60c2b3",
+    "pg23 compose csv": "5042cd873b8cd577d2cf605e153b82b4295ebd7edb4a317b4099f0c8c541f4e4",
+    "pg23 compose json": "32ef9b4e346b1fa3a9572e9db21dd1a56ad6b976c570e68e28e8b50a547f0dad",
+    "pg23 analyze": "0115f18fb9bc86299a82b74924c437a5d446ef44150f72837d548b345dafd96d",
+    "pg23 analyze json": "0355c9d60c61a1a62ce5d5e695cfe332d68a601b0ac084abf58b34703b0205ed",
+    "pg23 mask bin": "d4f859045a2508da864f0c4e5f510d30e37560a0d4e892f31ed91149fac663e1",
+    "pg23 mask json": "a84296b135452068e62d79154b8d8659ec117b9cf17676ac2a41092ac1f1bcce",
+    "qr19 compose csv": "4d73b1dde0f87cc6c0ea49923391b74d0212ed7cc42c978694267fe70563f0b3",
+    "qr19 compose json": "652cbbc40ac4be924ca831296d83052287ef24ef86c6a0388140c59e96fbe850",
+    "qr19 analyze": "2bcf66a1df38c002b08623f1a78fdc6a562ee199bfd8e5839f78a4b7bd80200e",
+    "qr19 analyze json": "df006c479cb6a11d57475b4b74da620f2ebf6e6e894087fd499065edc4c2e8b8",
+    "qr19 mask bin": "1d019f6308b43468b73bf8ebe00d5afc11d10bd938dea9ffad6d33dcccbc27f3",
+    "qr19 mask json": "4a39652b8bf5fa5618438ce58aa983f2687c2769dcb7e80f1bcb1e1ff6fca4df",
+    "fano bit flip analyze json": "34cd09a8f37d49dfed1f2d935f0785ac720cf456471411e61a2756ff0247813c",
+}
+
+
+def _golden_digests(capsysbinary):
+    got = {}
+
+    def digest(key, *argv, out=None):
+        code = main(list(argv))
+        captured = capsysbinary.readouterr()
+        body = Path(out).read_bytes() if out else b""
+        got[key] = hashlib.sha256(b"\0".join([b"%d" % code, captured.out, captured.err, body])).hexdigest()
+
+    for name, od, dims in (("pairs3", "4", ["--v1", "4"]), ("fano", "7", []), ("pg23", "13", []), ("qr19", "19", [])):
+        csv, blocks, masks = f"{name}.csv", f"{name}.json", f"{name}.bin"
+        digest(f"{name} compose csv", "compose", "--design", f"catalog:{name}", "--od", od, "--out", csv, out=csv)
+        digest(f"{name} compose json", "compose", "--design", f"catalog:{name}", "--od", od, "--out", blocks, out=blocks)
+        digest(f"{name} analyze", "analyze", csv, *dims)
+        digest(f"{name} analyze json", "analyze", "--json", csv, *dims)
+        digest(f"{name} mask bin", "mask", csv, *dims, "--format", "bin", "--out", masks, out=masks)
+        digest(f"{name} mask json", "mask", csv, *dims, "--format", "json")
+    flipped = bytearray(Path("fano.csv").read_bytes())
+    flipped[0] ^= 1  # the first entry, "0" <-> "1"
+    Path("flipped.csv").write_bytes(flipped)
+    digest("fano bit flip analyze json", "analyze", "--json", "flipped.csv")
+    return got
+
+
+def test_cli_outputs_match_golden_digests(capsysbinary, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _golden_digests(capsysbinary) == GOLDEN

@@ -14,7 +14,6 @@ from sbbd import (
     compose,
     construct_od1,
     cyclic_shift_perms,
-    information_matrix,
     permute_extension,
     permute_panels,
     spanning_guaranteed,
@@ -128,7 +127,7 @@ def test_spanning_guarantee_boundary():
         spanning_guaranteed(5, 4, 3)
 
 
-def test_panel_permutation_preserves_information_matrix(composed_b4):
+def test_panel_permutation_preserves_gram(composed_b4):
     x = composed_b4.x
     base_info = gram(x)
     rng = np.random.default_rng(3)
@@ -143,7 +142,7 @@ def test_identity_permutation_is_a_noop(composed_b4):
     assert np.array_equal(permute_extension(x, []).matrix, x.matrix)
 
 
-def test_stacking_identity_doubles_information_matrix(composed_b4):
+def test_stacking_identity_doubles_gram(composed_b4):
     x = composed_b4.x
     stacked = permute_extension(x, [[1, 2, 3]])
     assert stacked.n_rows == 2 * x.n_rows
@@ -203,7 +202,8 @@ def relabellings():
 
 
 def lambda_and_spectrum(x):
-    return check_sbbd(x).lam, spectrum(information_matrix(x)).pairs()
+    params = check_sbbd(x)
+    return params.lam, spectrum(params).pairs()
 
 
 @settings(max_examples=30, deadline=None)

@@ -62,8 +62,18 @@ def test_random_effects_two_by_two_shape():
     assert np.allclose(t, [t[0], -t[0], -t[0], t[0]])
 
 
-# 1e308 is finite, but the range 2 * scale of its draw is not
-@pytest.mark.parametrize("scale", [float("inf"), float("nan"), -1.0, 1e308])
+# 1e308 is finite, but the range 2 * scale of its draw is not; an int beyond
+# float64, a string, a bool and a complex are not float64 numbers at all
+NOT_FLOAT64 = [
+    pytest.param(10**400, id="10^400"),
+    pytest.param(-(10**400), id="-10^400"),
+    pytest.param("1", id="str"),
+    pytest.param(True, id="bool"),
+    pytest.param(1 + 0j, id="complex"),
+]
+
+
+@pytest.mark.parametrize("scale", [float("inf"), float("nan"), -1.0, 1e308, *NOT_FLOAT64])
 def test_random_effects_rejects_bad_scale(scale):
     with pytest.raises(DimensionError, match="scale"):
         random_effects(3, 3, scale=scale)
@@ -210,7 +220,7 @@ def _check_report_against_chunked_noise(x, tau, sigma, runs, seed, chunks):
     """The report equals the dense-W estimates of the noise drawn in any chunks."""
     report = simulate(x, tau, sigma=sigma, runs=runs, seed=seed)
     assert _report_bytes(report) == _report_bytes(simulate(x, tau, sigma=sigma, runs=runs, seed=seed))
-    alpha = sbbd.spectrum(sbbd.information_matrix(x)).alpha
+    alpha = sbbd.spectrum(sbbd.check_sbbd(x)).alpha
     w = contrast_basis(x.v1, x.v2) @ x.matrix.T.astype(float) / alpha
     signal = x.matrix.astype(float) @ tau.tau
     whole = estimator._noise(seed, 0, runs, x.n_rows)
@@ -266,11 +276,11 @@ def test_projection_matches_generalized_inverse(
 ):
     pg23 = sbbd.compose(sbbd.catalog_by_id("pg23"), sbbd.construct_od1(13)).x  # 13 x 13, 156 blocks
     for x in (x22, composed_b4.x, fano_composed.x, single_edge_blocks, pg23):
-        info = sbbd.information_matrix(x)
-        alpha = sbbd.spectrum(info).alpha
+        params = sbbd.check_sbbd(x)
+        alpha = sbbd.spectrum(params).alpha
         c = contrast_basis(x.v1, x.v2)
         xt = x.matrix.T.astype(float)
-        g = dense_ginv(x.v1, x.v2, sbbd.generalized_inverse(info)).astype(float)
+        g = dense_ginv(x.v1, x.v2, sbbd.generalized_inverse(params)).astype(float)
         with_g = c @ g @ xt
         assert np.abs(c @ xt / alpha - with_g).max() < 1e-12
 
@@ -287,7 +297,7 @@ def test_projection_matches_generalized_inverse(
         assert np.abs(report.empirical_variance - estimates.var(axis=0, ddof=1)).max() < 1e-12
 
 
-@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "7"])
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "7", True])
 def test_seed_outside_philox_key_range_is_rejected(x22, seed):
     with pytest.raises(DimensionError, match="seed"):
         simulate(x22, random_effects(3, 3, seed=1), sigma=1.0, runs=10, seed=seed)
@@ -300,10 +310,20 @@ def test_largest_seed_is_accepted(x22):
     assert np.isfinite(report.empirical_variance).all()
 
 
-@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0, -1e-300])
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0, -1e-300, *NOT_FLOAT64])
 def test_bad_sigma_is_rejected(x22, sigma):
     with pytest.raises(DimensionError, match="sigma"):
         simulate(x22, random_effects(3, 3, seed=1), sigma=sigma, runs=10, seed=1)
+
+
+def test_int_and_numpy_scale_and_sigma_are_floats(x22):
+    tau = random_effects(3, 3, scale=2, seed=4)
+    for scale in (2.0, np.int64(2), np.float32(2)):
+        assert random_effects(3, 3, scale=scale, seed=4).tau.tobytes() == tau.tau.tobytes()
+    assert not random_effects(3, 3, scale=-0.0).tau.any()
+    report = simulate(x22, tau, sigma=2, runs=10, seed=1)
+    assert type(report.sigma) is float and report.sigma == 2.0
+    assert _report_bytes(report) == _report_bytes(simulate(x22, tau, sigma=np.float32(2), runs=10, seed=1))
 
 
 @pytest.mark.parametrize("v, scale", [(2, 8.98e307), (10, 5e307)])
@@ -314,7 +334,11 @@ def test_scale_whose_centring_overflows_is_rejected(v, scale):
             random_effects(v, v, scale=scale)
 
 
-@pytest.mark.parametrize("sigma, big", [(1e200, 0.0), (1.5e154, 0.0), (0.0, 1e308)])
+# 10**200 is an int whose square, as an int, is too large to divide into a float
+@pytest.mark.parametrize(
+    "sigma, big",
+    [(1e200, 0.0), (1.5e154, 0.0), (0.0, 1e308), pytest.param(10**200, 0.0, id="int-10^200-0.0")],
+)
 def test_report_that_overflows_is_a_dimension_error(x22, sigma, big):
     # huge noise, or tau whose signal X tau overflows, leaves no finite report
     table = np.zeros((3, 3))
@@ -371,7 +395,7 @@ def test_padded_rows_of_the_last_tile_never_enter_the_report(fano_composed):
     runs = estimator._TILE + 37
     tau = random_effects(7, 7, seed=12)
     report = simulate(x, tau, sigma=1.5, runs=runs, seed=44)
-    alpha = sbbd.spectrum(sbbd.information_matrix(x)).alpha
+    alpha = sbbd.spectrum(sbbd.check_sbbd(x)).alpha
     w = contrast_basis(7, 7) @ x.matrix.T.astype(float) / alpha
     y = x.matrix.astype(float) @ tau.tau + 1.5 * estimator._noise(44, 0, runs, x.n_rows)
     estimates = y @ w.T

@@ -180,6 +180,18 @@ def test_verify_od_shape_and_symbol_checks(capsys, tmp_path):
     assert "DimensionError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "n, s",
+    [(3.0, 3), (3, 3.0), (True, 3), (3, np.float64(3)), ("3", 3)],
+    ids=["float-n", "float-s", "bool-n", "numpy-float-s", "str-n"],
+)
+def test_verify_od_needs_integer_n_and_s(n, s):
+    rows = construct_od1(3).rows
+    with pytest.raises(DimensionError, match="integers"):
+        verify_od(rows, n, s)
+    assert verify_od(rows, np.int64(3), np.int64(3)).eta == 1
+
+
 def test_column_permutation_and_relabeling_preserve_properties():
     rng = np.random.default_rng(11)
     od = construct_od1(5)
