@@ -28,9 +28,9 @@ for name in ("fano", "qr11", "pg23", "qr19", "qr79", "qr127"):
     print(f"  {name:6s} -> (v,b,r,k,lambda) = ({c.v},{c.b},{c.r},{c.k},{c.lam})")
 
 try:
-    sbbd.catalog_lookup(7, 49, 21, 3, 7)
+    sbbd.catalog_by_id("qr13")  # 13 = 1 (mod 4): no Paley design
 except sbbd.NotInCatalog as exc:
-    print("lookup outside the catalog:", exc)
+    print("id outside the catalog:", exc)
 
 # a base block that is not a difference set fails loudly
 try:

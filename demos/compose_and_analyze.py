@@ -19,7 +19,8 @@ print("spanning guaranteed (s > b - r):", composed.spanning_guaranteed)
 
 spec = sbbd.spectrum(params)
 print("\nspectrum (value, multiplicity):", spec.pairs())
-print("trace check:", spec.trace, "=", int(x.matrix.sum()), "ones in X")
+print("eigenvalues weighted by multiplicity:", sum(val * mult for val, mult in spec.pairs()),
+      "=", int(x.matrix.sum()), "ones in X = trace(X^T X)")
 
 # G is four exact weights, one per eigenspace, so M G M = M reads
 # w * lambda^2 = lambda on each eigenvalue

@@ -39,7 +39,6 @@ from .design_core import (
 from .estimator import (
     EffectVector,
     SimulationReport,
-    contrast_basis,
     estimate_effects,
     random_effects,
     simulate,
@@ -72,7 +71,6 @@ from .rl_designs import (
     NotRegular,
     all_pairs_plus_full,
     catalog_by_id,
-    catalog_lookup,
     design_from_json,
     incidence_matrix,
     symmetric_bibd_from_difference_set,

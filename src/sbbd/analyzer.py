@@ -53,7 +53,7 @@ class ConditionViolation(SbbdError):
 
 
 class TraceMismatch(SbbdError):
-    """Lambda or the closed-form spectrum disagrees with the trace of X^T X."""
+    """X has a number of ones other than mu v1 v2 = trace(X^T X)."""
 
 
 class DegenerateDesign(SbbdError):
@@ -74,7 +74,6 @@ class SpectralSummary:
     m_beta: int
     m_gamma: int
     m_delta: int
-    trace: int
 
     def pairs(self) -> list:
         """(eigenvalue, multiplicity) in (alpha, beta, gamma, delta) order."""
@@ -169,10 +168,14 @@ def is_spanning(x: DesignMatrix) -> bool:
 
 
 def spectrum(info: SbbdParameters) -> SpectralSummary:
-    """Closed-form eigenvalues with multiplicities from Lambda; trace identity enforced."""
+    """Closed-form eigenvalues with multiplicities from Lambda.
+
+    Weighted by multiplicity they sum to mu v1 v2 for any Lambda, so the
+    trace is checked only by check_sbbd, which counts the ones of X.
+    """
     v1, v2 = info.v1, info.v2
     a, b, c, d = info.a, info.b, info.c, info.d
-    summary = SpectralSummary(
+    return SpectralSummary(
         alpha=a - c,
         beta=a - c + (b - d) * v2,
         gamma=a + c * (v1 - 1),
@@ -181,12 +184,7 @@ def spectrum(info: SbbdParameters) -> SpectralSummary:
         m_beta=v1 - 1,
         m_gamma=v2 - 1,
         m_delta=1,
-        trace=info.mu * v1 * v2,
     )
-    weighted = sum(val * mult for val, mult in summary.pairs())
-    if weighted != summary.trace:
-        raise TraceMismatch(f"eigenvalues sum to {weighted}, but mu v1 v2 = {summary.trace}")
-    return summary
 
 
 def _checked_spectrum(x: DesignMatrix):

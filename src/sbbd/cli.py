@@ -226,7 +226,7 @@ def _positive_arg(text: str) -> int:
 def _load_tau(path: str) -> EffectVector:
     try:
         blob = json.loads(_read_bytes(path))
-    except ValueError as exc:  # bad JSON, or bytes json.loads cannot decode
+    except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON, or undecodable bytes
         raise UsageError(f"--tau {path!r} is not JSON: {exc}") from None
     if not (
         isinstance(blob, dict)

@@ -37,9 +37,15 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_dims(v1, v2, least: int = 1) -> None:
-    if not (_is_int(v1) and _is_int(v2) and v1 >= least and v2 >= least):
-        raise DimensionError(f"need integers v1 >= {least} and v2 >= {least}, got {v1!r} x {v2!r}")
+def _check_indexable(nbytes: int, what: str) -> None:
+    """DimensionError for more than np.intp bytes; fewer than memory can hold is numpy's MemoryError."""
+    if nbytes > np.iinfo(np.intp).max:
+        raise DimensionError(f"{what} exceeds the largest array numpy can index")
+
+
+def _check_dims(v1, v2) -> None:
+    if not (_is_int(v1) and _is_int(v2) and v1 >= 1 and v2 >= 1):
+        raise DimensionError(f"need integers v1 >= 1 and v2 >= 1, got {v1!r} x {v2!r}")
 
 
 @dataclass(frozen=True)
@@ -232,11 +238,12 @@ def blocks_from_json(text: bytes) -> DesignMatrix:
         if set(map(type, ends)) - {int}:
             bad = next(v for v in ends if type(v) is not int)
             raise TypeError(f"expected an integer, got {bad!r}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # json.loads recurses per level
         raise FormatError(f"bad SB-block JSON: {exc}") from exc
     # checked here: np.zeros raises a bare ValueError for a negative v1 * v2
     if v1 < 1 or v2 < 1 or not blocks:
         raise DimensionError(f"need v1, v2 >= 1 and a block, got {v1} x {v2}, {len(blocks)} blocks")
+    _check_indexable(len(blocks) * v1 * v2, f"a design matrix of {len(blocks)} blocks on K_{{{v1},{v2}}}")
     try:
         ij = np.array(ends, dtype=np.int64).reshape(-1, 2) - 1
     except OverflowError:  # beyond int64, so beyond 1..v1 or 1..v2

@@ -46,7 +46,10 @@ class EffectVector:
 
     def __post_init__(self):
         _check_dims(self.v1, self.v2)
-        t = np.ascontiguousarray(self.tau, dtype=float)
+        try:
+            t = np.ascontiguousarray(self.tau, dtype=float)
+        except OverflowError:  # a Python int beyond float64
+            raise DimensionError("tau has an entry too large for float64") from None
         if t.shape != (self.v1 * self.v2,):
             raise DimensionError(
                 f"tau length {t.shape} != v1*v2 = {self.v1 * self.v2}"
@@ -86,17 +89,6 @@ def _helmert(n: int) -> np.ndarray:
         rows[m - 1, m] = -m
         rows[m - 1] /= np.sqrt(m * (m + 1))
     return rows
-
-
-def contrast_basis(v1: int, v2: int) -> np.ndarray:
-    """Orthonormal basic-contrast vectors p_i (x) q_j, one per row.
-
-    Rows are ordered (i, j) with i major, matching SimulationReport's
-    contrast_index.  Every row is orthogonal to the all-ones vector and the
-    Gram matrix is the identity to 1e-12.
-    """
-    _check_dims(v1, v2, least=2)
-    return np.kron(_helmert(v1), _helmert(v2))
 
 
 def _check_seed(seed) -> None:

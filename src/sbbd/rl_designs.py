@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .design_core import DimensionError, FormatError, SbbdError, _is_int, _json_int
+from .design_core import DimensionError, FormatError, SbbdError, _check_indexable, _is_int, _json_int
 from .ordered_designs import _prime_power
 
 
@@ -81,10 +81,6 @@ class BlockDesign:
         """Common block size, or None when sizes vary."""
         return self.block_sizes[0] if self.is_bibd else None
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.is_bibd and self.b == self.v
-
 
 def _incidence(v: int, blocks) -> np.ndarray:
     """(b x v) 0/1 matrix with a 1 at (i, p - 1) for each point p of block i."""
@@ -120,6 +116,7 @@ def verify_rl_design(v: int, blocks: list) -> BlockDesign:
 
     # one integer Gram H^T H: its diagonal counts points, its strict upper
     # triangle, in row-major (= combinations) order, counts pairs
+    _check_indexable(8 * max(len(norm), v) * v, f"the int64 incidence matrix or Gram of {v} points")
     h = _incidence(v, norm)
     gram = h.T @ h
     point_counts = np.diagonal(gram)
@@ -213,16 +210,6 @@ def _difference_set(name: str):
     return (p, p, k, k, (p - 3) // 4), p, squares
 
 
-def catalog_lookup(v: int, b: int, r: int, k: int, lam: int) -> BlockDesign:
-    """Return a verified design with the given parameters, or NotInCatalog."""
-    key = (v, b, r, k, lam)
-    name = "pg23" if v == 13 else f"qr{v}"
-    rule = _difference_set(name)
-    if rule is None or rule[0] != key:
-        raise NotInCatalog(f"no shipped design with (v,b,r,k,lambda) = {key}")
-    return catalog_by_id(name)
-
-
 def catalog_by_id(name: str) -> BlockDesign:
     """Catalog access by id: "pairs3", "pg23", "fano" or "qr<p>" (see _difference_set)."""
     if name == "pairs3":  # not a BIBD; the 4-block workhorse for small examples
@@ -247,6 +234,6 @@ def design_from_json(text: bytes) -> BlockDesign:
         payload = json.loads(text)
         v = _json_int(payload["v"])
         blocks = [[_json_int(p) for p in blk] for blk in payload["blocks"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # json.loads recurses per level
         raise FormatError(f"bad block-design JSON: {exc}") from exc
     return verify_rl_design(v, blocks)

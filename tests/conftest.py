@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sbbd
+from sbbd import estimator
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -43,6 +44,16 @@ def _dense_ginv(v1: int, v2: int, weights) -> np.ndarray:
     (c1, a1), (c2, a2) = projectors(v1), projectors(v2)
     wa, wb, wg, wd = weights
     return wa * np.kron(c1, c2) + wb * np.kron(c1, a2) + wg * np.kron(a1, c2) + wd * np.kron(a1, a2)
+
+
+def _contrast_basis(v1: int, v2: int) -> np.ndarray:
+    """The dense (v1-1)(v2-1) x v1v2 basic-contrast rows H1 (x) H2 that simulate never forms."""
+    return np.kron(estimator._helmert(v1), estimator._helmert(v2))
+
+
+@pytest.fixture(scope="session")
+def contrast_basis():
+    return _contrast_basis
 
 
 @pytest.fixture(scope="session")

@@ -142,7 +142,7 @@ def test_spectrum_fixture(x22):
     assert (s.alpha, s.beta, s.gamma, s.delta) == (3, 0, 3, 36)
     assert (s.m_alpha, s.m_beta, s.m_gamma, s.m_delta) == (4, 2, 2, 1)
     assert s.merged() == [(36, 1), (3, 6), (0, 2)]
-    assert s.trace == 6 * 9
+    assert sum(val * mult for val, mult in s.pairs()) == 6 * 9  # mu v1 v2
     eigen_check(x22, s)
     numeric_spectrum_oracle(x22, s)
 
@@ -235,6 +235,8 @@ def test_weights_satisfy_moore_penrose(dense_ginv, expand_lambda, v1, v2, lam):
     # any integer Lambda, so every pattern of vanishing eigenvalues is reached
     params = SbbdParameters(v1, v2, 1, *lam)
     s = spectrum(params)
+    # the trace identity holds by algebra, so spectrum makes no check of it
+    assert sum(val * mult for val, mult in s.pairs()) == lam[0] * v1 * v2
     if not any((s.alpha, s.beta, s.gamma, s.delta)):
         with pytest.raises(DegenerateDesign):
             generalized_inverse(params)
@@ -447,7 +449,7 @@ def test_zero_row_design_is_rejected():
             fn(x)
 
 
-def test_spectrum_trace_mismatch_raises_under_optimize():
+def test_check_sbbd_trace_mismatch_raises_under_optimize():
     # python -O strips assert statements; the trace check must survive it.
     # A real fano design, with one of its ones hidden from the count that
     # check_sbbd takes apart from the Gram

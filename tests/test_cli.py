@@ -525,6 +525,9 @@ def test_nonpositive_dims_are_usage_errors(capsys, fixture_dir, flag, value):
     assert "Traceback" not in err
 
 
+NEST = "[" * 200_000 + "]" * 200_000  # past the recursion limit of json.loads
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -535,6 +538,7 @@ def test_nonpositive_dims_are_usage_errors(capsys, fixture_dir, flag, value):
         '{"v1": 3, "v2": 3, "tau": "0"}',
         '{"v1": 3, "v2": 3, "tau": [0, 0, 0, 0, 0, 0, 0, 0, null]}',
         '{"v1": true, "v2": 3, "tau": [0, 0, 0, 0, 0, 0, 0, 0, 0]}',
+        pytest.param(f'{{"v1": 3, "v2": 3, "tau": {NEST}}}', id="nested-past-the-recursion-limit"),
     ],
 )
 def test_simulate_malformed_tau_is_usage_error(capsys, fixture_dir, tmp_path, text):
@@ -546,6 +550,53 @@ def test_simulate_malformed_tau_is_usage_error(capsys, fixture_dir, tmp_path, te
     )
     assert code == 2
     assert "usage error: --tau" in err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["analyze", "--json"], f'{{"v1": 2, "v2": 2, "blocks": {NEST}}}'),
+        (["mask"], f'{{"v1": 2, "v2": 2, "blocks": {NEST}}}'),
+        (["design", "verify"], f'{{"v": 3, "blocks": {NEST}}}'),
+    ],
+    ids=["analyze", "mask", "design-verify"],
+)
+def test_deeply_nested_json_is_a_format_error(capsys, tmp_path, argv, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert err.startswith("FormatError:") and "maximum recursion depth" in err
+    if argv[0] != "design":
+        assert json.loads(out)["error"] == "FormatError"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["design", "verify"], '{"v": 1000000000000000000000000000000, "blocks": [[1, 2], [1, 2]]}'),
+        (["analyze"], '{"v1": 1000000000000000000000000000000, "v2": 2, "blocks": [[[1, 1]]]}'),
+        (["mask"], '{"v1": 1000000000000000000000000000000, "v2": 2, "blocks": [[[1, 1]]]}'),
+    ],
+    ids=["design-verify", "analyze", "mask"],
+)
+def test_dimensions_beyond_the_largest_array_exit_one(capsys, tmp_path, argv, text):
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert err.startswith("DimensionError:") and "largest array numpy can index" in err
+
+
+def test_tau_int_beyond_float64_exits_one(capsys, tmp_path, fixture_dir):
+    tau_file = tmp_path / "tau.json"
+    tau_file.write_text('{"v1": 3, "v2": 3, "tau": [1%s, 0, 0, 0, 0, 0, 0, 0, 0]}' % ("0" * 400))
+    code, _, err = run(
+        capsys, "simulate", str(fixture_dir / "design_3_3_9.csv"),
+        "--sigma", "1", "--runs", "10", "--tau", str(tau_file),
+    )
+    assert code == 1
+    assert err.startswith("DimensionError: tau has an entry too large for float64")
 
 
 def _main_to_text_stdout(*argv):

@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +19,11 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_names_every_export():
+    init = ast.parse((ROOT / "src" / "sbbd" / "__init__.py").read_text())
+    exports = [a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    readme = (ROOT / "README.md").read_text()
+    missing = [name for name in exports if not re.search(rf"\b{name}\b", readme)]
+    assert exports and not missing, missing

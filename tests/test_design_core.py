@@ -212,6 +212,9 @@ def test_csv_rejects_ragged_and_nonint(x22):
         matrix_from_csv(matrix_to_csv(x22), 2, 2)
 
 
+NEST = "[" * 200_000 + "]" * 200_000  # past the recursion limit of json.loads
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -226,6 +229,7 @@ def test_csv_rejects_ragged_and_nonint(x22):
         '{"v1": true, "v2": 2, "blocks": [[[1, 1]]]}',
         '{"v1": 2.0, "v2": 2, "blocks": [[[1, 1]]]}',
         '{"v1": 2, "v2": "2", "blocks": [[[1, 1]]]}',
+        pytest.param(f'{{"v1": 2, "v2": 2, "blocks": {NEST}}}', id="nested-past-the-recursion-limit"),
     ],
 )
 def test_block_json_malformed_edges_rejected(text):
@@ -254,6 +258,11 @@ def test_block_json_edge_out_of_range_is_dimension_error():
         ('{"v1": 0, "v2": 2, "blocks": [[]]}', DimensionError),
         ('{"v1": 0, "v2": 2, "blocks": [[[1, 1]]]}', DimensionError),
         ('{"v1": -1, "v2": 2, "blocks": [[]]}', DimensionError),
+        # a design matrix past np.intp bytes, which numpy cannot index
+        pytest.param('{"v1": 1%s, "v2": 2, "blocks": [[[1, 1]]]}' % ("0" * 30), DimensionError,
+                     id="v1-10^30"),
+        pytest.param('{"v1": 3000000000, "v2": 3000000000, "blocks": [[[1, 1]], [[1, 1]]]}',
+                     DimensionError, id="two-blocks-on-K_3e9,3e9"),
     ],
 )
 def test_block_json_malformed_structure(text, error):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 
 from sbbd import (
     CatalogMismatch,
+    DimensionError,
     FormatError,
     NotADifferenceSet,
     NotInCatalog,
@@ -16,7 +17,6 @@ from sbbd import (
     NotRegular,
     all_pairs_plus_full,
     catalog_by_id,
-    catalog_lookup,
     design_from_json,
     incidence_matrix,
     symmetric_bibd_from_difference_set,
@@ -124,8 +124,8 @@ def test_all_pairs_plus_full_matches_explicit(rl4):
 
 
 def test_fano_from_catalog():
-    d = catalog_lookup(7, 7, 3, 3, 1)
-    assert d.is_bibd and d.is_symmetric
+    d = catalog_by_id("fano")
+    assert d.is_bibd and d.b == d.v
     assert (d.r, d.k, d.lam) == (3, 3, 1)
     h = incidence_matrix(d)
     assert (h.sum(axis=0) == 3).all() and (h.sum(axis=1) == 3).all()
@@ -174,7 +174,7 @@ def test_difference_set_development(modulus, base, expected):
 
     d = symmetric_bibd_from_difference_set(modulus, base)
     assert (d.v, d.k, d.lam) == expected
-    assert d.is_symmetric
+    assert d.is_bibd and d.b == d.v
     oracle = pair_count_oracle(d.v, d.blocks)
     assert set(oracle.values()) == {lam}
 
@@ -204,8 +204,7 @@ def assert_symmetric_bibd(d, key):
 @pytest.mark.parametrize("name", [n for n in SHIPPED if n != "pairs3"])
 def test_catalog_all_entries_verify(name):
     key = SHIPPED[name]
-    assert_symmetric_bibd(catalog_lookup(*key), key)
-    assert catalog_lookup(*key) == catalog_by_id(name)
+    assert_symmetric_bibd(catalog_by_id(name), key)
 
 
 @pytest.mark.parametrize("p", QR_PRIMES)
@@ -213,7 +212,6 @@ def test_qr_rule_closed_form(p):
     key = (p, p, (p - 1) // 2, (p - 1) // 2, (p - 3) // 4)
     d = catalog_by_id(f"qr{p}")
     assert_symmetric_bibd(d, key)
-    assert catalog_lookup(*key) == d
     # block t is t + the squares mod p, on points 1..p
     assert d.blocks[0] == frozenset((x * x) % p + 1 for x in range(1, p))
 
@@ -224,15 +222,6 @@ def test_catalog_rejects_ids_outside_the_rule(name):
         catalog_by_id(name)
 
 
-def test_catalog_unknown_tuple():
-    with pytest.raises(NotInCatalog):
-        catalog_lookup(7, 49, 21, 3, 7)
-    with pytest.raises(NotInCatalog):
-        catalog_lookup(7, 7, 3, 3, 2)
-    with pytest.raises(NotInCatalog):
-        catalog_lookup(13, 13, 6, 6, 2)  # 13 = 1 (mod 4) has no QR design
-
-
 def test_catalog_entry_with_wrong_parameters(monkeypatch):
     # the rule filing fano under the wrong key is refused by a named error
     wrong = (7, 7, 3, 3, 2)
@@ -240,8 +229,6 @@ def test_catalog_entry_with_wrong_parameters(monkeypatch):
     monkeypatch.setattr(rl_designs, "_difference_set", fano.get)
     with pytest.raises(CatalogMismatch, match="builds a design with"):
         catalog_by_id("fano")
-    with pytest.raises(CatalogMismatch, match="builds a design with"):
-        catalog_lookup(*wrong)
 
 
 def test_catalog_ids_resolve():
@@ -299,8 +286,14 @@ def test_numpy_integer_points_are_accepted():
         '{"v": 3, "blocks": [[1, 2], [2, 3], [1, 3], [1, 2, null]]}',
         '{"v": 3, "blocks": [[1, 2], [2, 3], [1, 3], ["x", 2, 3]]}',
         '{"v": 3, "blocks": [[1, 2], [2, 3], [1, 3], 5]}',
+        pytest.param('{"v": 3, "blocks": %s}' % ("[" * 200_000 + "]" * 200_000), id="nested-past-the-recursion-limit"),
     ],
 )
 def test_design_json_takes_only_integers(text):
     with pytest.raises(FormatError, match="bad block-design JSON"):
         design_from_json(text)
+
+
+def test_points_beyond_the_largest_array_are_a_dimension_error():
+    with pytest.raises(DimensionError, match="largest array numpy can index"):
+        design_from_json(json.dumps({"v": 10**30, "blocks": [[1, 2], [1, 2]]}))
