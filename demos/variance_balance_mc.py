@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Monte Carlo least squares on simulated data: every basic contrast's
-empirical variance should land on sigma^2 / alpha."""
+empirical variance should land on sigma^2 / alpha.  simulate draws the
+runs' noise mean and scatter instead of each run, so RUNS above N + 1
+costs no more than N + 1."""
 
 import numpy as np
 
@@ -34,7 +36,8 @@ for idx in range(6):
           f"  {report.empirical_mean[idx]: .5f}"
           f"  {report.empirical_variance[idx]:.5f}")
 
-# doubling sigma quadruples every variance (same seed, same noise stream)
+# doubling sigma quadruples every variance exactly: the same seed draws the
+# same noise mean and scatter, and only sigma^2 scales the scatter's share
 quad = sbbd.simulate(x, tau, sigma=2.0, runs=10_000, seed=SEED)
 base = sbbd.simulate(x, tau, sigma=1.0, runs=10_000, seed=SEED)
 ratio = quad.empirical_variance / base.empirical_variance

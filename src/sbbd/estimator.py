@@ -12,16 +12,33 @@ eigenspace of X^T X, so C G = C / alpha and simulate projects with
 W = C X^T / alpha without forming G.  Nor does it form C: row k of W^T is
 H1 X_k H2^T / alpha, with X_k block k's v1 x v2 mask.
 
-Runs are processed in tiles of _TILE runs: run i is row i % _TILE of tile
-i // _TILE.  Tile t's noise is the (_TILE, N) array that numpy's ziggurat
-sampler draws from Philox(key=seed, counter=t << 64), the counter-based
-generator of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
-(SC'11).  Each tile is projected by one fixed-shape BLAS product
-(_TILE, N) @ (N, C), so a run's noise and estimates depend only on
-(seed, i, N).  Reports are therefore identical bit for bit across calls for
-a given numpy and BLAS build and BLAS thread count; a different thread count
-may change the last bits of large products (OpenBLAS 0.3.31 does so for a
-(256, 506) @ (506, 484) product with 1 and 2 threads).
+The report depends on the R runs' noise only through two statistics: its
+sample mean, N(0, I/R), and its centred scatter S = sum_r (e_r - e_bar)
+(e_r - e_bar)^T, Wishart_N(R-1, I) and independent of the mean.  The runs'
+estimates have mean (X tau + sigma e_bar) W^T and sample variance
+sigma^2 diag(W S W^T) / (R-1), so simulate draws the two statistics instead
+of the runs, and its cost stops growing with R.  In an orthonormal basis of
+the runs orthogonal to the all-ones vector, the centred noise is an
+(R-1) x N standard normal matrix E with S = E^T E, so S = Z^T Z for the
+first m = min(R-1, N) rows Z of the triangular factor of E's QR
+decomposition.  That m x N upper-trapezoidal factor is drawn directly
+(Bartlett 1933; Odell and Feiveson, JASA 61, 1966): row i of Z is 0 left of
+column i, sqrt(chi^2 with R-1-i degrees of freedom) at column i and
+independent standard normals right of it.
+
+One Generator(Philox(key=seed)) draws, in this order: N standard normals g,
+with e_bar = g / sqrt(R); m chi-squares with R-1-i degrees of freedom for
+i < m; then ceil(m / _TILE) arrays of (_TILE, N) standard normals, the
+tiles.  Row i of Z takes its normals right of column i from row i % _TILE
+of tile i // _TILE; the rest of that row is overwritten, and tile rows past
+m are zeroed.  Philox is the counter-based generator of Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3" (SC'11).  Each tile is
+projected by one fixed-shape BLAS product (_TILE, N) @ (N, C), so reports
+are identical bit for bit across calls for a given numpy and BLAS build and
+BLAS thread count; a different thread count may change the last bits of
+large products (OpenBLAS 0.3.31 does so for a (256, 506) @ (506, 484)
+product with 1 and 2 threads).  A report for a given seed has the law of
+the report of R separately drawn runs, not its values.
 """
 
 from __future__ import annotations
@@ -33,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analyzer import _checked_spectrum, generalized_inverse
-from .design_core import DesignMatrix, DimensionError, _check_dims, _is_int
+from .design_core import DesignMatrix, DimensionError, FormatError, _check_dims, _check_indexable, _is_int
 
 
 @dataclass(frozen=True)
@@ -47,9 +64,14 @@ class EffectVector:
     def __post_init__(self):
         _check_dims(self.v1, self.v2)
         try:
-            t = np.ascontiguousarray(self.tau, dtype=float)
+            raw = np.asarray(self.tau)
+            if raw.dtype.kind not in "biufO":  # the cast would parse a str and drop an imaginary part
+                raise TypeError
+            t = np.ascontiguousarray(raw, dtype=float)
         except OverflowError:  # a Python int beyond float64
             raise DimensionError("tau has an entry too large for float64") from None
+        except (TypeError, ValueError):  # ragged, or an entry that is not a real number
+            raise FormatError("tau entries must be real numbers") from None
         if t.shape != (self.v1 * self.v2,):
             raise DimensionError(
                 f"tau length {t.shape} != v1*v2 = {self.v1 * self.v2}"
@@ -119,6 +141,7 @@ def random_effects(v1: int, v2: int, scale: float = 1.0, seed: int = 0) -> Effec
     or the centring overflows float64 is a DimensionError.
     """
     _check_dims(v1, v2)
+    _check_indexable(8 * v1 * v2, f"tau of {v1} x {v2} effects")
     _check_seed(seed)
     scale = _nonnegative("scale", scale, sys.float_info.max / 2)  # the draw spans 2 * scale
     rng = np.random.default_rng(seed)
@@ -127,39 +150,8 @@ def random_effects(v1: int, v2: int, scale: float = 1.0, seed: int = 0) -> Effec
         return EffectVector(v1, v2, _center(_center(z)).reshape(-1))
 
 
-_TILE = 256  # runs per fixed-shape projection; fixes every run's noise and estimates
-
-
-def _tiles(seed: int, stop: int, n: int, first: int = 0):
-    """Yield the (_TILE, n) noise of tiles first .. ceil(stop / _TILE) - 1.
-
-    Tile t is the standard_normal draw of Philox(key=seed, counter=t << 64).
-    The ziggurat consumes a variable number of words, but far fewer than the
-    2^64 blocks between two tiles' counters, so tiles never share a block.
-    One Philox serves every tile, since each construction reads OS entropy
-    for a SeedSequence that the explicit key leaves unused: before tile t its
-    state is reset to the one Philox(key=seed, counter=t << 64) starts in,
-    counter word 1 set to t, the other words zero and the output buffer
-    empty.  Every tile is drawn into the same buffer, which is yielded.
-    """
-    bits = np.random.Philox(key=seed, counter=first << 64)
-    normals = np.random.Generator(bits)
-    start = bits.state
-    out = np.empty((_TILE, n))
-    for t in range(first, -(-stop // _TILE)):
-        start["state"]["counter"][1] = t
-        bits.state = start
-        yield normals.standard_normal(out=out)
-
-
-def _noise(seed: int, start: int, stop: int, n: int) -> np.ndarray:
-    """Standard normals for runs start .. stop-1, shape (stop - start, n).
-
-    Run i is row i % _TILE of tile i // _TILE (see _tiles).
-    """
-    first = start // _TILE
-    out = np.vstack([tile.copy() for tile in _tiles(seed, stop, n, first)])
-    return out[start - first * _TILE : stop - first * _TILE]
+_TILE = 256  # rows of the scatter factor per fixed-shape projection
+_SLAB = 1 << 18  # float64 entries of X per set-up slab (2 MiB)
 
 
 def estimate_effects(x: DesignMatrix, y: np.ndarray) -> np.ndarray:
@@ -194,50 +186,61 @@ def simulate(
 
     Per run: y = X tau + sigma * eps, then the contrast estimates
     C tau_hat = C G X^T y = W y with W = C X^T / alpha.  Reports per-contrast
-    empirical mean and variance against the predicted sigma^2 / alpha.
-    Runs go in tiles of _TILE (see the module docstring); the last tile is
-    drawn in full and its rows past `runs` are zeroed before any sum.  The
-    report for given arguments is the same bit for bit on every call, given
-    the numpy/BLAS build and thread count.
-    Raises what a_optimality raises on a failing design, and DimensionError
-    when sigma and tau are so large that the report overflows float64.
+    empirical mean and variance against the predicted sigma^2 / alpha.  The
+    runs are not replayed: the noise's mean and scatter are drawn directly
+    (see the module docstring), in O(min(runs - 1, N) N C) work.  The report
+    for given arguments is the same bit for bit on every call, given the
+    numpy/BLAS build and thread count.
+    Raises what a_optimality raises on a failing design, DimensionError for
+    runs outside [2, 2^53], and DimensionError when sigma and tau are so
+    large that the report overflows float64.
     """
     if (tau.v1, tau.v2) != (x.v1, x.v2):
         raise DimensionError("effect vector does not match the design dimensions")
-    if not _is_int(runs) or runs < 2:
-        raise DimensionError(f"need an integer runs >= 2 for a variance estimate, got {runs!r}")
+    if not (_is_int(runs) and 2 <= runs <= 2**53):
+        raise DimensionError(f"need an integer runs in [2, 2^53] for a variance estimate, got {runs!r}")
+    runs = int(runs)
     sigma = _nonnegative("sigma", sigma, sys.float_info.max)
     _check_seed(seed)
     _, spec = _checked_spectrum(x)
-    h1, h2 = _helmert(x.v1), _helmert(x.v2)
-    xf = x.matrix.astype(float)
-    signal = xf @ tau.tau
-    # W^T, (N, C): row k is H1 X_k H2^T / alpha (every X_k H2^T in one 2-D
-    # product); each intermediate is dropped once used, so at most two
-    # arrays of W^T's size are held at once
-    xh2 = (xf.reshape(-1, x.v2) @ h2.T).reshape(x.n_rows, x.v1, x.v2 - 1)
-    del xf
-    wt = (h1 @ xh2).reshape(x.n_rows, -1)
-    del xh2
-    wt /= spec.alpha
-    true = (h1 @ tau.tau.reshape(x.v1, x.v2) @ h2.T).ravel()
+    n, v1, v2 = x.n_rows, x.v1, x.v2
+    h1, h2 = _helmert(v1), _helmert(v2)
+    # W^T, (N, C), and X tau, filled in row slabs of X cast from uint8: row k
+    # of W^T is H1 X_k H2^T / alpha (every X_k H2^T of a slab in one 2-D
+    # product), so no float copy of X is held
+    wt = np.empty((n, (v1 - 1) * (v2 - 1)))
+    signal = np.empty(n)
+    step = max(1, _SLAB // (v1 * v2))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        xs = x.matrix[rows].astype(float)
+        signal[rows] = xs @ tau.tau
+        xh2 = (xs.reshape(-1, v2) @ h2.T).reshape(len(xs), v1, v2 - 1)
+        ws = wt[rows]
+        np.matmul(h1, xh2, out=ws.reshape(len(xs), v1 - 1, v2 - 1))
+        ws /= spec.alpha
+        del xs, xh2  # before the next slab's are made
+    true = (h1 @ tau.tau.reshape(v1, v2) @ h2.T).ravel()
 
-    # accumulate deviations from the true contrasts to keep the variance
-    # update numerically clean
-    dev_sum = np.zeros(true.size)
-    dev_sq = np.zeros(true.size)
-    for t, y in enumerate(_tiles(seed, runs, x.n_rows)):
-        y *= sigma
-        y += signal
-        dev = y @ wt  # the same (_TILE, N) @ (N, C) BLAS product for every tile
-        dev -= true
-        dev[runs - t * _TILE :] = 0.0
-        dev_sum += dev.sum(axis=0)
-        dev *= dev
-        dev_sq += dev.sum(axis=0)
+    bits = np.random.Generator(np.random.Philox(key=seed))
+    g = bits.standard_normal(n)
+    m = min(runs - 1, n)
+    root = np.sqrt(bits.chisquare(runs - 1 - np.arange(m)))
+    tile = np.empty((_TILE, n))
+    proj = np.empty((_TILE, wt.shape[1]))
+    ssq = np.zeros(wt.shape[1])
+    for first in range(0, m, _TILE):
+        bits.standard_normal(out=tile)
+        for r in range(min(_TILE, m - first)):  # row first + r of Z
+            tile[r, : first + r] = 0.0
+            tile[r, first + r] = root[first + r]
+        tile[m - first :] = 0.0
+        np.matmul(tile, wt, out=proj)  # the same (_TILE, N) @ (N, C) BLAS product for every tile
+        proj *= proj
+        ssq += proj.sum(axis=0)
 
-    mean = true + dev_sum / runs
-    variance = (dev_sq - dev_sum * dev_sum / runs) / (runs - 1)
+    mean = (signal + sigma * g / math.sqrt(runs)) @ wt
+    variance = sigma * sigma * ssq / (runs - 1)
     predicted = sigma * sigma / spec.alpha
     # relative to the prediction, or absolute when sigma = 0 predicts 0
     max_rel = float(np.max(np.abs(variance - predicted)) / (predicted or 1.0))
@@ -247,7 +250,7 @@ def simulate(
         runs=runs,
         sigma=sigma,
         contrast_index=[
-            (i, j) for i in range(1, x.v1) for j in range(1, x.v2)
+            (i, j) for i in range(1, v1) for j in range(1, v2)
         ],
         true_contrasts=true,
         empirical_mean=mean,

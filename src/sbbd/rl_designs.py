@@ -160,6 +160,10 @@ def symmetric_bibd_from_difference_set(modulus: int, base_block) -> BlockDesign:
     are not balanced raises NotADifferenceSet; a residue that is not an
     integer is a FormatError.
     """
+    if not _is_int(modulus) or modulus < 2:
+        raise DimensionError(f"need an integer modulus >= 2, got {modulus!r}")
+    # the bound verify_rl_design puts on its Gram, before the shifts are built
+    _check_indexable(8 * modulus * modulus, f"the int64 incidence matrix or Gram of {modulus} points")
     base_block = list(base_block)
     if not all(map(_is_int, base_block)):
         raise FormatError(f"base block {base_block} has a residue that is not an integer")

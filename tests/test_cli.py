@@ -634,6 +634,18 @@ def test_simulate_report_that_overflows_exits_one(capsys, fixture_dir):
     assert "DimensionError: the report overflows float64" in err
 
 
+def test_simulate_runs_beyond_two_pow_53_exits_one(capsys, fixture_dir):
+    code, out, err = run(
+        capsys, "simulate", str(fixture_dir / "design_3_3_9.csv"),
+        "--sigma", "1", "--runs", str(10**30), "--json",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["error"], payload["condition"], payload["witness"]) == ("DimensionError", None, None)
+    assert "integer runs in [2, 2^53]" in payload["message"]
+    assert err.startswith("DimensionError: ")
+
+
 # SHA-256 of exit code, stdout, stderr and output file of each command below,
 # recorded from a known-good build; a change that alters any byte of these
 # outputs must re-record them on purpose.  simulate is left out: its last

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 import warnings
 
@@ -12,6 +13,7 @@ from sbbd import (
     DesignMatrix,
     DimensionError,
     EffectVector,
+    FormatError,
     estimate_effects,
     random_effects,
     simulate,
@@ -102,11 +104,27 @@ def test_effect_vector_validation():
             EffectVector(2, 2, [value, 0, 0, 0])
 
 
+@pytest.mark.parametrize(
+    "tau",
+    [["a", 0, 0, 0], ["1", "-1", "-1", "1"], [1j, 0, 0, 0], np.array([1j, -1j, -1j, 1j]), [[1, -1], [-1]]],
+    ids=["str", "numeric-str", "complex", "complex-array", "ragged"],
+)
+def test_effect_vector_entries_that_are_not_real_numbers_are_format_errors(tau):
+    with pytest.raises(FormatError, match="real numbers"):
+        EffectVector(2, 2, tau)
+
+
+def test_random_effects_beyond_numpy_indexing_is_a_dimension_error():
+    with pytest.raises(DimensionError, match="largest array"):
+        random_effects(10**30, 2)
+
+
 def test_noiseless_recovery(x22):
     tau = random_effects(3, 3, seed=5)
-    report = simulate(x22, tau, sigma=0.0, runs=2, seed=5)
-    assert np.abs(report.empirical_mean - report.true_contrasts).max() <= 1e-9
-    assert np.abs(report.empirical_variance).max() <= 1e-18
+    for runs in (2, 10**6):
+        report = simulate(x22, tau, sigma=0.0, runs=runs, seed=5)
+        assert np.abs(report.empirical_mean - report.true_contrasts).max() <= 1e-9
+        assert not report.empirical_variance.any()  # sigma = 0 scales the scatter to exactly 0
 
 
 def test_noiseless_elementary_contrasts(x22):
@@ -126,12 +144,12 @@ def test_simulation_deterministic(x22):
 
 
 def test_sigma_scaling_is_exact_for_shared_seed(x22):
-    # identical noise streams make the variance scale exactly with sigma^2
+    # identical draws, and a factor 2 is exact in float64, so the variance is exactly 4 times
     tau = random_effects(3, 3, seed=2)
-    r1 = simulate(x22, tau, sigma=1.0, runs=2000, seed=3)
-    r2 = simulate(x22, tau, sigma=2.0, runs=2000, seed=3)
-    ratio = r2.empirical_variance / r1.empirical_variance
-    assert np.abs(ratio - 4.0).max() < 1e-9
+    for sigma in (1.0, 0.3):
+        r1 = simulate(x22, tau, sigma=sigma, runs=2000, seed=3)
+        r2 = simulate(x22, tau, sigma=2 * sigma, runs=2000, seed=3)
+        assert r2.empirical_variance.tobytes() == (4 * r1.empirical_variance).tobytes()
 
 
 def test_variance_close_to_prediction(x22):
@@ -192,6 +210,23 @@ def test_simulate_runs_must_be_an_integer(x22, runs):
         simulate(x22, tau, sigma=1.0, runs=runs, seed=1)
 
 
+@pytest.mark.parametrize("runs", [1, 0, -5, 2**53 + 1, 10**30, np.uint64(2**64 - 1)])
+def test_simulate_runs_outside_two_to_two_pow_53_are_rejected(x22, runs):
+    tau = random_effects(3, 3, seed=1)
+    with pytest.raises(DimensionError, match=r"integer runs in \[2, 2\^53\]"):
+        simulate(x22, tau, sigma=1.0, runs=runs, seed=1)
+
+
+def test_largest_runs_returns_promptly(fano_composed):
+    # the work is bounded by min(runs - 1, N) rows of the scatter factor
+    tau = random_effects(7, 7, seed=1)
+    start = time.perf_counter()
+    report = simulate(fano_composed.x, tau, sigma=1.0, runs=2**53, seed=1)
+    assert time.perf_counter() - start < 5.0
+    assert report.runs == 2**53
+    assert report.max_relative_deviation < 1e-6  # the variance's relative error is about sqrt(2 / runs)
+
+
 def test_simulate_takes_numpy_integer_runs(x22):
     tau = random_effects(3, 3, seed=1)
     report = simulate(x22, tau, sigma=1.0, runs=np.int64(300), seed=1)
@@ -214,61 +249,98 @@ def _report_bytes(report):
     )
 
 
-def _check_report_against_chunked_noise(x, tau, sigma, runs, seed, chunks, contrast_basis):
-    """The report equals the dense-W estimates of the noise drawn in any chunks."""
+def _ks_pvalue(a, b):
+    """Asymptotic two-sample Kolmogorov-Smirnov p-value, with Stephens' small-sample correction."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    d = np.abs(np.searchsorted(a, both, side="right") / a.size - np.searchsorted(b, both, side="right") / b.size).max()
+    ne = a.size * b.size / (a.size + b.size)
+    lam = (np.sqrt(ne) + 0.12 + 0.11 / np.sqrt(ne)) * d
+    if lam < 0.3:  # the p-value rounds to 1 here, where the series below converges slowly
+        return 1.0
+    k = np.arange(1, 101)
+    return float(min(1.0, 2 * np.sum((-1.0) ** (k - 1) * np.exp(-2 * k * k * lam * lam))))
+
+
+def _documented_report(x, tau, sigma, runs, seed, w):
+    """simulate's (mean, variance), rebuilt from its documented draws and projected through a dense w."""
+    n, tile = x.n_rows, estimator._TILE
+    bits = np.random.Generator(np.random.Philox(key=seed))
+    g = bits.standard_normal(n)
+    m = min(runs - 1, n)
+    chi2 = bits.chisquare(runs - 1 - np.arange(m))
+    draws = np.vstack([bits.standard_normal((tile, n)) for _ in range(-(-m // tile))])
+    z = np.triu(draws[:m], 1)
+    z[np.arange(m), np.arange(m)] = np.sqrt(chi2)
+    signal = x.matrix.astype(float) @ tau.tau
+    mean = (signal + sigma * g / np.sqrt(runs)) @ w.T
+    variance = sigma**2 * ((z @ w.T) ** 2).sum(axis=0) / (runs - 1)
+    return mean, variance
+
+
+def _check_report_against_documented_stream(x, tau, sigma, runs, seed, contrast_basis):
     report = simulate(x, tau, sigma=sigma, runs=runs, seed=seed)
     assert _report_bytes(report) == _report_bytes(simulate(x, tau, sigma=sigma, runs=runs, seed=seed))
     alpha = sbbd.spectrum(sbbd.check_sbbd(x)).alpha
     w = contrast_basis(x.v1, x.v2) @ x.matrix.T.astype(float) / alpha
-    signal = x.matrix.astype(float) @ tau.tau
-    whole = estimator._noise(seed, 0, runs, x.n_rows)
-    for chunk in chunks:
-        noise = np.vstack([
-            estimator._noise(seed, start, min(start + chunk, runs), x.n_rows)
-            for start in range(0, runs, chunk)
-        ])
-        assert noise.tobytes() == whole.tobytes()
-        estimates = (signal + sigma * noise) @ w.T
-        assert np.abs(report.empirical_mean - estimates.mean(axis=0)).max() < 1e-12
-        assert np.abs(report.empirical_variance - estimates.var(axis=0, ddof=1)).max() < 1e-12
+    mean, variance = _documented_report(x, tau, sigma, runs, seed, w)
+    assert np.abs(report.empirical_mean - mean).max() < 1e-12
+    assert np.abs(report.empirical_variance - variance).max() < 1e-12
 
 
-def test_report_does_not_depend_on_chunk_size(fano_composed, contrast_basis):
+def test_report_is_the_dense_projection_of_the_documented_stream(fano_composed, contrast_basis):
+    # N = 42: m = runs - 1 below N - 1, m = N - 1, m = N, and m = N with runs far above N
     tau = random_effects(7, 7, seed=31)
-    # 5000 runs: the last chunk is partial for every size, and so is the last tile
-    _check_report_against_chunked_noise(fano_composed.x, tau, 1.0, 5000, 17, (1, 7, 4096), contrast_basis)
+    for runs in (2, 37, 42, 43, 5000):
+        _check_report_against_documented_stream(fano_composed.x, tau, 1.0, runs, 17, contrast_basis)
 
 
-def test_one_contrast_report_does_not_depend_on_chunk_size(single_edge_blocks, contrast_basis):
+def test_one_contrast_report_is_the_dense_projection_of_the_documented_stream(
+    single_edge_blocks, contrast_basis
+):
     # a 2 x 2 design has a single contrast, so every tile sum runs over one column
     tau = random_effects(2, 2, seed=5)
-    _check_report_against_chunked_noise(
-        single_edge_blocks, tau, 1.0, 3001, 9, (1, 300, 2048), contrast_basis
-    )
+    for runs in (2, 4, 5, 3001):
+        _check_report_against_documented_stream(single_edge_blocks, tau, 1.0, runs, 9, contrast_basis)
 
 
-def test_noise_is_bit_identical_across_chunkings():
-    for n in (1, 9, 42):
-        whole = estimator._noise(2024, 0, 500, n)
-        assert whole.shape == (500, n)
-        assert whole.tobytes() == estimator._noise(2024, 0, 500, n).tobytes()
-        for chunk in (1, 7, 4096):
-            parts = [
-                estimator._noise(2024, start, min(start + chunk, 500), n)
-                for start in range(0, 500, chunk)
-            ]
-            assert np.vstack(parts).tobytes() == whole.tobytes()
-    # a run's draw depends on the seed
-    assert estimator._noise(1, 3, 4, 42).tobytes() != estimator._noise(2, 3, 4, 42).tobytes()
+def test_noise_rows_are_rows_of_the_tile_draws(contrast_basis):
+    # N = 342 > _TILE: row i of the scatter factor Z comes from row i % _TILE of
+    # tile i // _TILE, with a partial second tile (m = 299) and a full factor (m = N)
+    x = sbbd.compose(sbbd.catalog_by_id("qr19"), sbbd.construct_od1(19)).x
+    assert x.n_rows > estimator._TILE
+    tau = random_effects(19, 19, seed=4)
+    for runs in (300, 1000):
+        _check_report_against_documented_stream(x, tau, 0.5, runs, 606, contrast_basis)
 
 
-def test_box_muller_moments():
-    draws = estimator._noise(99, 0, 10_000, 100).ravel()
-    assert draws.size == 1_000_000
-    assert np.isfinite(draws).all()
-    n = draws.size
-    assert abs(draws.mean()) < 6 / np.sqrt(n)
-    assert abs(draws.var() - 1.0) < 6 * np.sqrt(2.0 / n)
+def test_padded_rows_of_the_last_tile_never_enter_the_report(fano_composed, contrast_basis):
+    # the one tile holds m = 19 and m = N = 42 rows of Z; the reference uses no other row
+    tau = random_effects(7, 7, seed=12)
+    for runs in (20, estimator._TILE + 37):
+        _check_report_against_documented_stream(fano_composed.x, tau, 1.5, runs, 44, contrast_basis)
+
+
+def test_simulate_has_the_law_of_the_per_run_replay(composed_b4, contrast_basis):
+    # N = 12: runs 3, 12 and 40 give m = 2 < N - 1, m = N - 1 and m = N.  Each
+    # contrast's empirical mean and variance over 1500 seeds is compared with
+    # that of 1500 replays that draw every run, in 36 tests at level 1e-4
+    x = composed_b4.x
+    tau = random_effects(4, 3, seed=6)
+    alpha = sbbd.spectrum(sbbd.check_sbbd(x)).alpha
+    w = contrast_basis(4, 3) @ x.matrix.T.astype(float) / alpha
+    signal = x.matrix.astype(float) @ tau.tau
+    replay = np.random.default_rng(20231)
+    seeds = 1500
+    for runs in (3, 12, 40):
+        reports = [simulate(x, tau, sigma=1.0, runs=runs, seed=seed) for seed in range(seeds)]
+        means = np.array([r.empirical_mean for r in reports])
+        variances = np.array([r.empirical_variance for r in reports])
+        estimates = (signal + replay.standard_normal((seeds, runs, x.n_rows))) @ w.T
+        replay_means, replay_variances = estimates.mean(axis=1), estimates.var(axis=1, ddof=1)
+        for c in range(w.shape[0]):
+            assert _ks_pvalue(means[:, c], replay_means[:, c]) > 1e-4, (runs, c, "mean")
+            assert _ks_pvalue(variances[:, c], replay_variances[:, c]) > 1e-4, (runs, c, "variance")
 
 
 def test_projection_matches_generalized_inverse(
@@ -291,10 +363,9 @@ def test_projection_matches_generalized_inverse(
         # the report equals the one projected through G
         tau = random_effects(x.v1, x.v2, seed=3)
         report = simulate(x, tau, sigma=1.0, runs=50, seed=8)
-        y = x.matrix.astype(float) @ tau.tau + estimator._noise(8, 0, 50, x.n_rows)
-        estimates = y @ with_g.T
-        assert np.abs(report.empirical_mean - estimates.mean(axis=0)).max() < 1e-12
-        assert np.abs(report.empirical_variance - estimates.var(axis=0, ddof=1)).max() < 1e-12
+        mean, variance = _documented_report(x, tau, 1.0, 50, 8, with_g)
+        assert np.abs(report.empirical_mean - mean).max() < 1e-12
+        assert np.abs(report.empirical_variance - variance).max() < 1e-12
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "7", True])
@@ -377,43 +448,20 @@ def test_contrast_basis_equals_row_by_row_kron(contrast_basis):
         assert basis.tobytes() == np.vstack(rows).tobytes()
 
 
-def test_noise_rows_are_rows_of_the_tile_draws():
-    tile = estimator._TILE
-    n = 5
-    start, stop = tile // 2 + 3, 3 * tile + 11  # mid-tile start, four tiles
-    tiles = []
-    for t in range(start // tile, stop // tile + 1):
-        bits = np.random.Philox(key=606, counter=t << 64)
-        tiles.append(np.random.Generator(bits).standard_normal((tile, n)))
-    first = (start // tile) * tile
-    expected = np.vstack(tiles)[start - first : stop - first]
-    assert estimator._noise(606, start, stop, n).tobytes() == expected.tobytes()
-
-
-def test_padded_rows_of_the_last_tile_never_enter_the_report(fano_composed, contrast_basis):
-    x = fano_composed.x
-    runs = estimator._TILE + 37
-    tau = random_effects(7, 7, seed=12)
-    report = simulate(x, tau, sigma=1.5, runs=runs, seed=44)
-    alpha = sbbd.spectrum(sbbd.check_sbbd(x)).alpha
-    w = contrast_basis(7, 7) @ x.matrix.T.astype(float) / alpha
-    y = x.matrix.astype(float) @ tau.tau + 1.5 * estimator._noise(44, 0, runs, x.n_rows)
-    estimates = y @ w.T
-    assert np.abs(report.empirical_mean - estimates.mean(axis=0)).max() < 1e-12
-    assert np.abs(report.empirical_variance - estimates.var(axis=0, ddof=1)).max() < 1e-12
-
-
-
-def test_simulate_peak_memory_stays_near_two_w_sized_arrays():
-    # W^T is N (v1-1)(v2-1) float64; the set-up drops each intermediate once
-    # it is used, so no more than two arrays of about that size are live
+def test_simulate_peak_memory_stays_near_two_w_sized_arrays(monkeypatch):
+    # W^T is N (v1-1)(v2-1) float64 and is filled in 2 MiB row slabs of X; each
+    # tile adds a (_TILE, N) draw and a (_TILE, C) product.  The design check's
+    # float Gram is the analyzer's peak, so its result is taken as given here
     x = sbbd.compose(sbbd.catalog_by_id("qr31"), sbbd.construct_od1(31)).x  # 930 x 961
     tau = random_effects(31, 31, seed=1)
+    checked = estimator._checked_spectrum(x)
+    monkeypatch.setattr(estimator, "_checked_spectrum", lambda _: checked)
     w_bytes = x.n_rows * 30 * 30 * 8
-    tracemalloc.start()
-    try:
-        simulate(x, tau, sigma=1.0, runs=2, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * w_bytes, peak / w_bytes
+    for runs in (2, 1000):
+        tracemalloc.start()
+        try:
+            simulate(x, tau, sigma=1.0, runs=runs, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.7 * w_bytes, peak / w_bytes

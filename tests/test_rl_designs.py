@@ -186,6 +186,13 @@ def test_bad_base_block_rejected():
         symmetric_bibd_from_difference_set(7, [1, 1, 2])
 
 
+@pytest.mark.parametrize("modulus", [0, 1, -7, 7.0, True, 10**30])
+def test_bad_modulus_is_a_dimension_error(modulus):
+    # 10^30 points need a Gram beyond numpy's indexing; the others are not moduli
+    with pytest.raises(DimensionError, match="modulus|largest array"):
+        symmetric_bibd_from_difference_set(modulus, [0, 1])
+
+
 def assert_symmetric_bibd(d, key):
     v, b, r, k, lam = key
     assert (d.v, d.b, d.r, d.k, d.lam) == key
