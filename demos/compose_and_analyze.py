@@ -7,15 +7,14 @@ import sbbd
 
 fano = sbbd.catalog_by_id("fano")
 od = sbbd.construct_od1(7)
-composed = sbbd.compose(fano, od)
-x = composed.x
+x = sbbd.compose(fano, od)
 
 print(f"composed: {x.n_rows} x {x.v1 * x.v2} on K_{{{x.v1},{x.v2}}}")
 # X^T X is double completely symmetric, so Lambda fixes all of it
 params = sbbd.check_sbbd(x)
-print("predicted Lambda:", composed.predicted.lam)
+print("predicted Lambda:", sbbd.predicted_parameters(fano, od).lam)
 print("measured Lambda: ", params.lam)
-print("spanning guaranteed (s > b - r):", composed.spanning_guaranteed)
+print("spanning guaranteed (s > b - r):", sbbd.spanning_guaranteed(od.s, fano.b, fano.r))
 
 spec = sbbd.spectrum(params)
 print("\nspectrum (value, multiplicity):", spec.pairs())

@@ -10,7 +10,7 @@ import sbbd
 x = sbbd.compose(
     sbbd.verify_rl_design(3, [{1, 2}, {2, 3}, {1, 3}, {1, 2, 3}]),
     sbbd.construct_od1(4),
-).x
+)
 
 schedule = sbbd.export_masks(x)  # x itself, once checked to be a spanning SBBD
 print(f"{schedule.n_rows} masks of shape {schedule.v1} x {schedule.v2}")

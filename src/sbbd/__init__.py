@@ -2,10 +2,8 @@
 A-optimality diagnostics, and Monte Carlo validation of variance balance."""
 
 from .analyzer import (
-    BlockRegularity,
     ConditionViolation,
     ContrastsNotEstimable,
-    DegenerateDesign,
     OptimalityReport,
     SpectralSummary,
     TraceMismatch,
@@ -17,7 +15,6 @@ from .analyzer import (
     spectrum,
 )
 from .composer import (
-    ComposedDesign,
     compose,
     cyclic_shift_perms,
     permute_extension,

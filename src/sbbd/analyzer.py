@@ -56,10 +56,6 @@ class TraceMismatch(SbbdError):
     """X has a number of ones other than mu v1 v2 = trace(X^T X)."""
 
 
-class DegenerateDesign(SbbdError):
-    """All four eigenvalues vanish; no generalized inverse exists."""
-
-
 class ContrastsNotEstimable(SbbdError):
     """alpha <= 0: the basic contrasts cannot be estimated."""
 
@@ -90,14 +86,6 @@ class SpectralSummary:
         for val, mult in self.pairs():
             acc[val] = acc.get(val, 0) + mult
         return sorted(acc.items(), key=lambda t: -t[0])
-
-
-@dataclass(frozen=True)
-class BlockRegularity:
-    is_semi_regular: bool
-    is_regular: bool
-    k1: int | None
-    k2: int | None
 
 
 @dataclass(frozen=True)
@@ -203,31 +191,28 @@ def generalized_inverse(info: SbbdParameters) -> tuple:
     eigenspaces of X^T X by the inverse eigenvalues, with 0 for a vanishing
     eigenvalue.  Returns those exact weights (1/alpha, 1/beta, 1/gamma,
     1/delta) as Fractions, in SpectralSummary.pairs() order; no dense form
-    is built.  Raises DegenerateDesign when all four eigenvalues vanish.
+    is built.  An all-zero Lambda gives four zero weights: the inverse of
+    the zero matrix is zero.
     """
-    spec = spectrum(info)
-    vals = [spec.alpha, spec.beta, spec.gamma, spec.delta]
-    if not any(vals):
-        raise DegenerateDesign("all four eigenvalues are zero")
-    return tuple(Fraction(1, val) if val else Fraction(0) for val in vals)
+    return tuple(Fraction(1, val) if val else Fraction(0) for val, _ in spectrum(info).pairs())
 
 
 def classify_blocks(x: DesignMatrix):
-    """Degree regularity of the SB-blocks, as (semi_regular, regular, k1, k2).
+    """The common degrees (k1, k2) of semi-regular SB-blocks, else None.
 
     Semi-regular: every left point of every block has degree k1 and every
     right point degree k2, with the same pair across blocks.  Regular adds
-    k1 = k2.
+    k1 = k2.  A design with no blocks is not semi-regular.
     """
     if x.n_rows == 0:
-        return BlockRegularity(False, False, None, None)
+        return None
     left = x.masks.sum(axis=2)  # (N, v1) left degrees
     right = x.masks.sum(axis=1)  # (N, v2) right degrees
     k1 = int(left.flat[0])
     k2 = int(right.flat[0])
     if (left != k1).any() or (right != k2).any():
-        return BlockRegularity(False, False, None, None)
-    return BlockRegularity(True, k1 == k2, k1, k2)
+        return None
+    return k1, k2
 
 
 def a_optimality(x: DesignMatrix) -> OptimalityReport:
@@ -241,24 +226,22 @@ def a_optimality(x: DesignMatrix) -> OptimalityReport:
     """
     params, spec = _checked_spectrum(x)
     spanning = is_spanning(x)
-    reg = classify_blocks(x)
+    degrees = classify_blocks(x)
+    k1, k2 = degrees or (None, None)
     n_contrasts = (x.v1 - 1) * (x.v2 - 1)
     a_criterion = Fraction(n_contrasts, spec.alpha)
     a_lower_bound = None
-    if reg.is_semi_regular:
-        k = reg.k1 * x.v1
-        a_lower_bound = Fraction(n_contrasts * n_contrasts, params.mu * (x.v1 * x.v2 - k))
+    if degrees:
+        a_lower_bound = Fraction(n_contrasts * n_contrasts, params.mu * (x.v1 * x.v2 - k1 * x.v1))
     return OptimalityReport(
         params=params,
         is_spanning=spanning,
-        is_semi_regular=reg.is_semi_regular,
-        is_regular=reg.is_regular,
-        k1=reg.k1,
-        k2=reg.k2,
+        is_semi_regular=degrees is not None,
+        is_regular=degrees is not None and k1 == k2,
+        k1=k1,
+        k2=k2,
         spectral=spec,
         a_criterion=a_criterion,
         a_lower_bound=a_lower_bound,
-        is_a_optimal_in_omega=(
-            spanning and reg.is_semi_regular and a_criterion == a_lower_bound
-        ),
+        is_a_optimal_in_omega=spanning and a_criterion == a_lower_bound,
     )

@@ -43,6 +43,7 @@ from . import (
     permute_extension,
     random_effects,
     simulate,
+    spanning_guaranteed,
 )
 from .design_core import int_rows_from_csv
 from .estimator import EffectVector
@@ -145,8 +146,7 @@ def _resolve_od(ref: str):
 def _cmd_compose(args) -> int:
     d = _resolve_block_design(args.design)
     od = _resolve_od(args.od)
-    composed = compose(d, od)
-    x = composed.x
+    x = compose(d, od)
     if args.perms:
         name, _, count = args.perms.partition(":")
         if name != "cyclic" or not count.isdecimal() or int(count) < 1:
@@ -160,7 +160,7 @@ def _cmd_compose(args) -> int:
         print(
             f"wrote {x.n_rows} x {x.v1 * x.v2} design matrix"
             f" (v1={x.v1}, v2={x.v2}) to {args.out};"
-            f" spanning guaranteed: {str(composed.spanning_guaranteed).lower()}"
+            f" spanning guaranteed: {str(spanning_guaranteed(od.s, d.b, d.r)).lower()}"
         )
     return 0
 

@@ -14,20 +14,11 @@ only an SBBD* candidate and the spanning flag must be checked on the matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .design_core import DesignMatrix, DimensionError, SbbdParameters
+from .design_core import DesignMatrix, DimensionError, SbbdParameters, _is_int
 from .ordered_designs import OrderedDesign
 from .rl_designs import BlockDesign, incidence_matrix
-
-
-@dataclass(frozen=True)
-class ComposedDesign:
-    x: DesignMatrix
-    predicted: SbbdParameters
-    spanning_guaranteed: bool
 
 
 def predicted_parameters(d: BlockDesign, od: OrderedDesign) -> SbbdParameters:
@@ -50,12 +41,13 @@ def spanning_guaranteed(s: int, b: int, r: int) -> bool:
     return s > b - r
 
 
-def compose(d: BlockDesign, od: OrderedDesign) -> ComposedDesign:
+def compose(d: BlockDesign, od: OrderedDesign) -> DesignMatrix:
     """Arrange incidence-matrix rows according to the ordered design.
 
     The ordered design's symbols index the b blocks of d, so its symbol
     count must equal b.  Panel q of the output is filled by column q of the
-    ordered design.
+    ordered design.  Its Lambda is predicted_parameters(d, od), and it spans
+    whenever spanning_guaranteed(od.s, d.b, d.r).
     """
     if od.n != d.b:
         raise DimensionError(
@@ -65,12 +57,7 @@ def compose(d: BlockDesign, od: OrderedDesign) -> ComposedDesign:
     # rows[p, q] = index of the H-row placed in panel q; reshape concatenates
     # the s chosen rows of H side by side.
     stacked = h[od.rows - 1]  # (N, s, v)
-    x = DesignMatrix(v1=od.s, v2=d.v, matrix=stacked.reshape(od.n_rows, od.s * d.v))
-    return ComposedDesign(
-        x=x,
-        predicted=predicted_parameters(d, od),
-        spanning_guaranteed=spanning_guaranteed(od.s, d.b, d.r),
-    )
+    return DesignMatrix(v1=od.s, v2=d.v, matrix=stacked.reshape(od.n_rows, od.s * d.v))
 
 
 def _as_index(perm, v2: int) -> np.ndarray:
@@ -111,8 +98,8 @@ def permute_extension(x: DesignMatrix, perms: list) -> DesignMatrix:
 
 def cyclic_shift_perms(v2: int, u: int) -> list:
     """The u-1 nontrivial cyclic shifts used by the composition presets."""
-    if u < 1:
-        raise DimensionError("layer count u must be >= 1")
+    if not (_is_int(v2) and _is_int(u) and v2 >= 1 and u >= 1):
+        raise DimensionError(f"need integers v2 >= 1 and layer count u >= 1, got {v2!r} and {u!r}")
     return [
         [(j + t) % v2 + 1 for j in range(v2)]  # 1-based images of columns 1..v2
         for t in range(1, u)

@@ -53,6 +53,27 @@ from .analyzer import _checked_spectrum, generalized_inverse
 from .design_core import DesignMatrix, DimensionError, FormatError, _check_dims, _check_indexable, _is_int
 
 
+def _real_array(name: str, values) -> np.ndarray:
+    """values as a contiguous float64 array of finite real numbers.
+
+    An entry that is not a real number, or a ragged nesting, is a
+    FormatError; a non-finite entry or an int beyond float64 is a
+    DimensionError.
+    """
+    try:
+        raw = np.asarray(values)
+        if raw.dtype.kind not in "biufO":  # the cast would parse a str and drop an imaginary part
+            raise TypeError
+        t = np.ascontiguousarray(raw, dtype=float)
+    except OverflowError:  # a Python int beyond float64
+        raise DimensionError(f"{name} has an entry too large for float64") from None
+    except (TypeError, ValueError):  # ragged, or an entry that is not a real number
+        raise FormatError(f"{name} entries must be real numbers") from None
+    if not np.isfinite(t).all():
+        raise DimensionError(f"{name} has a non-finite entry")
+    return t
+
+
 @dataclass(frozen=True)
 class EffectVector:
     """Effect values in lexicographic edge order, with double zero sums."""
@@ -63,21 +84,11 @@ class EffectVector:
 
     def __post_init__(self):
         _check_dims(self.v1, self.v2)
-        try:
-            raw = np.asarray(self.tau)
-            if raw.dtype.kind not in "biufO":  # the cast would parse a str and drop an imaginary part
-                raise TypeError
-            t = np.ascontiguousarray(raw, dtype=float)
-        except OverflowError:  # a Python int beyond float64
-            raise DimensionError("tau has an entry too large for float64") from None
-        except (TypeError, ValueError):  # ragged, or an entry that is not a real number
-            raise FormatError("tau entries must be real numbers") from None
+        t = _real_array("tau", self.tau)
         if t.shape != (self.v1 * self.v2,):
             raise DimensionError(
                 f"tau length {t.shape} != v1*v2 = {self.v1 * self.v2}"
             )
-        if not np.isfinite(t).all():
-            raise DimensionError("tau has a non-finite entry")
         table = t.reshape(self.v1, self.v2)
         # a float64 sum of n entries of size <= m is off by about n * eps * m;
         # allow that with a wide margin, relative to tau's own scale
@@ -154,6 +165,7 @@ _TILE = 256  # rows of the scatter factor per fixed-shape projection
 _SLAB = 1 << 18  # float64 entries of X per set-up slab (2 MiB)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is checked on the result
 def estimate_effects(x: DesignMatrix, y: np.ndarray) -> np.ndarray:
     """One-shot least squares tau_hat = G X^T y, without forming G.
 
@@ -161,9 +173,11 @@ def estimate_effects(x: DesignMatrix, y: np.ndarray) -> np.ndarray:
     centred row and column means and the grand mean by the four inverse
     eigenvalues.  Only contrasts of tau_hat carry an accuracy contract;
     components along the non-estimable directions are whatever the
-    generalized inverse assigns them.  Raises what a_optimality raises.
+    generalized inverse assigns them.  Raises what a_optimality raises,
+    FormatError for a y entry that is not a real number, and
+    DimensionError for a non-finite y or a result that overflows float64.
     """
-    y = np.asarray(y, dtype=float)
+    y = _real_array("y", y)
     if y.shape != (x.n_rows,):
         raise DimensionError(f"y length {y.shape} != N = {x.n_rows}")
     wa, wb, wg, wd = map(float, generalized_inverse(_checked_spectrum(x)[0]))
@@ -171,7 +185,10 @@ def estimate_effects(x: DesignMatrix, y: np.ndarray) -> np.ndarray:
     grand = z.mean()
     rows = z.mean(axis=1, keepdims=True) - grand
     cols = z.mean(axis=0, keepdims=True) - grand
-    return (wa * _center(z) + wb * rows + wg * cols + wd * grand).reshape(-1)
+    tau_hat = (wa * _center(z) + wb * rows + wg * cols + wd * grand).reshape(-1)
+    if not np.isfinite(tau_hat).all():
+        raise DimensionError("the estimate overflows float64 with this y")
+    return tau_hat
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is checked on the report

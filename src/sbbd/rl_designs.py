@@ -90,6 +90,11 @@ def _incidence(v: int, blocks) -> np.ndarray:
     return h
 
 
+def _check_incidence(v: int, b: int) -> None:
+    """DimensionError unless numpy can index the int64 (b x v) incidence matrix and its Gram."""
+    _check_indexable(8 * max(int(b), int(v)) * int(v), f"the int64 incidence matrix or Gram of {v} points")
+
+
 def verify_rl_design(v: int, blocks: list) -> BlockDesign:
     """Check the replication and pair-balance axioms by exhaustive counting.
 
@@ -116,7 +121,7 @@ def verify_rl_design(v: int, blocks: list) -> BlockDesign:
 
     # one integer Gram H^T H: its diagonal counts points, its strict upper
     # triangle, in row-major (= combinations) order, counts pairs
-    _check_indexable(8 * max(len(norm), v) * v, f"the int64 incidence matrix or Gram of {v} points")
+    _check_incidence(v, len(norm))
     h = _incidence(v, norm)
     gram = h.T @ h
     point_counts = np.diagonal(gram)
@@ -162,8 +167,7 @@ def symmetric_bibd_from_difference_set(modulus: int, base_block) -> BlockDesign:
     """
     if not _is_int(modulus) or modulus < 2:
         raise DimensionError(f"need an integer modulus >= 2, got {modulus!r}")
-    # the bound verify_rl_design puts on its Gram, before the shifts are built
-    _check_indexable(8 * modulus * modulus, f"the int64 incidence matrix or Gram of {modulus} points")
+    _check_incidence(modulus, modulus)  # before the shifts are built
     base_block = list(base_block)
     if not all(map(_is_int, base_block)):
         raise FormatError(f"base block {base_block} has a residue that is not an integer")
@@ -186,7 +190,13 @@ def all_pairs_plus_full(v: int) -> BlockDesign:
 
     Gives r = v, lambda = 2, b = v(v-1)/2 + 1 with mixed block sizes, so it
     is never a BIBD.  v = 3 yields the 4-block design with r = 3, lambda = 2.
+    A v that is not an integer >= 2, or whose incidence matrix numpy cannot
+    index, is a DimensionError, raised before any block is built.
     """
+    if not _is_int(v) or v < 2:
+        raise DimensionError(f"need an integer v >= 2 points, got {v!r}")
+    v = int(v)
+    _check_incidence(v, v * (v - 1) // 2 + 1)
     blocks = [frozenset(p) for p in combinations(range(1, v + 1), 2)]
     blocks.append(frozenset(range(1, v + 1)))
     return verify_rl_design(v, blocks)

@@ -80,13 +80,13 @@ def rl4() -> sbbd.BlockDesign:
 
 
 @pytest.fixture(scope="session")
-def composed_b4(rl4) -> sbbd.ComposedDesign:
+def composed_b4(rl4) -> sbbd.DesignMatrix:
     """SBBD(4,3,12) from the 4-block design and OD_1(4,4)."""
     return sbbd.compose(rl4, sbbd.construct_od1(4))
 
 
 @pytest.fixture(scope="session")
-def fano_composed() -> sbbd.ComposedDesign:
+def fano_composed() -> sbbd.DesignMatrix:
     """Regular SBBD(7,7,42) from the 7-point symmetric BIBD and OD_1(7,7)."""
     return sbbd.compose(sbbd.catalog_by_id("fano"), sbbd.construct_od1(7))
 

@@ -58,8 +58,7 @@ def test_criterion_02_spectrum(x22):
 
 
 def test_criterion_03_composed_design(rl4):
-    composed = compose(rl4, construct_od1(4))
-    x = composed.x
+    x = compose(rl4, construct_od1(4))
     assert (x.v1, x.v2, x.n_rows) == (4, 3, 12)
     params = check_sbbd(x)
     assert params.lam == (9, 6, 6, 7)
@@ -85,8 +84,7 @@ def test_criterion_04_composition_formula_suite(rl4):
     for q, d in designs.items():
         assert d.b == q
         od = construct_od1(q)
-        composed = compose(d, od)
-        measured = check_sbbd(composed.x)  # exhaustive panel scan
+        measured = check_sbbd(compose(d, od))  # exhaustive panel scan
         eta, b, r, lam = od.eta, d.b, d.r, d.lam
         formula = (
             eta * r * (b - 1),
@@ -111,7 +109,7 @@ def test_criterion_05_ordered_design_oracle():
 
 
 def test_criterion_06_fano_a_optimality(fano_composed):
-    rep = a_optimality(fano_composed.x)
+    rep = a_optimality(fano_composed)
     assert rep.is_regular and rep.is_semi_regular
     assert (rep.k1, rep.k2) == (3, 3)
     assert rep.spectral.alpha == 14
@@ -122,7 +120,7 @@ def test_criterion_06_fano_a_optimality(fano_composed):
 
 
 def test_criterion_07_generalized_inverse_identities(x22, composed_b4, dense_ginv):
-    for name, x in (("(3,3,9)", x22), ("(4,3,12)", composed_b4.x)):
+    for name, x in (("(3,3,9)", x22), ("(4,3,12)", composed_b4)):
         g = dense_ginv(x.v1, x.v2, generalized_inverse(check_sbbd(x)))
         xm = x.matrix.astype(np.int64)
         m = (xm.T @ xm).astype(object)
@@ -132,7 +130,7 @@ def test_criterion_07_generalized_inverse_identities(x22, composed_b4, dense_gin
 
 
 def test_criterion_08_permutation_extension(composed_b4):
-    x = composed_b4.x
+    x = composed_b4
     m = x.matrix.astype(np.int64)
     base_info = m.T @ m
     rng = np.random.default_rng(20240)
@@ -163,7 +161,7 @@ def test_criterion_09_statistical_validation(x22, fano_composed):
 
     # the regular SBBD(7,7,42): 36 variances within 5% of 1/14, and of each other
     tau_f = random_effects(7, 7, scale=1.0, seed=303)
-    rep_f = simulate(fano_composed.x, tau_f, sigma=1.0, runs=100_000, seed=404)
+    rep_f = simulate(fano_composed, tau_f, sigma=1.0, runs=100_000, seed=404)
     assert rep_f.predicted_variance == pytest.approx(1 / 14)
     var = rep_f.empirical_variance
     assert var.shape == (36,)

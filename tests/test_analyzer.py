@@ -15,7 +15,6 @@ import sbbd
 from sbbd import (
     ConditionViolation,
     ContrastsNotEstimable,
-    DegenerateDesign,
     DesignMatrix,
     DimensionError,
     SbbdParameters,
@@ -91,8 +90,8 @@ def test_gram_fixture(x22):
 
 
 def test_gram_b4_blocks(composed_b4):
-    params = check_sbbd(composed_b4.x)
-    x = composed_b4.x
+    params = check_sbbd(composed_b4)
+    x = composed_b4
     p1, p2 = x.masks[:, 0].astype(np.int64), x.masks[:, 1].astype(np.int64)
     diag = p1.T @ p1
     off = p1.T @ p2
@@ -148,23 +147,23 @@ def test_spectrum_fixture(x22):
 
 
 def test_spectrum_b4(composed_b4):
-    s = spectrum(check_sbbd(composed_b4.x))
+    s = spectrum(check_sbbd(composed_b4))
     assert (s.alpha, s.beta, s.gamma, s.delta) == (4, 1, 0, 81)
-    eigen_check(composed_b4.x, s)
-    numeric_spectrum_oracle(composed_b4.x, s)
+    eigen_check(composed_b4, s)
+    numeric_spectrum_oracle(composed_b4, s)
 
 
 def test_spectrum_fano(fano_composed):
-    s = spectrum(check_sbbd(fano_composed.x))
+    s = spectrum(check_sbbd(fano_composed))
     assert s.alpha == 14
     assert (s.beta, s.gamma) == (0, 0)
     assert s.delta == 18 * 21  # mu * k for a semi-regular design
-    eigen_check(fano_composed.x, s)
-    numeric_spectrum_oracle(fano_composed.x, s)
+    eigen_check(fano_composed, s)
+    numeric_spectrum_oracle(fano_composed, s)
 
 
 def test_semi_regular_zero_eigenvectors(fano_composed):
-    m = int_gram(fano_composed.x)
+    m = int_gram(fano_composed)
     ones = np.ones(7, dtype=np.int64)
     for z in int_helmert(7):
         assert not (m @ np.kron(z, ones)).any()
@@ -172,7 +171,7 @@ def test_semi_regular_zero_eigenvectors(fano_composed):
 
 
 def test_trace_identity_semi_regular(fano_composed):
-    s = spectrum(check_sbbd(fano_composed.x))
+    s = spectrum(check_sbbd(fano_composed))
     k = 3 * 7
     assert s.m_alpha * s.alpha == 18 * (49 - k)
 
@@ -181,7 +180,7 @@ def test_generalized_inverse_identities(
     x22, composed_b4, fano_composed, single_edge_blocks, dense_ginv
 ):
     # fano is semi-regular with beta = gamma = 0; single_edge_blocks is an SBBD*
-    for x in (x22, composed_b4.x, fano_composed.x, single_edge_blocks):
+    for x in (x22, composed_b4, fano_composed, single_edge_blocks):
         weights = generalized_inverse(check_sbbd(x))
         assert type(weights) is tuple and len(weights) == 4
         assert all(type(w) is Fraction for w in weights)
@@ -206,7 +205,7 @@ def test_generalized_inverse_drops_zero_terms(x22, composed_b4, dense_ginv):
 
     a2_4 = np.ones((4, 4)) / 4
     b1_3 = np.eye(3) - np.ones((3, 3)) / 3
-    g47 = dense_ginv(4, 3, generalized_inverse(check_sbbd(composed_b4.x))).astype(float)
+    g47 = dense_ginv(4, 3, generalized_inverse(check_sbbd(composed_b4))).astype(float)
     assert np.allclose(g47 @ np.kron(a2_4, b1_3), 0)
 
 
@@ -224,9 +223,9 @@ def test_generalized_inverse_of_scaled_identity(dense_ginv):
 
 
 def test_degenerate_design():
+    # the Moore-Penrose inverse of the zero matrix is the zero matrix
     params = SbbdParameters(2, 2, 1, mu=0, lambda12=0, lambda21=0, lambda22=0)
-    with pytest.raises(DegenerateDesign):
-        generalized_inverse(params)
+    assert generalized_inverse(params) == (Fraction(0),) * 4
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,10 +236,6 @@ def test_weights_satisfy_moore_penrose(dense_ginv, expand_lambda, v1, v2, lam):
     s = spectrum(params)
     # the trace identity holds by algebra, so spectrum makes no check of it
     assert sum(val * mult for val, mult in s.pairs()) == lam[0] * v1 * v2
-    if not any((s.alpha, s.beta, s.gamma, s.delta)):
-        with pytest.raises(DegenerateDesign):
-            generalized_inverse(params)
-        return
     g = dense_ginv(v1, v2, generalized_inverse(params))
     m = expand_lambda(v1, v2, lam).astype(object)
     mg, gm = m @ g, g @ m
@@ -251,21 +246,17 @@ def test_weights_satisfy_moore_penrose(dense_ginv, expand_lambda, v1, v2, lam):
 
 
 def test_classify_blocks_fano(fano_composed):
-    reg = classify_blocks(fano_composed.x)
-    assert reg == sbbd.BlockRegularity(True, True, 3, 3)
+    assert classify_blocks(fano_composed) == (3, 3)
 
 
 def test_classify_blocks_b4(composed_b4):
-    reg = classify_blocks(composed_b4.x)
-    assert not reg.is_semi_regular
-    assert reg.k1 is None
+    assert classify_blocks(composed_b4) is None
+    assert classify_blocks(DesignMatrix(2, 2, np.zeros((0, 4), dtype=np.uint8))) is None  # no blocks
 
 
 def test_classify_blocks_all_ones():
     x = DesignMatrix(2, 3, np.ones((1, 6), dtype=int))
-    reg = classify_blocks(x)
-    assert reg.is_semi_regular and not reg.is_regular
-    assert (reg.k1, reg.k2) == (3, 2)
+    assert classify_blocks(x) == (3, 2)
 
 
 def test_a_optimality_fixture(x22):
@@ -278,7 +269,7 @@ def test_a_optimality_fixture(x22):
 
 
 def test_a_optimality_fano(fano_composed):
-    rep = a_optimality(fano_composed.x)
+    rep = a_optimality(fano_composed)
     assert rep.a_criterion == Fraction(18, 7)
     assert rep.a_lower_bound == Fraction(18, 7)
     assert rep.is_regular and rep.is_a_optimal_in_omega
@@ -364,7 +355,7 @@ def test_every_single_bit_flip_matches_reference(x22):
 def composed(name):
     """The catalog design `name` composed with OD_1(b)."""
     d = sbbd.catalog_by_id(name)
-    return sbbd.compose(d, sbbd.construct_od1(d.b)).x
+    return sbbd.compose(d, sbbd.construct_od1(d.b))
 
 
 @settings(max_examples=100, deadline=None)
@@ -388,7 +379,7 @@ def test_single_bit_flip_of_a_composed_design_is_a_violation(case):
 
 
 def test_multi_bit_flips_match_reference(fano_composed):
-    x = fano_composed.x
+    x = fano_composed
     rng = np.random.default_rng(20230831)
     for _ in range(60):
         m = x.matrix.copy()
@@ -399,7 +390,7 @@ def test_multi_bit_flips_match_reference(fano_composed):
 
 
 def test_unperturbed_designs_match_reference(x22, composed_b4, fano_composed):
-    for x in (x22, composed_b4.x, fano_composed.x):
+    for x in (x22, composed_b4, fano_composed):
         assert_matches_reference(x)
 
 
@@ -436,7 +427,7 @@ def test_gram_equals_int64_reference(expand_lambda, case):
 def test_dense_expands_lambda_to_the_gram(
     x22, composed_b4, fano_composed, single_edge_blocks, expand_lambda
 ):
-    for x in (x22, composed_b4.x, fano_composed.x, single_edge_blocks):
+    for x in (x22, composed_b4, fano_composed, single_edge_blocks):
         dense = expand_lambda(x.v1, x.v2, check_sbbd(x).lam)
         assert dense.dtype == np.int64
         assert np.array_equal(dense, x.matrix.astype(np.int64).T @ x.matrix.astype(np.int64))
@@ -455,7 +446,7 @@ def test_check_sbbd_trace_mismatch_raises_under_optimize():
     # check_sbbd takes apart from the Gram
     code = (
         "import sbbd, sbbd.analyzer\n"
-        "x = sbbd.compose(sbbd.catalog_by_id('fano'), sbbd.construct_od1(7)).x\n"
+        "x = sbbd.compose(sbbd.catalog_by_id('fano'), sbbd.construct_od1(7))\n"
         "count = sbbd.analyzer.np.count_nonzero\n"
         "sbbd.analyzer.np.count_nonzero = lambda a: count(a) - 1\n"
         "try:\n"

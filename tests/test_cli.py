@@ -226,7 +226,7 @@ def test_analyze_json_rejection_payload(capsys, tmp_path, x22):
 
 def test_analyze_non_square_needs_dims(capsys, tmp_path, composed_b4):
     f = tmp_path / "b4.csv"
-    f.write_bytes(sbbd.matrix_to_csv(composed_b4.x))
+    f.write_bytes(sbbd.matrix_to_csv(composed_b4))
     code, _, err = run(capsys, "analyze", str(f))
     assert code == 2
     assert "--v1" in err
@@ -271,7 +271,7 @@ def test_simulate_human_and_json(capsys, fixture_dir):
 
 
 def test_simulate_rejection_payload_names_the_witness(capsys, tmp_path, fano_composed):
-    m = fano_composed.x.matrix.copy()
+    m = fano_composed.matrix.copy()
     m[0, 3] ^= 1
     bad = tmp_path / "bad.csv"
     bad.write_bytes(sbbd.matrix_to_csv(sbbd.DesignMatrix(7, 7, m)))
@@ -393,7 +393,7 @@ def test_non_utf8_design_is_format_error(capsys, tmp_path, command):
 @pytest.mark.parametrize("command", [["analyze", "--json"], ["mask", "--format", "bin"]])
 @pytest.mark.parametrize("which", ["first", "last"])
 def test_non_ascii_digit_in_design_is_format_error(capsys, tmp_path, fano_composed, command, which):
-    text = "\n".join(",".join(map(str, row)) for row in fano_composed.x.matrix.tolist()) + "\n"
+    text = "\n".join(",".join(map(str, row)) for row in fano_composed.matrix.tolist()) + "\n"
     k = text.index("1") if which == "first" else text.rindex("1")
     bad = tmp_path / "fano.csv"
     bad.write_text(text[:k] + "\u0661" + text[k + 1 :], encoding="utf-8")  # ARABIC-INDIC DIGIT ONE
@@ -609,7 +609,7 @@ def _main_to_text_stdout(*argv):
 
 def test_text_stdout_takes_csv_and_json(capsys, fixture_dir):
     code, text = _main_to_text_stdout("compose", "--design", "catalog:fano", "--od", "7")
-    fano = sbbd.compose(sbbd.catalog_by_id("fano"), sbbd.construct_od1(7)).x
+    fano = sbbd.compose(sbbd.catalog_by_id("fano"), sbbd.construct_od1(7))
     assert code == 0 and text.encode() == sbbd.matrix_to_csv(fano)
     code, text = _main_to_text_stdout("mask", str(fixture_dir / "design_3_3_9.csv"))
     assert code == 0 and len(json.loads(text)["masks"]) == 9

@@ -16,6 +16,7 @@ from sbbd import (
     cyclic_shift_perms,
     permute_extension,
     permute_panels,
+    predicted_parameters,
     spanning_guaranteed,
     spectrum,
     verify_od,
@@ -73,7 +74,7 @@ def cooccurrence_oracle(x: sbbd.DesignMatrix):
 
 
 def test_compose_b4_structure(rl4, composed_b4):
-    x = composed_b4.x
+    x = composed_b4
     od = construct_od1(4)
     h = sbbd.incidence_matrix(rl4)
     assert (x.v1, x.v2, x.n_rows) == (4, 3, 12)
@@ -83,17 +84,17 @@ def test_compose_b4_structure(rl4, composed_b4):
             assert np.array_equal(x.masks[p, q], h[od.rows[p, q] - 1])
 
 
-def test_compose_b4_parameters(composed_b4):
-    assert composed_b4.predicted.lam == (9, 6, 6, 7)
-    assert composed_b4.predicted.n_rows == 12
-    measured = check_sbbd(composed_b4.x)
-    assert measured.lam == composed_b4.predicted.lam
-    assert composed_b4.spanning_guaranteed
-    assert sbbd.is_spanning(composed_b4.x)
+def test_compose_b4_parameters(rl4, composed_b4):
+    predicted = predicted_parameters(rl4, construct_od1(4))
+    assert predicted.lam == (9, 6, 6, 7)
+    assert predicted.n_rows == 12
+    assert check_sbbd(composed_b4) == predicted
+    assert spanning_guaranteed(4, rl4.b, rl4.r)
+    assert sbbd.is_spanning(composed_b4)
 
 
 def test_compose_b4_against_cooccurrence_oracle(composed_b4):
-    assert cooccurrence_oracle(composed_b4.x) == (9, 6, 6, 7)
+    assert cooccurrence_oracle(composed_b4) == (9, 6, 6, 7)
 
 
 def test_compose_fixture_against_cooccurrence_oracle(x22):
@@ -101,16 +102,17 @@ def test_compose_fixture_against_cooccurrence_oracle(x22):
 
 
 def test_compose_fano_parameters(fano_composed):
-    assert fano_composed.predicted.lam == (18, 6, 6, 8)
-    assert fano_composed.predicted.n_rows == 42
-    assert check_sbbd(fano_composed.x).lam == (18, 6, 6, 8)
+    predicted = predicted_parameters(sbbd.catalog_by_id("fano"), construct_od1(7))
+    assert predicted.lam == (18, 6, 6, 8)
+    assert predicted.n_rows == 42
+    assert check_sbbd(fano_composed).lam == (18, 6, 6, 8)
 
 
 def test_compose_qr59_beyond_the_extension_field_tables():
     # a prime field of order 59 needs no shipped table
-    composed = compose(sbbd.catalog_by_id("qr59"), construct_od1(59))
-    measured = check_sbbd(composed.x)
-    assert measured.lam == composed.predicted.lam == (1682, 812, 812, 827)
+    d, od = sbbd.catalog_by_id("qr59"), construct_od1(59)
+    measured = check_sbbd(compose(d, od))
+    assert measured.lam == predicted_parameters(d, od).lam == (1682, 812, 812, 827)
     assert measured.n_rows == 59 * 58
 
 
@@ -128,7 +130,7 @@ def test_spanning_guarantee_boundary():
 
 
 def test_panel_permutation_preserves_gram(composed_b4):
-    x = composed_b4.x
+    x = composed_b4
     base_info = gram(x)
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -137,35 +139,41 @@ def test_panel_permutation_preserves_gram(composed_b4):
 
 
 def test_identity_permutation_is_a_noop(composed_b4):
-    x = composed_b4.x
+    x = composed_b4
     assert np.array_equal(permute_panels(x, [1, 2, 3]).matrix, x.matrix)
     assert np.array_equal(permute_extension(x, []).matrix, x.matrix)
 
 
 def test_stacking_identity_doubles_gram(composed_b4):
-    x = composed_b4.x
+    x = composed_b4
     stacked = permute_extension(x, [[1, 2, 3]])
     assert stacked.n_rows == 2 * x.n_rows
     assert np.array_equal(gram(stacked), 2 * gram(x))
 
 
 def test_cyclic_extension_scales_parameters(composed_b4):
-    x = composed_b4.x
+    x = composed_b4
     stacked = permute_extension(x, cyclic_shift_perms(3, 2))
     assert stacked.n_rows == 24
     assert check_sbbd(stacked).lam == (18, 12, 12, 14)
 
 
+@pytest.mark.parametrize("v2, u", [(7, 2.5), ("7", 2), (7, True), (7, 0), (0, 2), (7.0, 2)])
+def test_cyclic_shift_perms_takes_integers_v2_and_u_at_least_one(v2, u):
+    with pytest.raises(DimensionError, match="integers v2 >= 1 and layer count u >= 1"):
+        cyclic_shift_perms(v2, u)
+
+
 def test_bad_permutation_rejected(composed_b4):
     with pytest.raises(DimensionError):
-        permute_panels(composed_b4.x, [1, 2])
+        permute_panels(composed_b4, [1, 2])
     with pytest.raises(DimensionError):
-        permute_panels(composed_b4.x, [1, 2, 2])
+        permute_panels(composed_b4, [1, 2, 2])
     # truncated to int, [1.5, 2, 3] would pass as the identity
     for perm in ([1.5, 2, 3], [1.0, 2.0, float("nan")]):
         with pytest.raises(DimensionError, match="not a permutation of 1..v2"):
-            permute_panels(composed_b4.x, perm)
-    assert np.array_equal(permute_panels(composed_b4.x, [1.0, 2.0, 3.0]).matrix, composed_b4.x.matrix)
+            permute_panels(composed_b4, perm)
+    assert np.array_equal(permute_panels(composed_b4, [1.0, 2.0, 3.0]).matrix, composed_b4.matrix)
 
 
 def test_od_row_permutation_permutes_design_rows(rl4):
@@ -173,8 +181,8 @@ def test_od_row_permutation_permutes_design_rows(rl4):
     rng = np.random.default_rng(5)
     shuffle = rng.permutation(od.n_rows)
     od_shuffled = verify_od(od.rows[shuffle], n=4, s=4)
-    x = compose(rl4, od).x
-    y = compose(rl4, od_shuffled).x
+    x = compose(rl4, od)
+    y = compose(rl4, od_shuffled)
     assert np.array_equal(y.matrix, x.matrix[shuffle])
     assert np.array_equal(gram(y), gram(x))
 
@@ -186,7 +194,7 @@ def composed(name):
     """The catalog design `name` composed with OD_1(b), built once."""
     if name not in _COMPOSED:
         d = sbbd.catalog_by_id(name)
-        _COMPOSED[name] = compose(d, construct_od1(d.b)).x
+        _COMPOSED[name] = compose(d, construct_od1(d.b))
     return _COMPOSED[name]
 
 
@@ -251,7 +259,8 @@ def test_composition_theorem_holds_for_relabelled_ods(case):
     d, symbols, rng, columns, s = case
     rows = np.array([0, *symbols])[construct_od1(d.b).rows]
     rows = rows[rng.sample(range(len(rows)), len(rows))][:, list(columns[:s])]
-    composed_design = compose(d, verify_od(rows, n=d.b, s=s))
-    assert check_sbbd(composed_design.x) == composed_design.predicted
-    if composed_design.spanning_guaranteed:
-        assert sbbd.is_spanning(composed_design.x)
+    od = verify_od(rows, n=d.b, s=s)
+    x = compose(d, od)
+    assert check_sbbd(x) == predicted_parameters(d, od)
+    if spanning_guaranteed(s, d.b, d.r):
+        assert sbbd.is_spanning(x)

@@ -27,3 +27,14 @@ def test_readme_names_every_export():
     readme = (ROOT / "README.md").read_text()
     missing = [name for name in exports if not re.search(rf"\b{name}\b", readme)]
     assert exports and not missing, missing
+
+
+def test_no_module_relies_on_a_bare_assert():
+    # python -O strips assert statements, so no correctness check may be one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "sbbd").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

@@ -109,9 +109,12 @@ def test_effect_vector_validation():
     [["a", 0, 0, 0], ["1", "-1", "-1", "1"], [1j, 0, 0, 0], np.array([1j, -1j, -1j, 1j]), [[1, -1], [-1]]],
     ids=["str", "numeric-str", "complex", "complex-array", "ragged"],
 )
-def test_effect_vector_entries_that_are_not_real_numbers_are_format_errors(tau):
+def test_effect_vector_entries_that_are_not_real_numbers_are_format_errors(single_edge_blocks, tau):
     with pytest.raises(FormatError, match="real numbers"):
         EffectVector(2, 2, tau)
+    # y goes through the same conversion; the 2 x 2 design has N = 4 blocks
+    with pytest.raises(FormatError, match="real numbers"):
+        estimate_effects(single_edge_blocks, tau)
 
 
 def test_random_effects_beyond_numpy_indexing_is_a_dimension_error():
@@ -164,7 +167,7 @@ def test_variance_close_to_prediction(x22):
 
 def test_contrast_index_layout(composed_b4):
     tau = random_effects(4, 3, seed=6)
-    report = simulate(composed_b4.x, tau, sigma=0.0, runs=2, seed=6)
+    report = simulate(composed_b4, tau, sigma=0.0, runs=2, seed=6)
     assert report.contrast_index == [
         (i, j) for i in range(1, 4) for j in range(1, 3)
     ]
@@ -179,7 +182,7 @@ def test_simulate_rejects_alpha_zero():
 
 
 def test_simulate_and_estimate_effects_raise_the_first_witness(fano_composed):
-    m = fano_composed.x.matrix.copy()
+    m = fano_composed.matrix.copy()
     m[0, 3] ^= 1  # one more block on edge (1, 4): diag of X_1^T X_1 is off at 4
     x = DesignMatrix(7, 7, m)
     tau = random_effects(7, 7, seed=1)
@@ -221,7 +224,7 @@ def test_largest_runs_returns_promptly(fano_composed):
     # the work is bounded by min(runs - 1, N) rows of the scatter factor
     tau = random_effects(7, 7, seed=1)
     start = time.perf_counter()
-    report = simulate(fano_composed.x, tau, sigma=1.0, runs=2**53, seed=1)
+    report = simulate(fano_composed, tau, sigma=1.0, runs=2**53, seed=1)
     assert time.perf_counter() - start < 5.0
     assert report.runs == 2**53
     assert report.max_relative_deviation < 1e-6  # the variance's relative error is about sqrt(2 / runs)
@@ -292,7 +295,7 @@ def test_report_is_the_dense_projection_of_the_documented_stream(fano_composed, 
     # N = 42: m = runs - 1 below N - 1, m = N - 1, m = N, and m = N with runs far above N
     tau = random_effects(7, 7, seed=31)
     for runs in (2, 37, 42, 43, 5000):
-        _check_report_against_documented_stream(fano_composed.x, tau, 1.0, runs, 17, contrast_basis)
+        _check_report_against_documented_stream(fano_composed, tau, 1.0, runs, 17, contrast_basis)
 
 
 def test_one_contrast_report_is_the_dense_projection_of_the_documented_stream(
@@ -307,7 +310,7 @@ def test_one_contrast_report_is_the_dense_projection_of_the_documented_stream(
 def test_noise_rows_are_rows_of_the_tile_draws(contrast_basis):
     # N = 342 > _TILE: row i of the scatter factor Z comes from row i % _TILE of
     # tile i // _TILE, with a partial second tile (m = 299) and a full factor (m = N)
-    x = sbbd.compose(sbbd.catalog_by_id("qr19"), sbbd.construct_od1(19)).x
+    x = sbbd.compose(sbbd.catalog_by_id("qr19"), sbbd.construct_od1(19))
     assert x.n_rows > estimator._TILE
     tau = random_effects(19, 19, seed=4)
     for runs in (300, 1000):
@@ -318,14 +321,14 @@ def test_padded_rows_of_the_last_tile_never_enter_the_report(fano_composed, cont
     # the one tile holds m = 19 and m = N = 42 rows of Z; the reference uses no other row
     tau = random_effects(7, 7, seed=12)
     for runs in (20, estimator._TILE + 37):
-        _check_report_against_documented_stream(fano_composed.x, tau, 1.5, runs, 44, contrast_basis)
+        _check_report_against_documented_stream(fano_composed, tau, 1.5, runs, 44, contrast_basis)
 
 
 def test_simulate_has_the_law_of_the_per_run_replay(composed_b4, contrast_basis):
     # N = 12: runs 3, 12 and 40 give m = 2 < N - 1, m = N - 1 and m = N.  Each
     # contrast's empirical mean and variance over 1500 seeds is compared with
     # that of 1500 replays that draw every run, in 36 tests at level 1e-4
-    x = composed_b4.x
+    x = composed_b4
     tau = random_effects(4, 3, seed=6)
     alpha = sbbd.spectrum(sbbd.check_sbbd(x)).alpha
     w = contrast_basis(4, 3) @ x.matrix.T.astype(float) / alpha
@@ -346,8 +349,8 @@ def test_simulate_has_the_law_of_the_per_run_replay(composed_b4, contrast_basis)
 def test_projection_matches_generalized_inverse(
     x22, composed_b4, fano_composed, single_edge_blocks, dense_ginv, contrast_basis
 ):
-    pg23 = sbbd.compose(sbbd.catalog_by_id("pg23"), sbbd.construct_od1(13)).x  # 13 x 13, 156 blocks
-    for x in (x22, composed_b4.x, fano_composed.x, single_edge_blocks, pg23):
+    pg23 = sbbd.compose(sbbd.catalog_by_id("pg23"), sbbd.construct_od1(13))  # 13 x 13, 156 blocks
+    for x in (x22, composed_b4, fano_composed, single_edge_blocks, pg23):
         params = sbbd.check_sbbd(x)
         alpha = sbbd.spectrum(params).alpha
         c = contrast_basis(x.v1, x.v2)
@@ -433,10 +436,19 @@ def test_zero_sum_tolerance_scales_with_tau():
             EffectVector(30, 30, bad)
 
 
-def test_effect_vector_rejects_non_finite():
+def test_effect_vector_rejects_non_finite(x22):
     for value in (np.nan, np.inf):
         with pytest.raises(DimensionError, match="non-finite"):
             EffectVector(2, 2, np.array([value, -value, -value, value]))
+        with pytest.raises(DimensionError, match="non-finite"):
+            estimate_effects(x22, np.full(9, value))
+    with pytest.raises(DimensionError, match="too large for float64"):
+        estimate_effects(x22, [10**400] + [0] * 8)
+    # every entry of X^T y sums mu = 6 of these
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match="overflows float64"):
+            estimate_effects(x22, np.full(9, 1e308))
 
 
 def test_contrast_basis_equals_row_by_row_kron(contrast_basis):
@@ -452,7 +464,7 @@ def test_simulate_peak_memory_stays_near_two_w_sized_arrays(monkeypatch):
     # W^T is N (v1-1)(v2-1) float64 and is filled in 2 MiB row slabs of X; each
     # tile adds a (_TILE, N) draw and a (_TILE, C) product.  The design check's
     # float Gram is the analyzer's peak, so its result is taken as given here
-    x = sbbd.compose(sbbd.catalog_by_id("qr31"), sbbd.construct_od1(31)).x  # 930 x 961
+    x = sbbd.compose(sbbd.catalog_by_id("qr31"), sbbd.construct_od1(31))  # 930 x 961
     tau = random_effects(31, 31, seed=1)
     checked = estimator._checked_spectrum(x)
     monkeypatch.setattr(estimator, "_checked_spectrum", lambda _: checked)

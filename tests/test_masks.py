@@ -33,11 +33,11 @@ def test_non_spanning_refused(single_edge_blocks):
 
 
 def test_masks_match_design_rows(composed_b4):
-    schedule = export_masks(composed_b4.x)
+    schedule = export_masks(composed_b4)
     assert schedule.masks.shape == (12, 4, 3)
     for k in range(12):
         assert np.array_equal(
-            schedule.masks[k].reshape(-1), composed_b4.x.matrix[k]
+            schedule.masks[k].reshape(-1), composed_b4.matrix[k]
         )
 
 

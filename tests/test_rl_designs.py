@@ -123,6 +123,13 @@ def test_all_pairs_plus_full_matches_explicit(rl4):
     assert sorted(map(sorted, d.blocks)) == sorted(map(sorted, rl4.blocks))
 
 
+@pytest.mark.parametrize("v", ["3", 3.0, 10**30])
+def test_all_pairs_plus_full_rejects_bad_v_before_building_blocks(v):
+    # 10^30 points need an incidence matrix numpy cannot index
+    with pytest.raises(DimensionError, match="integer v >= 2|largest array"):
+        all_pairs_plus_full(v)
+
+
 def test_fano_from_catalog():
     d = catalog_by_id("fano")
     assert d.is_bibd and d.b == d.v
@@ -186,9 +193,10 @@ def test_bad_base_block_rejected():
         symmetric_bibd_from_difference_set(7, [1, 1, 2])
 
 
-@pytest.mark.parametrize("modulus", [0, 1, -7, 7.0, True, 10**30])
+@pytest.mark.parametrize("modulus", [0, 1, -7, 7.0, True, 10**30, np.int64(3 * 10**9)])
 def test_bad_modulus_is_a_dimension_error(modulus):
-    # 10^30 points need a Gram beyond numpy's indexing; the others are not moduli
+    # 10^30 points need a Gram beyond numpy's indexing, and so do 3 * 10^9,
+    # whose byte count wraps negative in int64 arithmetic; the others are not moduli
     with pytest.raises(DimensionError, match="modulus|largest array"):
         symmetric_bibd_from_difference_set(modulus, [0, 1])
 
@@ -304,3 +312,5 @@ def test_design_json_takes_only_integers(text):
 def test_points_beyond_the_largest_array_are_a_dimension_error():
     with pytest.raises(DimensionError, match="largest array numpy can index"):
         design_from_json(json.dumps({"v": 10**30, "blocks": [[1, 2], [1, 2]]}))
+    with pytest.raises(DimensionError, match="largest array numpy can index"):
+        verify_rl_design(np.int64(3 * 10**9), [[1, 2]])
