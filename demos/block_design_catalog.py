@@ -10,16 +10,16 @@ import sbbd
 d = sbbd.verify_rl_design(3, [{1, 2}, {2, 3}, {1, 3}, {1, 2, 3}])
 print(f"v={d.v} b={d.b} r={d.r} lambda={d.lam} sizes={d.block_sizes} BIBD={d.is_bibd}")
 
-h = sbbd.incidence_matrix(d)
+h = d.incidence  # uint8: cast before any product, as uint8 sums wrap past 255
 print("incidence matrix H:")
 print(h)
 print("H^T H == r I + lambda (J - I):")
-print(h.T @ h)
+print(h.T.astype(np.int64) @ h)
 
 # develop a difference set into the 7-point symmetric BIBD
 fano = sbbd.symmetric_bibd_from_difference_set(7, [1, 2, 4])
 print(f"\ndeveloped design: v={fano.v} b={fano.b} r={fano.r} k={fano.k} lambda={fano.lam}")
-print("blocks:", [sorted(b) for b in fano.blocks])
+print("blocks:", [(np.flatnonzero(row) + 1).tolist() for row in fano.incidence])
 
 # the catalog is one rule: qr<p> for every prime p >= 7 with p = 3 (mod 4)
 print("\ncatalog:")

@@ -32,7 +32,9 @@ print(f"\nregular blocks: k1 = {report.k1}, k2 = {report.k2}")
 print(f"A-criterion = {report.a_criterion}, lower bound = {report.a_lower_bound}")
 print("A-optimal in the semi-regular class:", report.is_a_optimal_in_omega)
 
-# permutation layers stack new rows without disturbing balance
-stacked = sbbd.permute_extension(x, sbbd.cyclic_shift_perms(x.v2, 2))
+# permutation layers stack new rows without disturbing balance: the
+# identity, then every panel's columns shifted cyclically by one
+shift = [[1, 2, 3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7, 1]]
+stacked = sbbd.permute_extension(x, shift)
 print(f"\nwith one cyclic layer: {stacked.n_rows} rows,"
       f" Lambda = {sbbd.check_sbbd(stacked).lam}")

@@ -16,9 +16,7 @@ from .analyzer import (
 )
 from .composer import (
     compose,
-    cyclic_shift_perms,
     permute_extension,
-    permute_panels,
     predicted_parameters,
     spanning_guaranteed,
 )
@@ -69,7 +67,6 @@ from .rl_designs import (
     all_pairs_plus_full,
     catalog_by_id,
     design_from_json,
-    incidence_matrix,
     symmetric_bibd_from_difference_set,
     verify_rl_design,
 )

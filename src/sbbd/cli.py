@@ -34,7 +34,6 @@ from . import (
     catalog_by_id,
     compose,
     construct_od1,
-    cyclic_shift_perms,
     design_from_json,
     matrix_from_csv,
     matrix_to_csv,
@@ -151,7 +150,8 @@ def _cmd_compose(args) -> int:
         name, _, count = args.perms.partition(":")
         if name != "cyclic" or not count.isdecimal() or int(count) < 1:
             raise UsageError("--perms expects cyclic:<u> with u >= 1")
-        x = permute_extension(x, cyclic_shift_perms(x.v2, int(count)))
+        # layer t shifts every panel's columns cyclically by t; t = 0 is the identity
+        x = permute_extension(x, [[(j + t) % x.v2 + 1 for j in range(x.v2)] for t in range(int(count))])
     if args.out and args.out.endswith(".json"):
         _write_output((blocks_to_json(x) + "\n").encode(), args.out)
     else:

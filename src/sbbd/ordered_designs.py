@@ -49,10 +49,13 @@ class PairCountMismatch(SbbdError):
 def _prime_power(q: int):
     """Return (p, e) with q = p^e, or None.
 
-    An order whose q x q tables numpy cannot index is a DimensionError,
-    raised before trial division, which below that bound takes at most
-    about 55 000 steps.
+    An order that is not a Python or numpy integer, or whose q x q tables
+    numpy cannot index, is a DimensionError, raised before trial division,
+    which below that bound takes at most about 55 000 steps.
     """
+    if not _is_int(q):
+        raise DimensionError(f"need an integer order q, got {q!r}")
+    q = int(q)
     if q < 2:
         return None
     if q > math.isqrt(np.iinfo(np.intp).max):
@@ -164,11 +167,14 @@ def verify_od(m, n: int, s: int) -> OrderedDesign:
     """
     if not (_is_int(n) and _is_int(s) and n >= 2):  # n >= 2 for a pair of distinct symbols
         raise DimensionError(f"need integers n >= 2 and s, got n = {n!r} and s = {s!r}")
-    raw = np.asarray(m)
-    with np.errstate(invalid="ignore"):  # NaN and inf then fail the comparison
-        arr = raw.astype(np.int64)
-    if not np.array_equal(arr, raw):
-        raise FormatError("symbols must be integers")
+    try:
+        raw = np.asarray(m)
+        with np.errstate(invalid="ignore"):  # NaN and inf then fail the comparison
+            arr = raw.astype(np.int64)
+        if not np.array_equal(arr, raw):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):  # also None, ragged, or an int beyond int64
+        raise FormatError("symbols must be integers") from None
     if arr.ndim != 2 or arr.shape[1] != s:
         raise DimensionError(f"array shape {arr.shape} does not match s = {s}")
     if s > n:
@@ -212,6 +218,7 @@ def construct_od1(q: int) -> OrderedDesign:
     shifted to 1..q.  Output is re-verified before returning.
     """
     fld = gf(q)
+    q = fld.q  # a Python int, so the row arithmetic cannot wrap
     a = np.repeat(np.arange(q), q - 1)  # a-major, then m
     m = np.tile(np.arange(1, q), q)
     rows = fld.add[a[:, None], fld.mul[m]] + 1  # fld.mul[m][r, c] = m_r * c

@@ -17,7 +17,7 @@ References: Paley (1933); Handbook of Combinatorial Designs, 2nd ed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -60,17 +60,29 @@ class CatalogMismatch(SbbdError):
 
 @dataclass(frozen=True)
 class BlockDesign:
-    """A verified (r,lambda)-design; construct via verify_rl_design."""
+    """A verified (r,lambda)-design; construct via verify_rl_design.
+
+    `incidence` is the read-only, C-contiguous uint8 (b x v) matrix H with a
+    1 at (i, p - 1) for each point p of block i, so H^T H = r I + lambda (J - I).
+    Cast it to int64 or float64 before any product: uint8 arithmetic wraps
+    past 255.  Designs with the same blocks in the same order are equal.
+    """
 
     v: int
-    blocks: tuple
     r: int
     lam: int
-    block_sizes: tuple
+    incidence: np.ndarray = field(repr=False, compare=False)
+
+    def __eq__(self, other):  # v, r and lambda are counted from the incidence
+        return isinstance(other, BlockDesign) and np.array_equal(self.incidence, other.incidence)
 
     @property
     def b(self) -> int:
-        return len(self.blocks)
+        return self.incidence.shape[0]
+
+    @property
+    def block_sizes(self) -> tuple:
+        return tuple(self.incidence.sum(axis=1).tolist())
 
     @property
     def is_bibd(self) -> bool:
@@ -82,54 +94,25 @@ class BlockDesign:
         return self.block_sizes[0] if self.is_bibd else None
 
 
-def _incidence(v: int, blocks) -> np.ndarray:
-    """(b x v) 0/1 matrix with a 1 at (i, p - 1) for each point p of block i."""
-    h = np.zeros((len(blocks), v), dtype=np.int64)
-    h[np.repeat(np.arange(len(blocks)), [len(blk) for blk in blocks]),
-      [p - 1 for blk in blocks for p in blk]] = 1
-    return h
-
-
 def _check_incidence(v: int, b: int) -> None:
     """DimensionError unless numpy can index the int64 (b x v) incidence matrix and its Gram."""
     _check_indexable(8 * max(int(b), int(v)) * int(v), f"the int64 incidence matrix or Gram of {v} points")
 
 
-def verify_rl_design(v: int, blocks: list) -> BlockDesign:
-    """Check the replication and pair-balance axioms by exhaustive counting.
+def _counted(h: np.ndarray) -> BlockDesign:
+    """The BlockDesign with uint8 incidence h, once every count agrees.
 
-    Raises NotRegular / NotPairBalanced with a witness on the first failed
-    count.  Designs with lambda = 0 are rejected: downstream composition
-    needs genuine pair balance.  A point that is a bool, or not a Python or
-    numpy integer, is a FormatError.
+    One integer Gram H^T H: its diagonal counts points, its strict upper
+    triangle, in row-major (= combinations) order, counts pairs.  lambda = 0
+    is rejected, because downstream composition needs genuine pair balance.
     """
-    if not _is_int(v) or v < 2:
-        raise DimensionError(f"need an integer v >= 2 points, got {v!r}")
-    norm = []
-    for blk in blocks:
-        pts = list(blk)  # checked before a set merges 1 with True or 1.0
-        if not all(map(_is_int, pts)):
-            raise FormatError(f"block {pts} has a point that is not an integer")
-        pts = frozenset(map(int, pts))
-        if not pts:
-            raise FormatError("empty block")
-        if any(not 1 <= p <= v for p in pts):
-            raise FormatError(f"block {sorted(pts)} has points outside 1..{v}")
-        norm.append(pts)
-    if not norm:
-        raise DimensionError("need at least one block")
-
-    # one integer Gram H^T H: its diagonal counts points, its strict upper
-    # triangle, in row-major (= combinations) order, counts pairs
-    _check_incidence(v, len(norm))
-    h = _incidence(v, norm)
-    gram = h.T @ h
+    gram = h.T.astype(np.int64) @ h
     point_counts = np.diagonal(gram)
     r = int(point_counts[0])
     bad = np.flatnonzero(point_counts != r)
     if bad.size:
         raise NotRegular(int(bad[0]) + 1, int(point_counts[bad[0]]), r)
-    first, second = np.triu_indices(v, 1)
+    first, second = np.triu_indices(h.shape[1], 1)
     pair_counts = gram[first, second]
     lam = int(pair_counts[0])
     bad = np.flatnonzero(pair_counts != lam)
@@ -137,31 +120,45 @@ def verify_rl_design(v: int, blocks: list) -> BlockDesign:
         k = bad[0]
         raise NotPairBalanced((int(first[k]) + 1, int(second[k]) + 1), int(pair_counts[k]), lam)
     if lam == 0:
-        raise NotPairBalanced(
-            (1, 2), 0, 1, "pair coverage is zero; lambda = 0 designs are rejected"
-        )
-
-    return BlockDesign(
-        v=v,
-        blocks=tuple(norm),
-        r=r,
-        lam=lam,
-        block_sizes=tuple(len(blk) for blk in norm),
-    )
-
-
-def incidence_matrix(d: BlockDesign) -> np.ndarray:
-    """(b x v) incidence matrix H; H^T H = r I + lambda (J - I) exactly."""
-    h = _incidence(d.v, d.blocks)
+        raise NotPairBalanced((1, 2), 0, 1, "pair coverage is zero; lambda = 0 designs are rejected")
     h.flags.writeable = False
-    return h
+    return BlockDesign(v=h.shape[1], r=r, lam=lam, incidence=h)
+
+
+def verify_rl_design(v: int, blocks: list) -> BlockDesign:
+    """Check the replication and pair-balance axioms by exhaustive counting.
+
+    Raises NotRegular / NotPairBalanced with a witness on the first failed
+    count, and rejects lambda = 0.  A block that is not iterable, or a point
+    that is a bool or not a Python or numpy integer, is a FormatError.
+    """
+    if not _is_int(v) or v < 2:
+        raise DimensionError(f"need an integer v >= 2 points, got {v!r}")
+    try:
+        blocks = [list(blk) for blk in blocks]  # not sets, which would merge 1 with True or 1.0
+    except TypeError:
+        raise FormatError("blocks must be an iterable of iterables of points") from None
+    for pts in blocks:
+        if not all(map(_is_int, pts)):
+            raise FormatError(f"block {pts} has a point that is not an integer")
+        pts[:] = map(int, pts)  # a repeated point is scattered into H once
+        if not pts:
+            raise FormatError("empty block")
+        if any(not 1 <= p <= v for p in pts):
+            raise FormatError(f"block {sorted(set(pts))} has points outside 1..{v}")
+    if not blocks:
+        raise DimensionError("need at least one block")
+    _check_incidence(v, len(blocks))
+    h = np.zeros((len(blocks), v), dtype=np.uint8)
+    h[np.repeat(np.arange(len(h)), list(map(len, blocks))), [p - 1 for blk in blocks for p in blk]] = 1
+    return _counted(h)
 
 
 def symmetric_bibd_from_difference_set(modulus: int, base_block) -> BlockDesign:
     """Develop base_block (residues mod modulus) into a symmetric BIBD.
 
     Block t is {x + t mod modulus : x in base_block}, shifted to points
-    1..modulus.  The result is re-verified; a base block whose differences
+    1..modulus.  The result is re-counted; a base block whose differences
     are not balanced raises NotADifferenceSet; a residue that is not an
     integer is a FormatError.
     """
@@ -174,15 +171,14 @@ def symmetric_bibd_from_difference_set(modulus: int, base_block) -> BlockDesign:
     base = sorted(int(x) % modulus for x in base_block)
     if len(set(base)) != len(base):
         raise FormatError("base block has repeated residues")
-    # every shift in one array first: a design too large for memory fails here
-    shifts = (np.array(base) + np.arange(modulus)[:, None]) % modulus + 1
-    blocks = [frozenset(row) for row in shifts.tolist()]
+    shifts = np.add.outer(np.arange(modulus), np.array(base, dtype=np.int64)) % modulus  # row t: base + t
+    h = np.zeros((modulus, modulus), dtype=np.uint8)
+    h[np.arange(modulus)[:, None], shifts] = 1
     try:
-        return verify_rl_design(modulus, blocks)
+        return _counted(h)
     except (NotRegular, NotPairBalanced) as exc:
-        raise NotADifferenceSet(
-            f"base block {base} mod {modulus} does not develop into a BIBD: {exc}"
-        ) from exc
+        msg = f"base block {base} mod {modulus} does not develop into a BIBD: {exc}"
+        raise NotADifferenceSet(msg) from exc
 
 
 def all_pairs_plus_full(v: int) -> BlockDesign:
@@ -197,9 +193,7 @@ def all_pairs_plus_full(v: int) -> BlockDesign:
         raise DimensionError(f"need an integer v >= 2 points, got {v!r}")
     v = int(v)
     _check_incidence(v, v * (v - 1) // 2 + 1)
-    blocks = [frozenset(p) for p in combinations(range(1, v + 1), 2)]
-    blocks.append(frozenset(range(1, v + 1)))
-    return verify_rl_design(v, blocks)
+    return verify_rl_design(v, [*combinations(range(1, v + 1), 2), range(1, v + 1)])
 
 
 def _difference_set(name: str):

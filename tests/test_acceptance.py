@@ -19,12 +19,10 @@ from sbbd import (
     check_sbbd,
     compose,
     construct_od1,
-    cyclic_shift_perms,
     export_masks,
     generalized_inverse,
     is_spanning,
     permute_extension,
-    permute_panels,
     random_effects,
     simulate,
     spectrum,
@@ -136,11 +134,12 @@ def test_criterion_08_permutation_extension(composed_b4):
     rng = np.random.default_rng(20240)
     for _ in range(10):
         perm = (rng.permutation(x.v2) + 1).tolist()
-        mp = permute_panels(x, perm).matrix.astype(np.int64)
+        mp = permute_extension(x, [perm]).matrix.astype(np.int64)
         assert np.array_equal(mp.T @ mp, base_info)
     base = check_sbbd(x).lam
     for u in (2, 3):
-        stacked = permute_extension(x, cyclic_shift_perms(x.v2, u))
+        shifts = [[(j + t) % x.v2 + 1 for j in range(x.v2)] for t in range(u)]  # t = 0 is the identity
+        stacked = permute_extension(x, shifts)
         assert stacked.n_rows == u * x.n_rows
         assert check_sbbd(stacked).lam == tuple(u * t for t in base)
     ok(8, "X^(P) info matrix invariant for 10 perms; Lambda scales by u in (2,3)")

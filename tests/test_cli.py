@@ -111,7 +111,9 @@ def test_compose_perms_and_json_output(capsys, tmp_path):
     assert sbbd.check_sbbd(x).lam == (18, 12, 12, 14)
 
 
-@pytest.mark.parametrize("perms", ["spiral:2", "cyclic:²"])  # "²" isdigit, not isdecimal
+@pytest.mark.parametrize(
+    "perms", ["spiral:2", "cyclic:²", "cyclic:0", "cyclic:2.5", "cyclic:"]  # "²" isdigit, not isdecimal
+)
 def test_compose_bad_perms_is_usage_error(capsys, perms):
     code, _, err = run(
         capsys, "compose", "--design", "catalog:fano", "--od", "7", "--perms", perms

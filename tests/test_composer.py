@@ -13,9 +13,7 @@ from sbbd import (
     check_sbbd,
     compose,
     construct_od1,
-    cyclic_shift_perms,
     permute_extension,
-    permute_panels,
     predicted_parameters,
     spanning_guaranteed,
     spectrum,
@@ -76,7 +74,7 @@ def cooccurrence_oracle(x: sbbd.DesignMatrix):
 def test_compose_b4_structure(rl4, composed_b4):
     x = composed_b4
     od = construct_od1(4)
-    h = sbbd.incidence_matrix(rl4)
+    h = rl4.incidence
     assert (x.v1, x.v2, x.n_rows) == (4, 3, 12)
     # panel q of row p is the H row named by the ordered design
     for p in (0, 3, 11):
@@ -127,6 +125,9 @@ def test_spanning_guarantee_boundary():
     assert not spanning_guaranteed(1, 4, 3)
     with pytest.raises(DimensionError):
         spanning_guaranteed(5, 4, 3)
+    for s, b, r in (("3", 4, 3), (3, 4.0, 3), (3, 4, True)):
+        with pytest.raises(DimensionError, match="integers s, b and r"):
+            spanning_guaranteed(s, b, r)
 
 
 def test_panel_permutation_preserves_gram(composed_b4):
@@ -135,45 +136,51 @@ def test_panel_permutation_preserves_gram(composed_b4):
     rng = np.random.default_rng(3)
     for _ in range(10):
         perm = (rng.permutation(x.v2) + 1).tolist()
-        assert np.array_equal(gram(permute_panels(x, perm)), base_info)
+        assert np.array_equal(gram(permute_extension(x, [perm])), base_info)
 
 
 def test_identity_permutation_is_a_noop(composed_b4):
     x = composed_b4
-    assert np.array_equal(permute_panels(x, [1, 2, 3]).matrix, x.matrix)
-    assert np.array_equal(permute_extension(x, []).matrix, x.matrix)
+    assert np.array_equal(permute_extension(x, [[1, 2, 3]]).matrix, x.matrix)
+    assert np.array_equal(permute_extension(x, np.arange(1, 4)[None]).matrix, x.matrix)
 
 
 def test_stacking_identity_doubles_gram(composed_b4):
     x = composed_b4
-    stacked = permute_extension(x, [[1, 2, 3]])
+    stacked = permute_extension(x, [[1, 2, 3]] * 2)
     assert stacked.n_rows == 2 * x.n_rows
     assert np.array_equal(gram(stacked), 2 * gram(x))
 
 
 def test_cyclic_extension_scales_parameters(composed_b4):
     x = composed_b4
-    stacked = permute_extension(x, cyclic_shift_perms(3, 2))
+    stacked = permute_extension(x, [[1, 2, 3], [2, 3, 1]])  # the identity and the shift by one
     assert stacked.n_rows == 24
     assert check_sbbd(stacked).lam == (18, 12, 12, 14)
 
 
-@pytest.mark.parametrize("v2, u", [(7, 2.5), ("7", 2), (7, True), (7, 0), (0, 2), (7.0, 2)])
-def test_cyclic_shift_perms_takes_integers_v2_and_u_at_least_one(v2, u):
-    with pytest.raises(DimensionError, match="integers v2 >= 1 and layer count u >= 1"):
-        cyclic_shift_perms(v2, u)
-
-
 def test_bad_permutation_rejected(composed_b4):
-    with pytest.raises(DimensionError):
-        permute_panels(composed_b4, [1, 2])
-    with pytest.raises(DimensionError):
-        permute_panels(composed_b4, [1, 2, 2])
-    # truncated to int, [1.5, 2, 3] would pass as the identity
-    for perm in ([1.5, 2, 3], [1.0, 2.0, float("nan")]):
-        with pytest.raises(DimensionError, match="not a permutation of 1..v2"):
-            permute_panels(composed_b4, perm)
-    assert np.array_equal(permute_panels(composed_b4, [1.0, 2.0, 3.0]).matrix, composed_b4.matrix)
+    bad = [
+        [[1, 2]],
+        [[1, 2, 2]],
+        # truncated to int, [1.5, 2, 3] would pass as the identity
+        [[1.5, 2, 3]],
+        [[1.0, 2.0, float("nan")]],
+        [1, 2, 3],  # one permutation, not a list of them
+        [],  # u = 0 layers
+        None,
+        [[None] * 3],
+        [["1", "2", "3"]],
+        [[1, 2, 3], [1, 2]],  # ragged
+        [np.zeros((2, 2)), np.zeros((2, 3))],  # ragged in a way numpy refuses to hold
+        [[True, 2, 3]],  # True would pass as 1
+        [[np.True_, 2, 3]],
+        [[10**30, 2, 3]],  # beyond int64
+    ]
+    for perms in bad:
+        with pytest.raises(DimensionError, match="permutation of 1..v2"):
+            permute_extension(composed_b4, perms)
+    assert np.array_equal(permute_extension(composed_b4, [[1.0, 2.0, 3.0]]).matrix, composed_b4.matrix)
 
 
 def test_od_row_permutation_permutes_design_rows(rl4):
@@ -199,12 +206,12 @@ def composed(name):
 
 
 def relabellings():
-    """(design name, a permutation of the left points, one of the right points)."""
+    """(design name, a permutation of the left points, 1 to 3 of the right points)."""
     return st.sampled_from(["pairs3", "fano", "pg23"]).flatmap(
         lambda name: st.tuples(
             st.just(name),
             st.permutations(range(composed(name).v1)),
-            st.permutations(range(1, composed(name).v2 + 1)),
+            st.lists(st.permutations(range(1, composed(name).v2 + 1)), min_size=1, max_size=3),
         )
     )
 
@@ -227,9 +234,15 @@ def test_permuting_panels_preserves_lambda_and_spectrum(case):
 @settings(max_examples=30, deadline=None)
 @given(relabellings())
 def test_relabelling_right_points_preserves_lambda_and_spectrum(case):
-    name, _, right = case
-    x = composed(name)
-    assert lambda_and_spectrum(permute_panels(x, list(right))) == lambda_and_spectrum(x)
+    name, _, perms = case
+    x, u = composed(name), len(perms)
+    stacked = permute_extension(x, perms)
+    lam, pairs = lambda_and_spectrum(x)
+    assert check_sbbd(stacked).lam == tuple(u * t for t in lam)
+    assert lambda_and_spectrum(stacked)[1] == [(u * val, mult) for val, mult in pairs]
+    layers = stacked.masks.reshape(u, x.n_rows, x.v1, x.v2)
+    for layer, perm in zip(layers, perms):
+        assert np.array_equal(layer, x.masks[:, :, np.array(perm) - 1])
 
 
 def theorem_inputs():

@@ -158,13 +158,27 @@ def test_field_order_too_large_to_index():
         gf(math.isqrt(np.iinfo(np.intp).max) + 2)
 
 
+@pytest.mark.parametrize("build", [gf, construct_od1])
+@pytest.mark.parametrize("q", [2.0, "7", True, np.float64(7)])
+def test_orders_must_be_integers(build, q):
+    with pytest.raises(DimensionError, match="integer order"):
+        build(q)
+
+
+def test_numpy_integer_orders_compute_in_python_ints():
+    # int8 arithmetic would wrap: q * q and the 2^16 slab bound overflow it
+    assert np.array_equal(construct_od1(np.int8(7)).rows, construct_od1(7).rows)
+    assert gf(np.int16(16)).q == 16
+
+
 def test_verify_od_shape_and_symbol_checks(capsys, tmp_path):
     with pytest.raises(DimensionError):
         verify_od(np.array([[1, 2, 3]]), n=2, s=3)  # s > n
     with pytest.raises(FormatError):
         verify_od(np.array([[0, 1], [1, 2]]), n=2, s=2)
     # truncated to int, the first array would verify as [[1, 2], [2, 1]]
-    for rows in ([[1.9, 2.2], [2.7, 1.1]], [[1.0, float("nan")], [2.0, 1.0]]):
+    unreadable = ([[1, 2], [2, None]], [[1, 2], [2]], [[1, 10**30], [2, 1]])  # None, ragged, beyond int64
+    for rows in ([[1.9, 2.2], [2.7, 1.1]], [[1.0, float("nan")], [2.0, 1.0]], *unreadable):
         with pytest.raises(FormatError, match="symbols must be integers"):
             verify_od(rows, n=2, s=2)
     assert verify_od([[1.0, 2.0], [2.0, 1.0]], n=2, s=2).eta == 1

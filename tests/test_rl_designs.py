@@ -18,7 +18,6 @@ from sbbd import (
     all_pairs_plus_full,
     catalog_by_id,
     design_from_json,
-    incidence_matrix,
     symmetric_bibd_from_difference_set,
     verify_rl_design,
 )
@@ -43,6 +42,11 @@ SHIPPED = {
 
 # primes 7 <= p <= 131 with p = 3 (mod 4), by trial division
 QR_PRIMES = [p for p in range(7, 132) if p % 4 == 3 and all(p % d for d in range(2, p))]
+
+
+def blocks_of(d):
+    """The blocks of d as point sets, read back from its incidence matrix."""
+    return [set((np.flatnonzero(row) + 1).tolist()) for row in d.incidence]
 
 
 def pair_count_oracle(v, blocks):
@@ -96,6 +100,7 @@ def test_verify_rl_design_matches_pair_count_oracle(case):
     if isinstance(expected, tuple):
         d = verify_rl_design(v, blocks)
         assert (d.r, d.lam) == expected
+        assert d.incidence.tolist() == [[int(p in blk) for p in range(1, v + 1)] for blk in blocks]
         return
     with pytest.raises(type(expected)) as exc:
         verify_rl_design(v, blocks)
@@ -111,8 +116,10 @@ def test_four_block_design(rl4):
 
 
 def test_four_block_incidence_matrix(rl4):
-    h = incidence_matrix(rl4)
+    h = rl4.incidence
     assert h.tolist() == [[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]
+    assert h.dtype == np.uint8 and h.flags.c_contiguous and not h.flags.writeable
+    h = h.astype(np.int64)
     hth = h.T @ h
     assert np.array_equal(hth, 3 * np.eye(3, dtype=int) + 2 * (np.ones((3, 3), dtype=int) - np.eye(3, dtype=int)))
 
@@ -120,7 +127,8 @@ def test_four_block_incidence_matrix(rl4):
 def test_all_pairs_plus_full_matches_explicit(rl4):
     d = all_pairs_plus_full(3)
     assert (d.v, d.b, d.r, d.lam) == (rl4.v, rl4.b, rl4.r, rl4.lam)
-    assert sorted(map(sorted, d.blocks)) == sorted(map(sorted, rl4.blocks))
+    assert sorted(d.incidence.tolist()) == sorted(rl4.incidence.tolist())
+    assert d != rl4  # the same blocks in another order
 
 
 @pytest.mark.parametrize("v", ["3", 3.0, 10**30])
@@ -134,7 +142,7 @@ def test_fano_from_catalog():
     d = catalog_by_id("fano")
     assert d.is_bibd and d.b == d.v
     assert (d.r, d.k, d.lam) == (3, 3, 1)
-    h = incidence_matrix(d)
+    h = d.incidence
     assert (h.sum(axis=0) == 3).all() and (h.sum(axis=1) == 3).all()
 
 
@@ -160,6 +168,9 @@ def test_block_validation():
         verify_rl_design(3, [{1, 2}, set()])
     with pytest.raises(FormatError):
         verify_rl_design(3, [{1, 4}])
+    for blocks in ([5], None, [{1, 2}, 3]):  # not blocks of points
+        with pytest.raises(FormatError, match="iterable"):
+            verify_rl_design(3, blocks)
 
 
 @pytest.mark.parametrize(
@@ -182,7 +193,7 @@ def test_difference_set_development(modulus, base, expected):
     d = symmetric_bibd_from_difference_set(modulus, base)
     assert (d.v, d.k, d.lam) == expected
     assert d.is_bibd and d.b == d.v
-    oracle = pair_count_oracle(d.v, d.blocks)
+    oracle = pair_count_oracle(d.v, blocks_of(d))
     assert set(oracle.values()) == {lam}
 
 
@@ -204,7 +215,7 @@ def test_bad_modulus_is_a_dimension_error(modulus):
 def assert_symmetric_bibd(d, key):
     v, b, r, k, lam = key
     assert (d.v, d.b, d.r, d.k, d.lam) == key
-    h = incidence_matrix(d)
+    h = d.incidence.astype(np.int64)
     expected = r * np.eye(v, dtype=int) + lam * (
         np.ones((v, v), dtype=int) - np.eye(v, dtype=int)
     )
@@ -228,7 +239,7 @@ def test_qr_rule_closed_form(p):
     d = catalog_by_id(f"qr{p}")
     assert_symmetric_bibd(d, key)
     # block t is t + the squares mod p, on points 1..p
-    assert d.blocks[0] == frozenset((x * x) % p + 1 for x in range(1, p))
+    assert blocks_of(d)[0] == {(x * x) % p + 1 for x in range(1, p)}
 
 
 @pytest.mark.parametrize("name", ["qr3", "qr9", "qr13", "qr031", "qr", "qr\u0663\u0661", "qr7 ", "7", "nope"])
@@ -251,14 +262,14 @@ def test_catalog_ids_resolve():
         d = catalog_by_id(name)
         assert (d.v, d.b, d.r, d.k, d.lam) == (v, b, r, k, lam)
     assert catalog_by_id("fano") == catalog_by_id("qr7")
-    assert catalog_by_id("pg23").blocks[0] == frozenset({1, 2, 4, 10})
+    assert blocks_of(catalog_by_id("pg23"))[0] == {1, 2, 4, 10}
     assert catalog_by_id("pairs3") == all_pairs_plus_full(3)
     with pytest.raises(NotInCatalog):
         catalog_by_id("nope")
 
 
 def test_design_json_roundtrip(rl4):
-    text = json.dumps({"v": rl4.v, "blocks": [sorted(blk) for blk in rl4.blocks]})
+    text = json.dumps({"v": rl4.v, "blocks": [sorted(blk) for blk in blocks_of(rl4)]})
     back = design_from_json(text)
     assert back == rl4
 
@@ -284,7 +295,7 @@ def test_base_block_residues_must_be_integers(base):
 
 def test_numpy_integer_points_are_accepted():
     d = verify_rl_design(3, [np.array([1, 2]), [np.int64(2), 3], [1, 3], range(1, 4)])
-    assert d.blocks == (frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3}), frozenset({1, 2, 3}))
+    assert d.incidence.tolist() == [[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]
     assert symmetric_bibd_from_difference_set(7, np.array([1, 2, 4])).lam == 1
 
 
