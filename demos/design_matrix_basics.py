@@ -45,7 +45,7 @@ print(panels[0])
 params = sbbd.check_sbbd(x)
 print(f"Lambda = {params.lam}  (mu, l12, l21, l22)")
 print("spanning:", sbbd.is_spanning(x))
-print(f"coefficients a,b,c,d = {(params.a, params.b, params.c, params.d)}")
+print("eigenvalue x multiplicity:", sbbd.spectrum(params).pairs())
 
 # flip any single bit and some condition must break
 m = x.matrix.copy()
@@ -54,3 +54,4 @@ try:
     sbbd.check_sbbd(sbbd.DesignMatrix(3, 3, m))
 except sbbd.ConditionViolation as exc:
     print("after one bit flip:", exc)
+    print(f"  condition {exc.condition}, witness {exc.witness}")

@@ -26,6 +26,7 @@ from .design_core import (
     FormatError,
     SbbdError,
     SbbdParameters,
+    Violation,
     blocks_from_json,
     blocks_to_json,
     matrix_from_csv,

@@ -15,7 +15,8 @@ are exact for N < 2^53.  Conditions (II)-(V) are checked on its panel view
 in one vectorised comparison and only Lambda is kept; then the ones of X,
 counted apart from the Gram, must be mu v1 v2 = trace(X^T X).  A design
 that fails (II)-(V) has no closed form: every entry point raises the first
-ConditionViolation, with its witness, before any other result.
+ConditionViolation, a Violation with condition "II".."V" and witness {"panel": i}
+or {"panels": (i, j)} plus the 1-based "position" in X_i^T X_j, before any other result.
 
 When (II)-(V) hold the information matrix X^T X is double completely
 symmetric and its spectrum is closed-form.  With a = mu - l12, b = l12,
@@ -40,16 +41,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .design_core import DesignMatrix, DimensionError, SbbdError, SbbdParameters
+from .design_core import DesignMatrix, DimensionError, SbbdError, SbbdParameters, Violation
 
 
-class ConditionViolation(SbbdError):
-    """One of conditions (II)-(V) fails; carries the first witness found."""
-
-    def __init__(self, condition: str, witness: dict, message: str):
-        self.condition = condition
-        self.witness = witness
-        super().__init__(f"condition ({condition}) violated: {message}")
+class ConditionViolation(Violation):
+    """One of conditions (II)-(V) fails; condition is "II".."V", witness the first bad panel position."""
 
 
 class TraceMismatch(SbbdError):
@@ -142,12 +138,13 @@ def check_sbbd(x: DesignMatrix) -> SbbdParameters:
     expected = f"{('mu', 'lambda12', 'lambda21', 'lambda22')[k]} = {lam[k]}"
     witness = {"panel": i + 1} if i == j else {"panels": (i + 1, j + 1)}
     witness["position"] = pos
+    condition = ("II", "III", "IV", "V")[k]
     message = (
         f"off-diagonal of {prod} at {pos} is {found}, expected {expected}"
         if k % 2
         else f"diagonal of {prod} is {found} at {pos[0]}, expected {expected}"
     )
-    raise ConditionViolation(("II", "III", "IV", "V")[k], witness, message)
+    raise ConditionViolation(condition, witness, f"condition ({condition}) violated: {message}")
 
 
 def is_spanning(x: DesignMatrix) -> bool:
@@ -162,7 +159,8 @@ def spectrum(info: SbbdParameters) -> SpectralSummary:
     trace is checked only by check_sbbd, which counts the ones of X.
     """
     v1, v2 = info.v1, info.v2
-    a, b, c, d = info.a, info.b, info.c, info.d
+    mu, b, l21, d = info.lam
+    a, c = mu - b, l21 - d
     return SpectralSummary(
         alpha=a - c,
         beta=a - c + (b - d) * v2,

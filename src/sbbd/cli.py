@@ -287,7 +287,7 @@ def _cmd_mask(args) -> int:
 
 
 def _error_payload(name: str, message: str, exc: Exception) -> dict:
-    """Machine-readable exit-1 report; condition and witness are None unless set."""
+    """Machine-readable exit-1 report; condition and witness are None unless exc is a Violation."""
     return {
         "error": name,
         "condition": getattr(exc, "condition", None),

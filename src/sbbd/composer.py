@@ -24,7 +24,14 @@ from .ordered_designs import OrderedDesign
 from .rl_designs import BlockDesign
 
 
+def _check_indexes(d: BlockDesign, od: OrderedDesign) -> None:
+    """DimensionError unless the ordered design's symbols index exactly the b blocks of d."""
+    if od.n != d.b:
+        raise DimensionError(f"ordered design on {od.n} symbols cannot index {d.b} blocks")
+
+
 def predicted_parameters(d: BlockDesign, od: OrderedDesign) -> SbbdParameters:
+    _check_indexes(d, od)
     eta, b, r, lam = od.eta, d.b, d.r, d.lam
     return SbbdParameters(
         v1=od.s,
@@ -54,8 +61,7 @@ def compose(d: BlockDesign, od: OrderedDesign) -> DesignMatrix:
     ordered design.  Its Lambda is predicted_parameters(d, od), and it spans
     whenever spanning_guaranteed(od.s, d.b, d.r).
     """
-    if od.n != d.b:
-        raise DimensionError(f"ordered design on {od.n} symbols cannot index {d.b} blocks")
+    _check_indexes(d, od)
     stacked = d.incidence[od.rows - 1]  # (N, s, v): panel q of row p is H-row rows[p, q]
     return DesignMatrix(v1=od.s, v2=d.v, matrix=stacked.reshape(od.n_rows, od.s * d.v))
 

@@ -32,6 +32,14 @@ class FormatError(SbbdError):
     """Input data violates a declared file or value format."""
 
 
+class Violation(SbbdError):
+    """A checked condition fails: `condition` names it, `witness` (a dict) locates its first failure."""
+
+    def __init__(self, condition: str, witness: dict, message: str):
+        self.condition, self.witness = condition, witness
+        super().__init__(message)
+
+
 def _is_int(value) -> bool:
     """True for a Python or numpy integer; bool is an int subclass but not a count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -60,23 +68,6 @@ class SbbdParameters:
     lambda21: int
     lambda22: int
 
-    # coefficients of the two completely symmetric layers of X^T X
-    @property
-    def a(self) -> int:
-        return self.mu - self.lambda12
-
-    @property
-    def b(self) -> int:
-        return self.lambda12
-
-    @property
-    def c(self) -> int:
-        return self.lambda21 - self.lambda22
-
-    @property
-    def d(self) -> int:
-        return self.lambda22
-
     @property
     def lam(self) -> tuple:
         return (self.mu, self.lambda12, self.lambda21, self.lambda22)
@@ -91,12 +82,17 @@ class DesignMatrix:
     input is copied to uint8 once, so the caller's array is neither aliased
     nor frozen; an entry that is not exactly 0 or 1 is a FormatError.
     Products of its rows or panels must be cast first, to int64 or float64,
-    because uint8 arithmetic wraps past 255.
+    because uint8 arithmetic wraps past 255.  Designs with the same v1, v2
+    and rows in the same order are equal.
     """
 
     v1: int
     v2: int
-    matrix: np.ndarray = field(repr=False)
+    matrix: np.ndarray = field(repr=False, compare=False)
+
+    def __eq__(self, other):  # v2 is the column count over v1
+        same = isinstance(other, DesignMatrix) and self.v1 == other.v1
+        return same and np.array_equal(self.matrix, other.matrix)
 
     def __post_init__(self):
         _check_dims(self.v1, self.v2)

@@ -12,7 +12,9 @@ for every prime power alike: the first monic polynomial of degree e over
 GF(p), in order of the base-p value of its lower coefficients, whose
 quotient ring gives every nonzero element an inverse.  Verification never
 trusts the construction: gf checks every field axiom on every triple, and
-verify_od counts every ordered pair in every column pair.
+verify_od counts every ordered pair in every column pair.  An array that is
+not an ordered design raises a Violation, RepeatedSymbolInRow or
+PairCountMismatch, whose condition and witness name the first failure.
 """
 
 from __future__ import annotations
@@ -23,27 +25,19 @@ from itertools import permutations
 
 import numpy as np
 
-from .design_core import DimensionError, FormatError, SbbdError, _is_int, int_rows_from_csv
+from .design_core import DimensionError, FormatError, SbbdError, Violation, _is_int, int_rows_from_csv
 
 
 class NotPrimePower(SbbdError):
     """q is not p^e for a prime p, or a GF(q) table fails the field axioms."""
 
 
-class RepeatedSymbolInRow(SbbdError):
-    def __init__(self, row: int):
-        self.row = row
-        super().__init__(f"row {row} repeats a symbol")
+class RepeatedSymbolInRow(Violation):
+    """Some row holds a symbol twice."""
 
 
-class PairCountMismatch(SbbdError):
-    def __init__(self, columns: tuple, pair: tuple, count: int, expected: int):
-        self.columns, self.pair, self.count = columns, pair, count
-        self.expected = expected
-        super().__init__(
-            f"columns {columns}: ordered pair {pair} occurs {count} times,"
-            f" expected {expected}"
-        )
+class PairCountMismatch(Violation):
+    """Some ordered symbol pair occurs in a column pair other than eta times."""
 
 
 def _prime_power(q: int):
@@ -142,12 +136,15 @@ def _check_axioms(fld: FiniteField) -> None:
 
 @dataclass(frozen=True)
 class OrderedDesign:
-    """A verified ordered design; construct via verify_od or construct_od1."""
+    """A verified ordered design, from verify_od or construct_od1; equal to one with the same n and rows."""
 
     n: int
     s: int
     eta: int
-    rows: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False, compare=False)
+
+    def __eq__(self, other):  # s and eta are counted from the rows
+        return isinstance(other, OrderedDesign) and self.n == other.n and np.array_equal(self.rows, other.rows)
 
     def __post_init__(self):
         r = np.ascontiguousarray(self.rows, dtype=np.int64)
@@ -162,8 +159,10 @@ class OrderedDesign:
 def verify_od(m, n: int, s: int) -> OrderedDesign:
     """Verify the two ordered-design axioms by exhaustive counting.
 
-    Derives eta from the first column pair and insists every ordered pair of
-    distinct symbols in every column pair hits the same count.
+    Derives eta from the row count and insists every ordered pair of
+    distinct symbols in every column pair hits it.  The first failure is a
+    RepeatedSymbolInRow, witness {"row"}, or a PairCountMismatch, witness
+    {"columns", "pair", "count", "expected"}, all 1-based.
     """
     if not (_is_int(n) and _is_int(s) and n >= 2):  # n >= 2 for a pair of distinct symbols
         raise DimensionError(f"need integers n >= 2 and s, got n = {n!r} and s = {s!r}")
@@ -187,7 +186,8 @@ def verify_od(m, n: int, s: int) -> OrderedDesign:
     ordered = np.sort(arr, axis=1)
     bad = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
     if bad.size:
-        raise RepeatedSymbolInRow(int(bad[0]) + 1)
+        row = int(bad[0]) + 1
+        raise RepeatedSymbolInRow("distinct symbols", {"row": row}, f"row {row} repeats a symbol")
 
     # with s = 1 there are no column pairs; the row count alone fixes eta
     n_rows = arr.shape[0]
@@ -202,12 +202,10 @@ def verify_od(m, n: int, s: int) -> OrderedDesign:
         counts = np.bincount(codes, minlength=n * n).reshape(n, n)
         if (counts[off_diag] != eta).any():
             x, y = np.argwhere((counts != eta) & off_diag)[0]
-            raise PairCountMismatch(
-                (c1 + 1, c2 + 1),
-                (int(x) + 1, int(y) + 1),
-                int(counts[x, y]),
-                eta,
-            )
+            columns, pair, count = (c1 + 1, c2 + 1), (int(x) + 1, int(y) + 1), int(counts[x, y])
+            witness = {"columns": columns, "pair": pair, "count": count, "expected": eta}
+            message = f"columns {columns}: ordered pair {pair} occurs {count} times, expected {eta}"
+            raise PairCountMismatch("pair count", witness, message)
     return OrderedDesign(n=n, s=s, eta=eta, rows=arr)
 
 

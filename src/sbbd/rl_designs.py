@@ -22,31 +22,19 @@ from itertools import combinations
 
 import numpy as np
 
-from .design_core import DimensionError, FormatError, SbbdError, _check_indexable, _is_int, _json_int
+from .design_core import DimensionError, FormatError, SbbdError, Violation, _check_indexable, _is_int, _json_int
 from .ordered_designs import _prime_power
 
 
-class NotRegular(SbbdError):
+class NotRegular(Violation):
     """Some point does not appear in the common replication count."""
 
-    def __init__(self, point: int, count: int, expected: int):
-        self.point, self.count, self.expected = point, count, expected
-        super().__init__(
-            f"point {point} lies in {count} blocks, expected {expected}"
-        )
+
+class NotPairBalanced(Violation):
+    """Some point pair does not appear in the common pair count, or none appears at all."""
 
 
-class NotPairBalanced(SbbdError):
-    """Some point pair does not appear in the common pair count."""
-
-    def __init__(self, pair: tuple, count: int, expected: int, message=None):
-        self.pair, self.count, self.expected = pair, count, expected
-        super().__init__(
-            message or f"pair {pair} lies in {count} blocks, expected {expected}"
-        )
-
-
-class NotADifferenceSet(SbbdError):
+class NotADifferenceSet(Violation):
     """Developing the base block did not produce a pair-balanced design."""
 
 
@@ -111,16 +99,21 @@ def _counted(h: np.ndarray) -> BlockDesign:
     r = int(point_counts[0])
     bad = np.flatnonzero(point_counts != r)
     if bad.size:
-        raise NotRegular(int(bad[0]) + 1, int(point_counts[bad[0]]), r)
+        point, count = int(bad[0]) + 1, int(point_counts[bad[0]])
+        witness = {"point": point, "count": count, "expected": r}
+        raise NotRegular("replication", witness, f"point {point} lies in {count} blocks, expected {r}")
     first, second = np.triu_indices(h.shape[1], 1)
     pair_counts = gram[first, second]
     lam = int(pair_counts[0])
     bad = np.flatnonzero(pair_counts != lam)
     if bad.size:
         k = bad[0]
-        raise NotPairBalanced((int(first[k]) + 1, int(second[k]) + 1), int(pair_counts[k]), lam)
+        pair, count = (int(first[k]) + 1, int(second[k]) + 1), int(pair_counts[k])
+        witness = {"pair": pair, "count": count, "expected": lam}
+        raise NotPairBalanced("pair balance", witness, f"pair {pair} lies in {count} blocks, expected {lam}")
     if lam == 0:
-        raise NotPairBalanced((1, 2), 0, 1, "pair coverage is zero; lambda = 0 designs are rejected")
+        witness = {"pair": (1, 2), "count": 0, "expected": 1}
+        raise NotPairBalanced("pair balance", witness, "pair coverage is zero; lambda = 0 designs are rejected")
     h.flags.writeable = False
     return BlockDesign(v=h.shape[1], r=r, lam=lam, incidence=h)
 
@@ -128,9 +121,11 @@ def _counted(h: np.ndarray) -> BlockDesign:
 def verify_rl_design(v: int, blocks: list) -> BlockDesign:
     """Check the replication and pair-balance axioms by exhaustive counting.
 
-    Raises NotRegular / NotPairBalanced with a witness on the first failed
-    count, and rejects lambda = 0.  A block that is not iterable, or a point
-    that is a bool or not a Python or numpy integer, is a FormatError.
+    The first failed count raises NotRegular (condition "replication") or
+    NotPairBalanced ("pair balance", also for lambda = 0), witness the point
+    or pair, its count and the expected count.  A block that is not
+    iterable, or a point that is a bool or not a Python or numpy integer, is
+    a FormatError.
     """
     if not _is_int(v) or v < 2:
         raise DimensionError(f"need an integer v >= 2 points, got {v!r}")
@@ -159,13 +154,17 @@ def symmetric_bibd_from_difference_set(modulus: int, base_block) -> BlockDesign:
 
     Block t is {x + t mod modulus : x in base_block}, shifted to points
     1..modulus.  The result is re-counted; a base block whose differences
-    are not balanced raises NotADifferenceSet; a residue that is not an
-    integer is a FormatError.
+    are not balanced raises NotADifferenceSet with the condition and witness
+    of the count that failed; a base block that is not an iterable, or a
+    residue that is not an integer, is a FormatError.
     """
     if not _is_int(modulus) or modulus < 2:
         raise DimensionError(f"need an integer modulus >= 2, got {modulus!r}")
     _check_incidence(modulus, modulus)  # before the shifts are built
-    base_block = list(base_block)
+    try:
+        base_block = list(base_block)
+    except TypeError:
+        raise FormatError(f"base block {base_block!r} is not an iterable of residues") from None
     if not all(map(_is_int, base_block)):
         raise FormatError(f"base block {base_block} has a residue that is not an integer")
     base = sorted(int(x) % modulus for x in base_block)
@@ -178,7 +177,7 @@ def symmetric_bibd_from_difference_set(modulus: int, base_block) -> BlockDesign:
         return _counted(h)
     except (NotRegular, NotPairBalanced) as exc:
         msg = f"base block {base} mod {modulus} does not develop into a BIBD: {exc}"
-        raise NotADifferenceSet(msg) from exc
+        raise NotADifferenceSet(exc.condition, exc.witness, msg) from exc
 
 
 def all_pairs_plus_full(v: int) -> BlockDesign:

@@ -117,6 +117,9 @@ def test_compose_qr59_beyond_the_extension_field_tables():
 def test_compose_symbol_count_mismatch(rl4):
     with pytest.raises(DimensionError):
         compose(rl4, construct_od1(5))
+    for build in (compose, predicted_parameters):  # a pair compose refuses has no parameters
+        with pytest.raises(DimensionError, match=r"^ordered design on 5 symbols cannot index 7 blocks$"):
+            build(sbbd.catalog_by_id("fano"), construct_od1(5))
 
 
 def test_spanning_guarantee_boundary():

@@ -11,13 +11,28 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
+# every fenced python block of README.md, in order
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M)
+
+
+def run_python(args, cwd) -> subprocess.CompletedProcess:
+    """Run python with args in cwd, with the checkout's src first on PYTHONPATH."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    proc = run_python([str(demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("code", README_BLOCKS, ids=[f"block{k}" for k in range(1, len(README_BLOCKS) + 1)])
+def test_readme_python_block_runs(code, tmp_path):
+    proc = run_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -281,5 +281,16 @@ def test_block_json_roundtrip(x22):
 
 def test_parameters_coefficients():
     p = sbbd.SbbdParameters(3, 3, 9, mu=6, lambda12=3, lambda21=4, lambda22=4)
-    assert (p.a, p.b, p.c, p.d) == (3, 3, 0, 4)
     assert p.lam == (6, 3, 4, 4)
+
+
+def test_design_matrices_compare_by_content():
+    fano = sbbd.catalog_by_id("fano")
+    x = sbbd.compose(fano, sbbd.construct_od1(7))
+    y = sbbd.compose(fano, sbbd.construct_od1(7))
+    assert x == y and hash(x) == hash(y)
+    flipped = x.matrix.copy()
+    flipped[41, 48] ^= 1
+    assert x != DesignMatrix(7, 7, flipped)
+    assert x != DesignMatrix(1, 49, x.matrix)  # the same bits on another K_{v1,v2}
+    assert {x, y} == {x} and x in {y}

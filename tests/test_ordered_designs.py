@@ -9,6 +9,7 @@ from sbbd import (
     NotPrimePower,
     PairCountMismatch,
     RepeatedSymbolInRow,
+    Violation,
     construct_od1,
     gf,
     od_from_csv,
@@ -132,13 +133,17 @@ def test_corrupted_entry_raises_pair_count_mismatch():
     rows[0, 0], rows[0, 1] = rows[0, 1], rows[0, 0]
     with pytest.raises(PairCountMismatch) as exc:
         verify_od(rows, n=3, s=3)
-    assert exc.value.expected == 1
+    assert isinstance(exc.value, Violation) and exc.value.condition == "pair count"
+    assert exc.value.witness == {"columns": (1, 2), "pair": (1, 2), "count": 0, "expected": 1}
+    assert str(exc.value) == "columns (1, 2): ordered pair (1, 2) occurs 0 times, expected 1"
 
 
 def test_repeated_symbol_in_row():
     with pytest.raises(RepeatedSymbolInRow) as exc:
         verify_od(np.array([[1, 1], [2, 1]]), n=2, s=2)
-    assert exc.value.row == 1
+    assert isinstance(exc.value, Violation)
+    assert (exc.value.condition, exc.value.witness) == ("distinct symbols", {"row": 1})
+    assert str(exc.value) == "row 1 repeats a symbol"
 
 
 def test_repeated_symbol_witness_is_the_first_bad_row():
@@ -147,7 +152,34 @@ def test_repeated_symbol_witness_is_the_first_bad_row():
     rows[6, 4] = rows[6, 0]  # not adjacent: found only once the row is sorted
     with pytest.raises(RepeatedSymbolInRow) as exc:
         verify_od(rows, n=5, s=5)
-    assert exc.value.row == 7
+    assert exc.value.witness == {"row": 7}
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_verify_od_refuses_every_single_entry_corruption(q):
+    # every entry of OD_1(q), kept to its first s >= 2 columns (still an
+    # ordered design), set to every other symbol: the witness must name the
+    # mutated row, or a column pair that holds the mutated column
+    full = construct_od1(q).rows
+    for s in range(2, q + 1):
+        for (row, col), own in np.ndenumerate(full[:, :s]):
+            for value in set(range(1, q + 1)) - {own}:
+                rows = full[:, :s].copy()
+                rows[row, col] = value
+                with pytest.raises((RepeatedSymbolInRow, PairCountMismatch)) as exc:
+                    verify_od(rows, n=q, s=s)
+                if isinstance(exc.value, RepeatedSymbolInRow):
+                    assert exc.value.witness == {"row": row + 1}
+                else:
+                    assert col + 1 in exc.value.witness["columns"]
+
+
+def test_ordered_designs_compare_by_content():
+    od = construct_od1(3)
+    assert od == construct_od1(3) and hash(od) == hash(construct_od1(3))
+    other = verify_od(od.rows[::-1], n=3, s=3)  # the same rows in another order
+    assert od != other and od != od.rows
+    assert {od, construct_od1(3)} == {od} and other not in {od}
 
 
 def test_field_order_too_large_to_index():

@@ -15,6 +15,7 @@ from sbbd import (
     NotInCatalog,
     NotPairBalanced,
     NotRegular,
+    Violation,
     all_pairs_plus_full,
     catalog_by_id,
     design_from_json,
@@ -67,16 +68,17 @@ def rl_oracle(v, blocks):
     r = points[1]
     for p in range(1, v + 1):
         if points[p] != r:
-            return NotRegular(p, points[p], r)
+            witness = {"point": p, "count": points[p], "expected": r}
+            return NotRegular("replication", witness, f"point {p} lies in {points[p]} blocks, expected {r}")
     pairs = pair_count_oracle(v, blocks)
     lam = pairs[(1, 2)]
     for pair, cnt in pairs.items():
         if cnt != lam:
-            return NotPairBalanced(pair, cnt, lam)
+            witness = {"pair": pair, "count": cnt, "expected": lam}
+            return NotPairBalanced("pair balance", witness, f"pair {pair} lies in {cnt} blocks, expected {lam}")
     if lam == 0:
-        return NotPairBalanced(
-            (1, 2), 0, 1, "pair coverage is zero; lambda = 0 designs are rejected"
-        )
+        witness = {"pair": (1, 2), "count": 0, "expected": 1}
+        return NotPairBalanced("pair balance", witness, "pair coverage is zero; lambda = 0 designs are rejected")
     return r, lam
 
 
@@ -149,13 +151,17 @@ def test_fano_from_catalog():
 def test_not_regular_witness():
     with pytest.raises(NotRegular) as exc:
         verify_rl_design(3, [{1, 2}, {1, 3}])
-    assert exc.value.point in (2, 3)
+    assert isinstance(exc.value, Violation)
+    assert (exc.value.condition, exc.value.witness) == ("replication", {"point": 2, "count": 1, "expected": 2})
+    assert str(exc.value) == "point 2 lies in 1 blocks, expected 2"
 
 
 def test_not_pair_balanced_witness():
     with pytest.raises(NotPairBalanced) as exc:
         verify_rl_design(4, [{1, 2}, {1, 2}, {3, 4}, {3, 4}])
-    assert exc.value.count == 0
+    assert isinstance(exc.value, Violation)
+    assert exc.value.condition == "pair balance"
+    assert exc.value.witness == {"pair": (1, 3), "count": 0, "expected": 2}
 
 
 def test_lambda_zero_rejected():
@@ -198,10 +204,19 @@ def test_difference_set_development(modulus, base, expected):
 
 
 def test_bad_base_block_rejected():
-    with pytest.raises(NotADifferenceSet):
+    with pytest.raises(NotADifferenceSet) as exc:
         symmetric_bibd_from_difference_set(7, [1, 2, 3])
+    # the witness and condition of the count that failed, under the wrapping message
+    assert isinstance(exc.value, Violation) and isinstance(exc.value.__cause__, NotPairBalanced)
+    assert (exc.value.condition, exc.value.witness) == ("pair balance", {"pair": (1, 3), "count": 1, "expected": 2})
+    assert str(exc.value) == (
+        "base block [1, 2, 3] mod 7 does not develop into a BIBD: pair (1, 3) lies in 1 blocks, expected 2"
+    )
     with pytest.raises(FormatError):
         symmetric_bibd_from_difference_set(7, [1, 1, 2])
+    for base in (5, None):  # not an iterable of residues
+        with pytest.raises(FormatError, match="not an iterable"):
+            symmetric_bibd_from_difference_set(7, base)
 
 
 @pytest.mark.parametrize("modulus", [0, 1, -7, 7.0, True, 10**30, np.int64(3 * 10**9)])
