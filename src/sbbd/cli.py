@@ -14,39 +14,23 @@ default to the square split when the first line's column count is a perfect
 square.  Files that start with '{' are SB-block JSON, which embeds v1 and
 v2; --v1/--v2 given with such a file must match.  A design file its parser
 rejects is a FormatError that names the file.
+
+Start-up is paid per subcommand: this module imports no sbbd module at
+module level, each handler imports what it uses, and main imports the
+error classes only after parsing, so --help and usage errors (exit 2) never
+load numpy.  The `sbbd` console script and `python -m sbbd.cli` both go
+through run(), which freezes the GC generations (gc.freeze) once main
+returns, so the short-lived process skips the collection sweep at exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
 from pathlib import Path
-
-from . import (
-    DesignMatrix,
-    FormatError,
-    SbbdError,
-    a_optimality,
-    blocks_from_json,
-    blocks_to_json,
-    catalog_by_id,
-    compose,
-    construct_od1,
-    design_from_json,
-    matrix_from_csv,
-    matrix_to_csv,
-    od_from_csv,
-    od_to_csv,
-    permute_extension,
-    random_effects,
-    simulate,
-    spanning_guaranteed,
-)
-from .design_core import int_rows_from_csv
-from .estimator import EffectVector
-from .masks import export_masks, schedule_to_bytes, schedule_to_json
 
 DEFAULT_SEED = 1729
 
@@ -60,6 +44,8 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _load_design(path: str, v1, v2) -> DesignMatrix:
+    from .design_core import blocks_from_json, int_rows_from_csv, matrix_from_csv
+
     data = _read_bytes(path)
     body = data.lstrip()
     if not body:
@@ -110,6 +96,8 @@ def _write_output(data: bytes, out, binary: bool = False) -> None:
 
 
 def _cmd_design_verify(args) -> int:
+    from .rl_designs import design_from_json
+
     d = design_from_json(_read_bytes(args.file))
     k = str(d.k) if d.is_bibd else "variable"
     print(f"v={d.v} b={d.b} r={d.r} lambda={d.lam} k={k}")
@@ -117,6 +105,8 @@ def _cmd_design_verify(args) -> int:
 
 
 def _cmd_od_construct(args) -> int:
+    from .ordered_designs import construct_od1, od_to_csv
+
     od = construct_od1(args.q)
     _write_output(od_to_csv(od), args.out)
     if args.out and args.out != "-":
@@ -125,24 +115,33 @@ def _cmd_od_construct(args) -> int:
 
 
 def _cmd_od_verify(args) -> int:
+    from .ordered_designs import od_from_csv
+
     od = od_from_csv(_read_bytes(args.file))
     print(f"ordered design verified: eta={od.eta} s={od.s} n={od.n} rows={od.n_rows}")
     return 0
 
 
 def _resolve_block_design(ref: str):
+    from .rl_designs import catalog_by_id, design_from_json
+
     if ref.startswith("catalog:"):
         return catalog_by_id(ref.split(":", 1)[1])
     return design_from_json(_read_bytes(ref))
 
 
 def _resolve_od(ref: str):
+    from .ordered_designs import construct_od1, od_from_csv
+
     if ref.isdecimal():
         return construct_od1(int(ref))
     return od_from_csv(_read_bytes(ref))
 
 
 def _cmd_compose(args) -> int:
+    from .composer import compose, permute_extension, spanning_guaranteed
+    from .design_core import blocks_to_json, matrix_to_csv
+
     d = _resolve_block_design(args.design)
     od = _resolve_od(args.od)
     x = compose(d, od)
@@ -166,6 +165,8 @@ def _cmd_compose(args) -> int:
 
 
 def _analyze_payload(x: DesignMatrix) -> dict:
+    from .analyzer import a_optimality
+
     report = a_optimality(x)
     return {
         "lambda": list(report.params.lam),
@@ -224,6 +225,8 @@ def _positive_arg(text: str) -> int:
 
 
 def _load_tau(path: str) -> EffectVector:
+    from .estimator import EffectVector
+
     try:
         blob = json.loads(_read_bytes(path))
     except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON, or undecodable bytes
@@ -239,6 +242,8 @@ def _load_tau(path: str) -> EffectVector:
 
 
 def _cmd_simulate(args) -> int:
+    from .estimator import random_effects, simulate
+
     x = _load_design(args.file, args.v1, args.v2)
     tau = _load_tau(args.tau) if args.tau else random_effects(x.v1, x.v2, seed=args.seed)
     report = simulate(x, tau, sigma=args.sigma, runs=args.runs, seed=args.seed)
@@ -278,6 +283,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mask(args) -> int:
+    from .masks import export_masks, schedule_to_bytes, schedule_to_json
+
     x = export_masks(_load_design(args.file, args.v1, args.v2))
     body = (schedule_to_json(x) + "\n").encode() if args.format == "json" else schedule_to_bytes(x)
     _write_output(body, args.out, binary=args.format == "bin")
@@ -365,6 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .design_core import FormatError, SbbdError
+
     try:
         return args.func(args)
     except UsageError as exc:
@@ -385,5 +394,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The `sbbd` console script and `python -m sbbd.cli`: exit with main()'s code.
+
+    The process ends as soon as main returns, so every object it made is
+    first moved to the GC's permanent generation (gc.freeze), and
+    interpreter shutdown skips the collection sweep over them.  main itself
+    leaves the GC alone for in-process callers.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -39,6 +39,10 @@ class Violation(SbbdError):
         self.condition, self.witness = condition, witness
         super().__init__(message)
 
+    def __reduce__(self):
+        # the default rebuilds cls(*self.args), which lacks condition and witness
+        return type(self), (self.condition, self.witness, str(self)), self.__dict__
+
 
 def _is_int(value) -> bool:
     """True for a Python or numpy integer; bool is an int subclass but not a count."""

@@ -212,8 +212,9 @@ def _difference_set(name: str):
     if p < 7 or p % 4 != 3 or _prime_power(p) != (p, 1):
         return None
     k = (p - 1) // 2
-    # x and p - x have the same square, so x in 1..k gives every square once
-    squares = np.unique(np.arange(1, k + 1) ** 2 % p)
+    # x and p - x have the same square, so x in 1..k gives every square once:
+    # sorting them is np.unique without its lazy import of numpy.ma
+    squares = np.sort(np.arange(1, k + 1) ** 2 % p)
     return (p, p, k, k, (p - 3) // 4), p, squares
 
 

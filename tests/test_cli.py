@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import sbbd
+from sbbd import cli
 from sbbd.cli import main
 
 
@@ -460,6 +463,75 @@ def test_input_beyond_memory_exits_one(tmp_path, argv, text, payload):
     assert "Unable to allocate" in done.stderr and "Traceback" not in done.stderr
     if payload:
         assert json.loads(done.stdout)["error"] == "MemoryError"
+
+
+# runs sbbd.cli as `python -m sbbd.cli` does, then reports what was loaded
+STARTUP_PROBE = """
+import gc, json, runpy, sys
+sys.argv = ["sbbd", *{argv!r}]
+try:
+    runpy.run_module("sbbd.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({{"code": code, "frozen": gc.get_freeze_count() > 0,
+                  "loaded": [m for m in ("numpy", "numpy.ma") if m in sys.modules]}}))
+"""
+
+
+def _child_report(tmp_path, code: str) -> dict:
+    src = Path(sbbd.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["sbbd", "sbbd.cli"])
+def test_import_loads_no_numpy(tmp_path, module):
+    probe = f"import json, sys, {module}; print(json.dumps('numpy' in sys.modules))"
+    assert _child_report(tmp_path, probe) is False
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded, frozen",
+    [
+        (["--help"], 0, [], False),  # argparse exits inside main
+        (["compose", "--design", "catalog:fano"], 2, [], False),  # usage error: no --od
+        (["compose", "--design", "catalog:qr31", "--od", "31", "--out", "x.csv"], 0, ["numpy"], True),
+    ],
+)
+def test_cli_child_loads_only_what_its_command_needs(tmp_path, argv, code, loaded, frozen):
+    report = _child_report(tmp_path, STARTUP_PROBE.format(argv=argv))
+    assert report == {"code": code, "loaded": loaded, "frozen": frozen}
+
+
+def test_cli_imports_no_sbbd_module_at_module_level():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    eager = [
+        ast.unparse(node) for node in tree.body
+        if (isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("sbbd")))
+        or (isinstance(node, ast.Import) and any(a.name.startswith("sbbd") for a in node.names))
+    ]
+    assert not eager, eager
+
+
+def test_console_script_is_the_main_block_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(sbbd.__file__).resolve().parents[2] / "pyproject.toml"
+    module, _, func = tomllib.loads(pyproject.read_text())["project"]["scripts"]["sbbd"].partition(":")
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (main_block,) = [node for node in tree.body if isinstance(node, ast.If)
+                     and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert module == "sbbd.cli" and callable(getattr(cli, func))
+    assert [ast.unparse(node) for node in main_block.body] == [f"{func}()"]
+
+
+def test_main_leaves_the_gc_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "od", "construct", "--q", "3")[0] == 0
+    assert gc.get_freeze_count() == frozen
 
 
 HUGE = "1000000000000000000000000000057"  # 10^30 + 57; trial division would take about 10^15 steps

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import sbbd
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -37,11 +39,26 @@ def test_readme_python_block_runs(code, tmp_path):
 
 
 def test_readme_names_every_export():
-    init = ast.parse((ROOT / "src" / "sbbd" / "__init__.py").read_text())
-    exports = [a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    exports = sbbd.__all__
     readme = (ROOT / "README.md").read_text()
     missing = [name for name in exports if not re.search(rf"\b{name}\b", readme)]
     assert exports and not missing, missing
+
+
+def test_every_export_resolves_to_its_defining_module():
+    assert len(set(sbbd.__all__)) == len(sbbd.__all__)
+    for name in sbbd.__all__:
+        obj = getattr(sbbd, name)
+        assert obj.__module__.startswith("sbbd.") and getattr(sys.modules[obj.__module__], name) is obj
+        assert name in dir(sbbd)
+    star: dict = {}
+    exec("from sbbd import *", star)
+    assert star.keys() - {"__builtins__"} == set(sbbd.__all__)
+    assert "__version__" in vars(sbbd)  # a plain attribute, not an export
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sbbd.no_such_name
+    with pytest.raises(ImportError):
+        exec("from sbbd import no_such_name", {})
 
 
 def test_no_module_relies_on_a_bare_assert():

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import warnings
 
 import numpy as np
@@ -294,3 +296,37 @@ def test_design_matrices_compare_by_content():
     assert x != DesignMatrix(7, 7, flipped)
     assert x != DesignMatrix(1, 49, x.matrix)  # the same bits on another K_{v1,v2}
     assert {x, y} == {x} and x in {y}
+
+
+def _violations(x22) -> list:
+    """One raised instance of each of the six Violation subclasses."""
+    od3 = sbbd.construct_od1(3).rows.copy()
+    od3[0, :2] = od3[0, 1::-1]
+    flipped = x22.matrix.copy()
+    flipped[4, 7] ^= 1
+    raisers = [
+        lambda: sbbd.check_sbbd(DesignMatrix(3, 3, flipped)),
+        lambda: sbbd.verify_rl_design(3, [{1, 2}, {1, 3}]),
+        lambda: sbbd.verify_rl_design(4, [{1, 2}, {1, 2}, {3, 4}, {3, 4}]),
+        lambda: sbbd.symmetric_bibd_from_difference_set(7, [0, 1, 2]),
+        lambda: sbbd.verify_od(np.array([[1, 1], [2, 1]]), n=2, s=2),
+        lambda: sbbd.verify_od(od3, n=3, s=3),
+    ]
+    found = []
+    for raiser in raisers:
+        with pytest.raises(sbbd.Violation) as exc:
+            raiser()
+        found.append(exc.value)
+    return found
+
+
+def test_violations_survive_pickle_and_copy(x22):
+    found = _violations(x22)
+    assert [type(e).__name__ for e in found] == [
+        "ConditionViolation", "NotRegular", "NotPairBalanced",
+        "NotADifferenceSet", "RepeatedSymbolInRow", "PairCountMismatch",
+    ]
+    for exc in found:
+        for back in (pickle.loads(pickle.dumps(exc)), copy.copy(exc), copy.deepcopy(exc)):
+            assert type(back) is type(exc)
+            assert (back.condition, back.witness, str(back)) == (exc.condition, exc.witness, str(exc))

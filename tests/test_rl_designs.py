@@ -255,6 +255,9 @@ def test_qr_rule_closed_form(p):
     assert_symmetric_bibd(d, key)
     # block t is t + the squares mod p, on points 1..p
     assert blocks_of(d)[0] == {(x * x) % p + 1 for x in range(1, p)}
+    # the rule's base block is the sorted set of squares, each once
+    _, modulus, base = rl_designs._difference_set(f"qr{p}")
+    assert modulus == p and base.tolist() == sorted({x * x % p for x in range(1, p)})
 
 
 @pytest.mark.parametrize("name", ["qr3", "qr9", "qr13", "qr031", "qr", "qr\u0663\u0661", "qr7 ", "7", "nope"])
