@@ -15,7 +15,7 @@ x = sbbd.compose(sbbd.catalog_by_id("fano"), sbbd.construct_od1(7))
 alpha = sbbd.spectrum(sbbd.check_sbbd(x)).alpha
 print(f"design: {x.n_rows} observations, {x.v1 * x.v2} effects, alpha = {alpha}")
 
-tau = sbbd.random_effects(x.v1, x.v2, scale=1.0, seed=SEED)
+tau = sbbd.random_effects(x.v1, x.v2, seed=SEED)
 
 # noiseless data recover the contrasts exactly
 clean = sbbd.simulate(x, tau, sigma=0.0, runs=2, seed=SEED)

@@ -7,7 +7,8 @@ name is imported from its defining module on first access (PEP 562), so
 imports.  `from sbbd import *` and `sbbd.<name>` work as with eager
 imports, and `dir(sbbd)` lists every export.  The command line builds on
 this: `sbbd --help` and usage errors never load numpy, and its entry
-(`sbbd.cli.run`) freezes the GC generations for the process's short life.
+(`sbbd.cli.run`) turns the cyclic GC off and freezes its generations for
+the process's short life.
 """
 
 from importlib import import_module
@@ -52,7 +53,6 @@ _MODULE_OF = {
         "estimator": (
             "EffectVector",
             "SimulationReport",
-            "estimate_effects",
             "random_effects",
             "simulate",
         ),

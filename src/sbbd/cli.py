@@ -19,8 +19,9 @@ Start-up is paid per subcommand: this module imports no sbbd module at
 module level, each handler imports what it uses, and main imports the
 error classes only after parsing, so --help and usage errors (exit 2) never
 load numpy.  The `sbbd` console script and `python -m sbbd.cli` both go
-through run(), which freezes the GC generations (gc.freeze) once main
-returns, so the short-lived process skips the collection sweep at exit.
+through run(), which turns the cyclic GC off for the short-lived process
+(gc.disable) and freezes its generations (gc.freeze) once main returns, so
+neither main's allocations nor the exit trigger a collection sweep.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _resolve_od(ref: str):
 
 def _cmd_compose(args) -> int:
     from .composer import compose, permute_extension, spanning_guaranteed
-    from .design_core import blocks_to_json, matrix_to_csv
+    from .design_core import _check_indexable, blocks_to_json, matrix_to_csv
 
     d = _resolve_block_design(args.design)
     od = _resolve_od(args.od)
@@ -149,8 +150,12 @@ def _cmd_compose(args) -> int:
         name, _, count = args.perms.partition(":")
         if name != "cyclic" or not count.isdecimal() or int(count) < 1:
             raise UsageError("--perms expects cyclic:<u> with u >= 1")
+        u = int(count)
+        # refused before the u layers are listed, which alone could take hours
+        blocks = u * x.n_rows
+        _check_indexable(blocks * x.v1 * x.v2, f"a design matrix of {blocks} blocks on K_{{{x.v1},{x.v2}}}")
         # layer t shifts every panel's columns cyclically by t; t = 0 is the identity
-        x = permute_extension(x, [[(j + t) % x.v2 + 1 for j in range(x.v2)] for t in range(int(count))])
+        x = permute_extension(x, [[(j + t) % x.v2 + 1 for j in range(x.v2)] for t in range(u)])
     if args.out and args.out.endswith(".json"):
         _write_output((blocks_to_json(x) + "\n").encode(), args.out)
     else:
@@ -397,11 +402,14 @@ def main(argv=None) -> int:
 def run() -> None:
     """The `sbbd` console script and `python -m sbbd.cli`: exit with main()'s code.
 
-    The process ends as soon as main returns, so every object it made is
-    first moved to the GC's permanent generation (gc.freeze), and
-    interpreter shutdown skips the collection sweep over them.  main itself
-    leaves the GC alone for in-process callers.
+    The process ends as soon as main returns, so the cyclic GC is off while
+    main runs: its sweeps would only walk the objects a command builds, such
+    as the lists of a parsed SB-block JSON, which live until exit anyway.
+    Every object is then moved to the GC's permanent generation
+    (gc.freeze), and interpreter shutdown skips the collection sweep over
+    them.  main itself leaves the GC alone for in-process callers.
     """
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -2,15 +2,16 @@
 
 Data follow y = X tau + eps with i.i.d. Gaussian noise, where the effect
 vector tau obeys the double zero-sum constraints (every row group and every
-column group of the v1 x v2 effect table sums to zero).  Effects are
-estimated by least squares, tau_hat = G X^T y with G the exact generalized
-inverse, and compared contrast-by-contrast against the prediction
-Var((p_i (x) q_j)^T tau_hat) = sigma^2 / alpha.
+column group of the v1 x v2 effect table sums to zero).  The basic
+contrasts of the least-squares estimate tau_hat = G X^T y, with G the exact
+generalized inverse, are compared contrast-by-contrast against the
+prediction Var((p_i (x) q_j)^T tau_hat) = sigma^2 / alpha.
 
 The contrast rows C = H1 (x) H2 (two Helmert bases) lie in the alpha
-eigenspace of X^T X, so C G = C / alpha and simulate projects with
-W = C X^T / alpha without forming G.  Nor does it form C: row k of W^T is
-H1 X_k H2^T / alpha, with X_k block k's v1 x v2 mask.
+eigenspace of X^T X, so C G = C / alpha and simulate estimates them as W y
+with W = C X^T / alpha, the package's one least-squares path, without
+forming G.  Nor does it form C: row k of W^T is H1 X_k H2^T / alpha, with
+X_k block k's v1 x v2 mask.
 
 The report depends on the R runs' noise only through two statistics: its
 sample mean, N(0, I/R), and its centred scatter S = sum_r (e_r - e_bar)
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analyzer import _checked_spectrum, generalized_inverse
+from .analyzer import _checked_spectrum
 from .design_core import DesignMatrix, DimensionError, FormatError, _check_dims, _check_indexable, _is_int
 
 
@@ -129,66 +130,37 @@ def _check_seed(seed) -> None:
         raise DimensionError(f"seed must be an integer in [0, 2^128), got {seed!r}")
 
 
-def _nonnegative(name: str, value, largest: float) -> float:
-    """value as a float, checked to be an int or float in [0, largest]; ints compare exactly."""
+def _nonnegative(name: str, value) -> float:
+    """value as a float, checked to be an int or float in [0, float max]; ints compare exactly."""
     if isinstance(value, np.floating):
-        value = float(value)  # a float32 compared with a float64 largest would overflow its cast
-    if not ((_is_int(value) or isinstance(value, float)) and 0 <= value <= largest):
-        raise DimensionError(f"{name} must be an int or float in [0, {largest!r}], got {value!r}")
-    return abs(float(value))  # -0.0 passes the check, but uniform(0.0, -0.0) is an error
+        value = float(value)  # a float32 compared with the float64 max would overflow its cast
+    if not ((_is_int(value) or isinstance(value, float)) and 0 <= value <= sys.float_info.max):
+        raise DimensionError(f"{name} must be an int or float in [0, {sys.float_info.max!r}], got {value!r}")
+    return abs(float(value))  # -0.0 passes the check; report it as 0.0
 
 
 def _center(z: np.ndarray) -> np.ndarray:
     return z - z.mean(axis=1, keepdims=True) - z.mean(axis=0, keepdims=True) + z.mean()
 
 
-def random_effects(v1: int, v2: int, scale: float = 1.0, seed: int = 0) -> EffectVector:
+def random_effects(v1: int, v2: int, seed: int = 0) -> EffectVector:
     """Random effects satisfying the double zero sums to rounding.
 
-    Draws z uniform in [-scale, scale] and projects through the centering
-    operators on both axes, twice: the second pass removes the rounding
-    residue of the first, which is relative to z rather than to tau.  A
-    fixed seed reproduces tau bit for bit.  A scale so large that the draw
-    or the centring overflows float64 is a DimensionError.
+    Draws z uniform in [-1, 1] and projects through the centering operators
+    on both axes, twice: the second pass removes the rounding residue of the
+    first, which is relative to z rather than to tau.  A fixed seed
+    reproduces tau bit for bit.
     """
     _check_dims(v1, v2)
     _check_indexable(8 * v1 * v2, f"tau of {v1} x {v2} effects")
     _check_seed(seed)
-    scale = _nonnegative("scale", scale, sys.float_info.max / 2)  # the draw spans 2 * scale
     rng = np.random.default_rng(seed)
-    z = rng.uniform(-scale, scale, size=v1 * v2).reshape(v1, v2)
-    with np.errstate(over="ignore", invalid="ignore"):  # EffectVector rejects the inf
-        return EffectVector(v1, v2, _center(_center(z)).reshape(-1))
+    z = rng.uniform(-1.0, 1.0, size=v1 * v2).reshape(v1, v2)
+    return EffectVector(v1, v2, _center(_center(z)).reshape(-1))
 
 
 _TILE = 256  # rows of the scatter factor per fixed-shape projection
 _SLAB = 1 << 18  # float64 entries of X per set-up slab (2 MiB)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is checked on the result
-def estimate_effects(x: DesignMatrix, y: np.ndarray) -> np.ndarray:
-    """One-shot least squares tau_hat = G X^T y, without forming G.
-
-    On the v1 x v2 table z of X^T y, G weights the doubly centred z, the
-    centred row and column means and the grand mean by the four inverse
-    eigenvalues.  Only contrasts of tau_hat carry an accuracy contract;
-    components along the non-estimable directions are whatever the
-    generalized inverse assigns them.  Raises what a_optimality raises,
-    FormatError for a y entry that is not a real number, and
-    DimensionError for a non-finite y or a result that overflows float64.
-    """
-    y = _real_array("y", y)
-    if y.shape != (x.n_rows,):
-        raise DimensionError(f"y length {y.shape} != N = {x.n_rows}")
-    wa, wb, wg, wd = map(float, generalized_inverse(_checked_spectrum(x)[0]))
-    z = (x.matrix.T.astype(float) @ y).reshape(x.v1, x.v2)
-    grand = z.mean()
-    rows = z.mean(axis=1, keepdims=True) - grand
-    cols = z.mean(axis=0, keepdims=True) - grand
-    tau_hat = (wa * _center(z) + wb * rows + wg * cols + wd * grand).reshape(-1)
-    if not np.isfinite(tau_hat).all():
-        raise DimensionError("the estimate overflows float64 with this y")
-    return tau_hat
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is checked on the report
@@ -217,7 +189,7 @@ def simulate(
     if not (_is_int(runs) and 2 <= runs <= 2**53):
         raise DimensionError(f"need an integer runs in [2, 2^53] for a variance estimate, got {runs!r}")
     runs = int(runs)
-    sigma = _nonnegative("sigma", sigma, sys.float_info.max)
+    sigma = _nonnegative("sigma", sigma)
     _check_seed(seed)
     _, spec = _checked_spectrum(x)
     n, v1, v2 = x.n_rows, x.v1, x.v2

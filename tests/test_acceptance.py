@@ -148,7 +148,7 @@ def test_criterion_08_permutation_extension(composed_b4):
 def test_criterion_09_statistical_validation(x22, fano_composed):
     start = time.perf_counter()
     # noiseless recovery
-    tau22 = random_effects(3, 3, scale=1.0, seed=101)
+    tau22 = random_effects(3, 3, seed=101)
     noiseless = simulate(x22, tau22, sigma=0.0, runs=2, seed=101)
     assert np.abs(noiseless.empirical_mean - noiseless.true_contrasts).max() <= 1e-9
 
@@ -159,7 +159,7 @@ def test_criterion_09_statistical_validation(x22, fano_composed):
     assert rel22.max() < 0.05
 
     # the regular SBBD(7,7,42): 36 variances within 5% of 1/14, and of each other
-    tau_f = random_effects(7, 7, scale=1.0, seed=303)
+    tau_f = random_effects(7, 7, seed=303)
     rep_f = simulate(fano_composed, tau_f, sigma=1.0, runs=100_000, seed=404)
     assert rep_f.predicted_variance == pytest.approx(1 / 14)
     var = rep_f.empirical_variance

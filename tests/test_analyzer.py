@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -193,6 +194,17 @@ def test_generalized_inverse_identities(
         # symmetric products: the Moore-Penrose conditions
         assert (mg == mg.T).all()
         assert (gm == gm.T).all()
+
+    # variance balance: every elementary contrast c = (e_i - e_i') (x) (e_j - e_j')
+    # has c^T G c = 4 / alpha, summed over the 16 entries of G that c touches
+    for x in (x22, composed_b4, fano_composed):
+        params = check_sbbd(x)
+        g = dense_ginv(x.v1, x.v2, generalized_inverse(params))
+        expected = Fraction(4, spectrum(params).alpha)
+        for i, i2 in itertools.combinations(range(x.v1), 2):
+            for j, j2 in itertools.combinations(range(x.v2), 2):
+                signed = [(i * x.v2 + j, 1), (i * x.v2 + j2, -1), (i2 * x.v2 + j, -1), (i2 * x.v2 + j2, 1)]
+                assert sum(s * t * g[p, q] for p, s in signed for q, t in signed) == expected
 
 
 def test_generalized_inverse_drops_zero_terms(x22, composed_b4, dense_ginv):

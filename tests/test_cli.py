@@ -473,7 +473,7 @@ try:
     runpy.run_module("sbbd.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({{"code": code, "frozen": gc.get_freeze_count() > 0,
+print(json.dumps({{"code": code, "frozen": gc.get_freeze_count() > 0, "gc_enabled": gc.isenabled(),
                   "loaded": [m for m in ("numpy", "numpy.ma") if m in sys.modules]}}))
 """
 
@@ -504,7 +504,8 @@ def test_import_loads_no_numpy(tmp_path, module):
 )
 def test_cli_child_loads_only_what_its_command_needs(tmp_path, argv, code, loaded, frozen):
     report = _child_report(tmp_path, STARTUP_PROBE.format(argv=argv))
-    assert report == {"code": code, "loaded": loaded, "frozen": frozen}
+    # run() turns the cyclic GC off before main, so even argparse's exits leave it off
+    assert report == {"code": code, "loaded": loaded, "frozen": frozen, "gc_enabled": False}
 
 
 def test_cli_imports_no_sbbd_module_at_module_level():
@@ -529,9 +530,9 @@ def test_console_script_is_the_main_block_entry():
 
 
 def test_main_leaves_the_gc_alone(capsys):
-    frozen = gc.get_freeze_count()
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     assert run(capsys, "od", "construct", "--q", "3")[0] == 0
-    assert gc.get_freeze_count() == frozen
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
 
 
 HUGE = "1000000000000000000000000000057"  # 10^30 + 57; trial division would take about 10^15 steps
@@ -544,6 +545,9 @@ HUGE = "1000000000000000000000000000057"  # 10^30 + 57; trial division would tak
         (["compose", "--design", "catalog:fano", "--od", HUGE], "DimensionError"),
         (["compose", "--design", f"catalog:qr{HUGE}", "--od", "7"], "NotInCatalog"),  # HUGE = 1 (mod 4)
         (["compose", "--design", "catalog:qr1000000000000000000000000000059", "--od", "7"], "DimensionError"),
+        # refused before the 10^20 layers of permutations are listed
+        (["compose", "--design", "catalog:fano", "--od", "7", "--perms", "cyclic:99999999999999999999"],
+         "DimensionError"),
     ],
 )
 def test_huge_orders_exit_one_at_once(tmp_path, argv, error):

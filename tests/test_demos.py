@@ -45,6 +45,24 @@ def test_readme_names_every_export():
     assert exports and not missing, missing
 
 
+def test_every_export_is_used_outside_its_definition():
+    # unused API is deleted: each export is referenced by a module of the
+    # package other than __init__ (outside its own top-level definition) or by a demo
+    modules = [path for path in (ROOT / "src" / "sbbd").glob("*.py") if path.name != "__init__.py"]
+    used = set()
+    for path in [*modules, *DEMOS]:
+        for stmt in ast.parse(path.read_text()).body:
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
+                for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            }
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+            used |= names
+    unused = [name for name in sbbd.__all__ if name not in used]
+    assert sbbd.__all__ and not unused, unused
+
+
 def test_every_export_resolves_to_its_defining_module():
     assert len(set(sbbd.__all__)) == len(sbbd.__all__)
     for name in sbbd.__all__:
