@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The full construction pipeline: symmetric BIBD + ordered design ->
-regular SBBD, with closed-form spectrum, the exact generalized inverse as
-four weights, and the A-optimality verdict."""
+regular SBBD, with the spectrum read off Lambda, the exact generalized
+inverse as four weights, and the A-optimality verdict."""
 
 import sbbd
 
@@ -16,16 +16,16 @@ print("predicted Lambda:", sbbd.predicted_parameters(fano, od).lam)
 print("measured Lambda: ", params.lam)
 print("spanning guaranteed (s > b - r):", sbbd.spanning_guaranteed(od.s, fano.b, fano.r))
 
-spec = sbbd.spectrum(params)
-print("\nspectrum (value, multiplicity):", spec.pairs())
-print("eigenvalues weighted by multiplicity:", sum(val * mult for val, mult in spec.pairs()),
+# the four eigenvalues alpha, beta, gamma and delta are closed forms in Lambda
+print("\nspectrum (value, multiplicity):", params.spectrum)
+print("eigenvalues weighted by multiplicity:", sum(val * mult for val, mult in params.spectrum),
       "=", int(x.matrix.sum()), "ones in X = trace(X^T X)")
 
 # G is four exact weights, one per eigenspace, so M G M = M reads
 # w * lambda^2 = lambda on each eigenvalue
 weights = sbbd.generalized_inverse(params)
 print("G weights (1/alpha, 1/beta, 1/gamma, 1/delta):", [str(w) for w in weights])
-print("M G M = M:", all(w * val * val == val for w, (val, _) in zip(weights, spec.pairs())))
+print("M G M = M:", all(w * val * val == val for w, (val, _) in zip(weights, params.spectrum)))
 
 report = sbbd.a_optimality(x)
 print(f"\nregular blocks: k1 = {report.k1}, k2 = {report.k2}")

@@ -45,7 +45,7 @@ print(panels[0])
 params = sbbd.check_sbbd(x)
 print(f"Lambda = {params.lam}  (mu, l12, l21, l22)")
 print("spanning:", sbbd.is_spanning(x))
-print("eigenvalue x multiplicity:", sbbd.spectrum(params).pairs())
+print("eigenvalue x multiplicity:", params.spectrum)
 
 # flip any single bit and some condition must break
 m = x.matrix.copy()

@@ -12,7 +12,7 @@ RUNS = 50_000
 SEED = 1729
 
 x = sbbd.compose(sbbd.catalog_by_id("fano"), sbbd.construct_od1(7))
-alpha = sbbd.spectrum(sbbd.check_sbbd(x)).alpha
+alpha = sbbd.check_sbbd(x).alpha
 print(f"design: {x.n_rows} observations, {x.v1 * x.v2} effects, alpha = {alpha}")
 
 tau = sbbd.random_effects(x.v1, x.v2, seed=SEED)

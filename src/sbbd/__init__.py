@@ -23,14 +23,12 @@ _MODULE_OF = {
             "ConditionViolation",
             "ContrastsNotEstimable",
             "OptimalityReport",
-            "SpectralSummary",
             "TraceMismatch",
             "a_optimality",
             "check_sbbd",
             "classify_blocks",
             "generalized_inverse",
             "is_spanning",
-            "spectrum",
         ),
         "composer": (
             "compose",

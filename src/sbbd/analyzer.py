@@ -19,19 +19,11 @@ ConditionViolation, a Violation with condition "II".."V" and witness {"panel": i
 or {"panels": (i, j)} plus the 1-based "position" in X_i^T X_j, before any other result.
 
 When (II)-(V) hold the information matrix X^T X is double completely
-symmetric and its spectrum is closed-form.  With a = mu - l12, b = l12,
-c = l21 - l22, d = l22:
-
-    alpha = a - c                      multiplicity (v1-1)(v2-1)
-    beta  = a - c + (b - d) v2         multiplicity v1-1
-    gamma = a + c (v1-1)               multiplicity v2-1
-    delta = a + b v2 + (v1-1)(c + d v2)  multiplicity 1
-
-A Moore-Penrose generalized inverse follows from the same decomposition,
-dropping zero-eigenvalue terms.  X^T X, its spectrum and G are each kept as
-four numbers: Lambda (an SbbdParameters), the four eigenvalues, and the
-exact rational weights 1/alpha, 1/beta, 1/gamma and 1/delta.  No dense form
-of any of them is built.
+symmetric, so Lambda fixes it and its spectrum: SbbdParameters.alpha and
+SbbdParameters.spectrum are closed forms in Lambda.  A Moore-Penrose
+generalized inverse G follows from the same decomposition, dropping
+zero-eigenvalue terms, as the exact rational weights 1/alpha, 1/beta,
+1/gamma and 1/delta.  No dense form of X^T X or G is built.
 """
 
 from __future__ import annotations
@@ -57,34 +49,6 @@ class ContrastsNotEstimable(SbbdError):
 
 
 @dataclass(frozen=True)
-class SpectralSummary:
-    alpha: int
-    beta: int
-    gamma: int
-    delta: int
-    m_alpha: int
-    m_beta: int
-    m_gamma: int
-    m_delta: int
-
-    def pairs(self) -> list:
-        """(eigenvalue, multiplicity) in (alpha, beta, gamma, delta) order."""
-        return [
-            (self.alpha, self.m_alpha),
-            (self.beta, self.m_beta),
-            (self.gamma, self.m_gamma),
-            (self.delta, self.m_delta),
-        ]
-
-    def merged(self) -> list:
-        """Distinct eigenvalues with total multiplicities, descending."""
-        acc: dict = {}
-        for val, mult in self.pairs():
-            acc[val] = acc.get(val, 0) + mult
-        return sorted(acc.items(), key=lambda t: -t[0])
-
-
-@dataclass(frozen=True)
 class OptimalityReport:
     params: SbbdParameters
     is_spanning: bool
@@ -92,7 +56,6 @@ class OptimalityReport:
     is_regular: bool
     k1: int | None
     k2: int | None
-    spectral: SpectralSummary
     a_criterion: Fraction
     a_lower_bound: Fraction | None
     is_a_optimal_in_omega: bool
@@ -152,34 +115,12 @@ def is_spanning(x: DesignMatrix) -> bool:
     return bool(x.masks.any(axis=2).all() and x.masks.any(axis=1).all())
 
 
-def spectrum(info: SbbdParameters) -> SpectralSummary:
-    """Closed-form eigenvalues with multiplicities from Lambda.
-
-    Weighted by multiplicity they sum to mu v1 v2 for any Lambda, so the
-    trace is checked only by check_sbbd, which counts the ones of X.
-    """
-    v1, v2 = info.v1, info.v2
-    mu, b, l21, d = info.lam
-    a, c = mu - b, l21 - d
-    return SpectralSummary(
-        alpha=a - c,
-        beta=a - c + (b - d) * v2,
-        gamma=a + c * (v1 - 1),
-        delta=a + b * v2 + (v1 - 1) * (c + d * v2),
-        m_alpha=(v1 - 1) * (v2 - 1),
-        m_beta=v1 - 1,
-        m_gamma=v2 - 1,
-        m_delta=1,
-    )
-
-
-def _checked_spectrum(x: DesignMatrix):
-    """(params, spectrum); raises the first ConditionViolation, then ContrastsNotEstimable."""
+def _estimable(x: DesignMatrix) -> SbbdParameters:
+    """check_sbbd(x); raises its first ConditionViolation, then ContrastsNotEstimable unless alpha > 0."""
     params = check_sbbd(x)
-    spec = spectrum(params)
-    if spec.alpha <= 0:
-        raise ContrastsNotEstimable(f"alpha = {spec.alpha} <= 0; basic contrasts are not estimable")
-    return params, spec
+    if params.alpha <= 0:
+        raise ContrastsNotEstimable(f"alpha = {params.alpha} <= 0; basic contrasts are not estimable")
+    return params
 
 
 def generalized_inverse(info: SbbdParameters) -> tuple:
@@ -188,11 +129,11 @@ def generalized_inverse(info: SbbdParameters) -> tuple:
     G weights the four Kronecker products of I - J/n and J/n that span the
     eigenspaces of X^T X by the inverse eigenvalues, with 0 for a vanishing
     eigenvalue.  Returns those exact weights (1/alpha, 1/beta, 1/gamma,
-    1/delta) as Fractions, in SpectralSummary.pairs() order; no dense form
-    is built.  An all-zero Lambda gives four zero weights: the inverse of
-    the zero matrix is zero.
+    1/delta) as Fractions, in info.spectrum order; no dense form is built.
+    An all-zero Lambda gives four zero weights: the inverse of the zero
+    matrix is zero.
     """
-    return tuple(Fraction(1, val) if val else Fraction(0) for val, _ in spectrum(info).pairs())
+    return tuple(Fraction(1, val) if val else Fraction(0) for val, _ in info.spectrum)
 
 
 def classify_blocks(x: DesignMatrix):
@@ -214,7 +155,7 @@ def classify_blocks(x: DesignMatrix):
 
 
 def a_optimality(x: DesignMatrix) -> OptimalityReport:
-    """Full diagnostic report: parameters, spectrum, A-criterion, verdicts.
+    """Full diagnostic report: parameters (and so the spectrum), A-criterion, verdicts.
 
     The A-criterion sums 1/eigenvalue over the (v1-1)(v2-1) basic-contrast
     eigenvalues, all equal to alpha here.  For semi-regular designs the
@@ -222,12 +163,12 @@ def a_optimality(x: DesignMatrix) -> OptimalityReport:
     k = k1 v1 measured from the blocks; equality plus the SBBD conditions
     yields the optimality verdict.
     """
-    params, spec = _checked_spectrum(x)
+    params = _estimable(x)
     spanning = is_spanning(x)
     degrees = classify_blocks(x)
     k1, k2 = degrees or (None, None)
     n_contrasts = (x.v1 - 1) * (x.v2 - 1)
-    a_criterion = Fraction(n_contrasts, spec.alpha)
+    a_criterion = Fraction(n_contrasts, params.alpha)
     a_lower_bound = None
     if degrees:
         a_lower_bound = Fraction(n_contrasts * n_contrasts, params.mu * (x.v1 * x.v2 - k1 * x.v1))
@@ -238,7 +179,6 @@ def a_optimality(x: DesignMatrix) -> OptimalityReport:
         is_regular=degrees is not None and k1 == k2,
         k1=k1,
         k2=k2,
-        spectral=spec,
         a_criterion=a_criterion,
         a_lower_bound=a_lower_bound,
         is_a_optimal_in_omega=spanning and a_criterion == a_lower_bound,

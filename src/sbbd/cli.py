@@ -2,7 +2,8 @@
 
 Subcommands: design verify, od construct, od verify, compose, analyze,
 simulate, mask.  Exit codes: 0 success, 1 verification failure or an input
-that needs more memory than is available, 2 usage error.  On exit 1,
+that needs more memory than is available, 2 usage error, 141 (128 + SIGPIPE)
+with nothing on stderr when the reader of stdout has gone.  On exit 1,
 commands run with --json and the mask command also print {"error",
 "condition", "witness", "message"} as JSON on stdout.  All randomness is
 seeded; --seed defaults to 1729 so repeated invocations are byte-identical.
@@ -30,6 +31,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -173,10 +175,13 @@ def _analyze_payload(x: DesignMatrix) -> dict:
     from .analyzer import a_optimality
 
     report = a_optimality(x)
+    merged: dict = {}  # distinct eigenvalues with total multiplicities
+    for val, mult in report.params.spectrum:
+        merged[val] = merged.get(val, 0) + mult
     return {
         "lambda": list(report.params.lam),
         "spanning": report.is_spanning,
-        "spectrum": [{"value": str(val), "mult": mult} for val, mult in report.spectral.merged()],
+        "spectrum": [{"value": str(val), "mult": mult} for val, mult in sorted(merged.items(), reverse=True)],
         "a_criterion": str(report.a_criterion),
         "a_lower_bound": None if report.a_lower_bound is None else str(report.a_lower_bound),
         "semi_regular": report.is_semi_regular,
@@ -384,6 +389,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise  # the reader went away; run() ends the process quietly
     except OSError as exc:
         print(f"cannot read/write: {exc}", file=sys.stderr)
         return 2
@@ -408,9 +415,19 @@ def run() -> None:
     Every object is then moved to the GC's permanent generation
     (gc.freeze), and interpreter shutdown skips the collection sweep over
     them.  main itself leaves the GC alone for in-process callers.
+
+    When the reader of stdout has gone, the process exits 141 (128 +
+    SIGPIPE), as a shell reports for a C tool stopped the same way, and
+    prints nothing: stdout is pointed at os.devnull, so the exit-time flush
+    of what is still buffered raises no second BrokenPipeError.
     """
     gc.disable()
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
     gc.freeze()
     sys.exit(code)
 

@@ -62,7 +62,20 @@ def _check_dims(v1, v2) -> None:
 
 @dataclass(frozen=True)
 class SbbdParameters:
-    """Parameter tuple of an SBBD(v1, v2, N; Lambda)."""
+    """Parameter tuple of an SBBD(v1, v2, N; Lambda).
+
+    Lambda = (mu, lambda12, lambda21, lambda22) fixes the double completely
+    symmetric X^T X, and so its spectrum.  With a = mu - lambda12,
+    b = lambda12, c = lambda21 - lambda22 and d = lambda22:
+
+        alpha = a - c                        multiplicity (v1-1)(v2-1)
+        beta  = a - c + (b - d) v2           multiplicity v1-1
+        gamma = a + c (v1-1)                 multiplicity v2-1
+        delta = a + b v2 + (v1-1)(c + d v2)  multiplicity 1
+
+    Weighted by multiplicity they sum to mu v1 v2 = trace(X^T X) for any
+    Lambda, so the trace is checked only against the ones of X.
+    """
 
     v1: int
     v2: int
@@ -75,6 +88,24 @@ class SbbdParameters:
     @property
     def lam(self) -> tuple:
         return (self.mu, self.lambda12, self.lambda21, self.lambda22)
+
+    @property
+    def alpha(self) -> int:
+        """The eigenvalue of the basic contrasts, mu - lambda12 - lambda21 + lambda22."""
+        return self.mu - self.lambda12 - self.lambda21 + self.lambda22
+
+    @property
+    def spectrum(self) -> tuple:
+        """(eigenvalue, multiplicity) of alpha, beta, gamma and delta, in that order."""
+        v1, v2 = self.v1, self.v2
+        mu, b, l21, d = self.lam
+        a, c = mu - b, l21 - d
+        return (
+            (self.alpha, (v1 - 1) * (v2 - 1)),
+            (a - c + (b - d) * v2, v1 - 1),
+            (a + c * (v1 - 1), v2 - 1),
+            (a + b * v2 + (v1 - 1) * (c + d * v2), 1),
+        )
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analyzer import _checked_spectrum
+from .analyzer import _estimable
 from .design_core import DesignMatrix, DimensionError, FormatError, _check_dims, _check_indexable, _is_int
 
 
@@ -191,7 +191,7 @@ def simulate(
     runs = int(runs)
     sigma = _nonnegative("sigma", sigma)
     _check_seed(seed)
-    _, spec = _checked_spectrum(x)
+    alpha = _estimable(x).alpha
     n, v1, v2 = x.n_rows, x.v1, x.v2
     h1, h2 = _helmert(v1), _helmert(v2)
     # W^T, (N, C), and X tau, filled in row slabs of X cast from uint8: row k
@@ -207,7 +207,7 @@ def simulate(
         xh2 = (xs.reshape(-1, v2) @ h2.T).reshape(len(xs), v1, v2 - 1)
         ws = wt[rows]
         np.matmul(h1, xh2, out=ws.reshape(len(xs), v1 - 1, v2 - 1))
-        ws /= spec.alpha
+        ws /= alpha
         del xs, xh2  # before the next slab's are made
     true = (h1 @ tau.tau.reshape(v1, v2) @ h2.T).ravel()
 
@@ -230,7 +230,7 @@ def simulate(
 
     mean = (signal + sigma * g / math.sqrt(runs)) @ wt
     variance = sigma * sigma * ssq / (runs - 1)
-    predicted = sigma * sigma / spec.alpha
+    predicted = sigma * sigma / alpha
     # relative to the prediction, or absolute when sigma = 0 predicts 0
     max_rel = float(np.max(np.abs(variance - predicted)) / (predicted or 1.0))
     if not (np.isfinite(mean).all() and np.isfinite(variance).all() and math.isfinite(max_rel)):
@@ -246,5 +246,5 @@ def simulate(
         empirical_variance=variance,
         predicted_variance=predicted,
         max_relative_deviation=max_rel,
-        alpha=spec.alpha,
+        alpha=alpha,
     )

@@ -25,9 +25,9 @@ from sbbd import (
     permute_extension,
     random_effects,
     simulate,
-    spectrum,
     verify_od,
 )
+from sbbd.cli import _analyze_payload
 
 PRIME_POWERS_13 = [2, 3, 4, 5, 7, 8, 9, 11, 13]
 
@@ -48,10 +48,11 @@ def test_criterion_01_lambda_reproduction(x22):
 
 
 def test_criterion_02_spectrum(x22):
-    s = spectrum(check_sbbd(x22))
-    assert (s.alpha, s.beta, s.gamma, s.delta) == (3, 0, 3, 36)
-    assert (s.m_alpha, s.m_beta, s.m_gamma, s.m_delta) == (4, 2, 2, 1)
-    assert s.merged() == [(36, 1), (3, 6), (0, 2)]
+    values, mults = zip(*check_sbbd(x22).spectrum)
+    assert values == (3, 0, 3, 36)
+    assert mults == (4, 2, 2, 1)
+    merged = [(int(e["value"]), e["mult"]) for e in _analyze_payload(x22)["spectrum"]]
+    assert merged == [(36, 1), (3, 6), (0, 2)]
     ok(2, "eigenvalues {36 x1, 3 x6, 0 x2}, (a,b,g,d) = (3,0,3,36), mults (4,2,2,1)")
 
 
@@ -110,7 +111,7 @@ def test_criterion_06_fano_a_optimality(fano_composed):
     rep = a_optimality(fano_composed)
     assert rep.is_regular and rep.is_semi_regular
     assert (rep.k1, rep.k2) == (3, 3)
-    assert rep.spectral.alpha == 14
+    assert rep.params.alpha == 14
     assert rep.a_criterion == Fraction(18, 7)
     assert rep.a_lower_bound == Fraction(18, 7)
     assert rep.is_a_optimal_in_omega

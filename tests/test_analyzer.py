@@ -24,8 +24,8 @@ from sbbd import (
     classify_blocks,
     generalized_inverse,
     is_spanning,
-    spectrum,
 )
+from sbbd.cli import _analyze_payload
 
 
 def int_helmert(n):
@@ -45,32 +45,33 @@ def int_gram(x):
     return m.T @ m
 
 
-def eigen_check(x, summary):
+def eigen_check(x, params):
     """Multiply the int64 X^T X against each structured eigenvector.
 
     Exact integer arithmetic throughout, so this confirms all four
-    eigenvalues without any numerical eigensolver.
+    eigenvalues of params.spectrum without any numerical eigensolver.
     """
+    (alpha, _), (beta, _), (gamma, _), (delta, _) = params.spectrum
     m = int_gram(x)
     ones1 = np.ones(x.v1, dtype=np.int64)
     ones2 = np.ones(x.v2, dtype=np.int64)
     for p in int_helmert(x.v1):
         for q in int_helmert(x.v2):
             vec = np.kron(p, q)
-            assert np.array_equal(m @ vec, summary.alpha * vec)
+            assert np.array_equal(m @ vec, alpha * vec)
         vec = np.kron(p, ones2)
-        assert np.array_equal(m @ vec, summary.beta * vec)
+        assert np.array_equal(m @ vec, beta * vec)
     for q in int_helmert(x.v2):
         vec = np.kron(ones1, q)
-        assert np.array_equal(m @ vec, summary.gamma * vec)
+        assert np.array_equal(m @ vec, gamma * vec)
     vec = np.kron(ones1, ones2)
-    assert np.array_equal(m @ vec, summary.delta * vec)
+    assert np.array_equal(m @ vec, delta * vec)
 
 
-def numeric_spectrum_oracle(x, summary):
+def numeric_spectrum_oracle(x, params):
     """Dense eigendecomposition must reproduce the closed-form multiset."""
     closed = []
-    for val, mult in summary.pairs():
+    for val, mult in params.spectrum:
         closed.extend([float(val)] * mult)
     zeros = x.v1 * x.v2 - len(closed)
     # multiplicities already cover the full dimension
@@ -138,29 +139,37 @@ def test_non_dcs_matrix_has_no_closed_form():
 
 
 def test_spectrum_fixture(x22):
-    s = spectrum(check_sbbd(x22))
-    assert (s.alpha, s.beta, s.gamma, s.delta) == (3, 0, 3, 36)
-    assert (s.m_alpha, s.m_beta, s.m_gamma, s.m_delta) == (4, 2, 2, 1)
-    assert s.merged() == [(36, 1), (3, 6), (0, 2)]
-    assert sum(val * mult for val, mult in s.pairs()) == 6 * 9  # mu v1 v2
-    eigen_check(x22, s)
-    numeric_spectrum_oracle(x22, s)
+    params = check_sbbd(x22)
+    values, mults = zip(*params.spectrum)
+    assert values == (3, 0, 3, 36)
+    assert mults == (4, 2, 2, 1)
+    assert params.alpha == 3
+    # the CLI merges equal eigenvalues, in descending order
+    assert _analyze_payload(x22)["spectrum"] == [
+        {"value": "36", "mult": 1},
+        {"value": "3", "mult": 6},
+        {"value": "0", "mult": 2},
+    ]
+    assert sum(val * mult for val, mult in params.spectrum) == 6 * 9  # mu v1 v2
+    eigen_check(x22, params)
+    numeric_spectrum_oracle(x22, params)
 
 
 def test_spectrum_b4(composed_b4):
-    s = spectrum(check_sbbd(composed_b4))
-    assert (s.alpha, s.beta, s.gamma, s.delta) == (4, 1, 0, 81)
-    eigen_check(composed_b4, s)
-    numeric_spectrum_oracle(composed_b4, s)
+    params = check_sbbd(composed_b4)
+    assert tuple(val for val, _ in params.spectrum) == (4, 1, 0, 81)
+    eigen_check(composed_b4, params)
+    numeric_spectrum_oracle(composed_b4, params)
 
 
 def test_spectrum_fano(fano_composed):
-    s = spectrum(check_sbbd(fano_composed))
-    assert s.alpha == 14
-    assert (s.beta, s.gamma) == (0, 0)
-    assert s.delta == 18 * 21  # mu * k for a semi-regular design
-    eigen_check(fano_composed, s)
-    numeric_spectrum_oracle(fano_composed, s)
+    params = check_sbbd(fano_composed)
+    (alpha, _), (beta, _), (gamma, _), (delta, _) = params.spectrum
+    assert alpha == params.alpha == 14
+    assert (beta, gamma) == (0, 0)
+    assert delta == 18 * 21  # mu * k for a semi-regular design
+    eigen_check(fano_composed, params)
+    numeric_spectrum_oracle(fano_composed, params)
 
 
 def test_semi_regular_zero_eigenvectors(fano_composed):
@@ -172,9 +181,9 @@ def test_semi_regular_zero_eigenvectors(fano_composed):
 
 
 def test_trace_identity_semi_regular(fano_composed):
-    s = spectrum(check_sbbd(fano_composed))
+    alpha, m_alpha = check_sbbd(fano_composed).spectrum[0]
     k = 3 * 7
-    assert s.m_alpha * s.alpha == 18 * (49 - k)
+    assert m_alpha * alpha == 18 * (49 - k)
 
 
 def test_generalized_inverse_identities(
@@ -200,7 +209,7 @@ def test_generalized_inverse_identities(
     for x in (x22, composed_b4, fano_composed):
         params = check_sbbd(x)
         g = dense_ginv(x.v1, x.v2, generalized_inverse(params))
-        expected = Fraction(4, spectrum(params).alpha)
+        expected = Fraction(4, params.alpha)
         for i, i2 in itertools.combinations(range(x.v1), 2):
             for j, j2 in itertools.combinations(range(x.v2), 2):
                 signed = [(i * x.v2 + j, 1), (i * x.v2 + j2, -1), (i2 * x.v2 + j, -1), (i2 * x.v2 + j2, 1)]
@@ -245,9 +254,9 @@ def test_degenerate_design():
 def test_weights_satisfy_moore_penrose(dense_ginv, expand_lambda, v1, v2, lam):
     # any integer Lambda, so every pattern of vanishing eigenvalues is reached
     params = SbbdParameters(v1, v2, 1, *lam)
-    s = spectrum(params)
-    # the trace identity holds by algebra, so spectrum makes no check of it
-    assert sum(val * mult for val, mult in s.pairs()) == lam[0] * v1 * v2
+    # the trace identity holds by algebra, so nothing checks it against Lambda
+    assert sum(val * mult for val, mult in params.spectrum) == lam[0] * v1 * v2
+    assert params.alpha == params.spectrum[0][0] == lam[0] - lam[1] - lam[2] + lam[3]
     g = dense_ginv(v1, v2, generalized_inverse(params))
     m = expand_lambda(v1, v2, lam).astype(object)
     mg, gm = m @ g, g @ m
@@ -298,8 +307,54 @@ def test_sbbd_star_report(single_edge_blocks):
     rep = a_optimality(single_edge_blocks)
     assert rep.params.lam == (1, 0, 0, 0)
     assert not rep.is_spanning
-    assert rep.spectral.alpha == 1
+    assert rep.params.alpha == 1
     assert not rep.is_a_optimal_in_omega
+
+
+def _lemma_designs(case):
+    """The designs of one case: a catalog id composed with OD_1(b), alone and
+    with a two-layer cyclic extension, or fano composed with each of the 120
+    column subsets (s >= 2) of OD_1(7)."""
+    if case == "fano-od7-column-subsets":
+        fano, od = sbbd.catalog_by_id("fano"), sbbd.construct_od1(7)
+        for s in range(2, 8):
+            for cols in itertools.combinations(range(7), s):
+                yield sbbd.compose(fano, sbbd.verify_od(od.rows[:, cols], n=7, s=s))
+        return
+    d = sbbd.catalog_by_id(case)
+    x = sbbd.compose(d, sbbd.construct_od1(d.b))
+    yield x
+    yield sbbd.permute_extension(x, [[(j + t) % x.v2 + 1 for j in range(x.v2)] for t in range(2)])
+
+
+@pytest.mark.parametrize(
+    "case, semi_regular",
+    [
+        ("pairs3", 0),
+        ("fano", 2),
+        ("qr11", 2),
+        ("pg23", 2),
+        ("qr19", 2),
+        ("qr23", 2),
+        ("qr31", 2),
+        ("fano-od7-column-subsets", 1),  # only the full OD is semi-regular
+    ],
+)
+def test_semi_regular_sbbds_attain_the_a_lower_bound(case, semi_regular):
+    # the lemma behind the A-optimality theorem: an SBBD with semi-regular
+    # blocks has beta = gamma = 0, so its A-criterion meets the lower bound;
+    # no other design has a bound
+    attained = 0
+    for x in _lemma_designs(case):
+        rep = a_optimality(x)
+        (_, _), (beta, _), (gamma, _), _ = rep.params.spectrum
+        if rep.is_semi_regular:
+            assert beta == gamma == 0
+            assert rep.a_criterion == rep.a_lower_bound
+            attained += 1
+        else:
+            assert rep.a_lower_bound is None
+    assert attained == semi_regular
 
 
 def test_analyzer_requires_two_by_two():

@@ -535,6 +535,39 @@ def test_main_leaves_the_gc_alone(capsys):
     assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
 
 
+NOT_AN_SBBD = b"1,0,0,0\n0,1,1,0\n"  # fails condition (V) as a 2 x 2 design
+
+
+@pytest.mark.parametrize(
+    "argv, design, buffered, stderr",
+    [
+        (["analyze", "--json", "-"], None, True, ""),
+        (["analyze", "-"], None, True, ""),
+        (["mask", "--format", "bin", "-"], None, True, ""),
+        (["simulate", "--sigma", "1", "--runs", "10", "-"], None, True, ""),
+        (["analyze", "--json", "-"], None, False, ""),  # each print writes through at once
+        # the exit-1 report still reaches stderr; its JSON copy meets the closed pipe
+        (["mask", "-"], NOT_AN_SBBD, True, "ConditionViolation: condition (V) violated"),
+    ],
+    ids=["analyze-json", "analyze", "mask-bin", "simulate", "analyze-json-unbuffered", "mask-exit-1"],
+)
+def test_closed_stdout_exits_141_quietly(tmp_path, fixture_dir, argv, design, buffered, stderr):
+    # stdout's read end is closed before the design is sent, so every write meets a closed pipe
+    src = Path(sbbd.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sbbd.cli", *argv], cwd=tmp_path, env=env,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(design or (fixture_dir / "design_3_3_9.csv").read_bytes(), timeout=120)
+    assert proc.returncode == 141, err
+    assert err.decode().startswith(stderr) and err.count(b"\n") == bool(stderr), err
+
+
 HUGE = "1000000000000000000000000000057"  # 10^30 + 57; trial division would take about 10^15 steps
 
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import os
 import re
@@ -88,3 +89,31 @@ def test_no_module_relies_on_a_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def _command_paths(parser, path=()):
+    """(subcommand path, its parser) for every leaf of parser's subcommand tree."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _command_paths(child, (*path, name))
+
+
+def test_readme_synopsis_names_every_cli_option():
+    from sbbd.cli import build_parser
+
+    readme = (ROOT / "README.md").read_text()
+    (synopsis,) = re.findall(r"^## Command line\n\n```\n(.*?)^```$", readme, re.S | re.M)
+    missing = []
+    for path, parser in _command_paths(build_parser()):
+        prefix = "sbbd " + " ".join(path)
+        lines = [line for line in synopsis.splitlines() if line == prefix or line.startswith(prefix + " ")]
+        options = {opt for a in parser._actions for opt in a.option_strings} - {"-h", "--help"}
+        for opt in sorted(options):
+            if not any(re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", line) for line in lines):
+                missing.append(f"{prefix} {opt}")
+        if not lines:
+            missing.append(prefix)
+    assert not missing, missing

@@ -271,7 +271,7 @@ def _documented_report(x, tau, sigma, runs, seed, w):
 def _check_report_against_documented_stream(x, tau, sigma, runs, seed, contrast_basis):
     report = simulate(x, tau, sigma=sigma, runs=runs, seed=seed)
     assert _report_bytes(report) == _report_bytes(simulate(x, tau, sigma=sigma, runs=runs, seed=seed))
-    alpha = sbbd.spectrum(sbbd.check_sbbd(x)).alpha
+    alpha = sbbd.check_sbbd(x).alpha
     w = contrast_basis(x.v1, x.v2) @ x.matrix.T.astype(float) / alpha
     mean, variance = _documented_report(x, tau, sigma, runs, seed, w)
     assert np.abs(report.empirical_mean - mean).max() < 1e-12
@@ -317,7 +317,7 @@ def test_simulate_has_the_law_of_the_per_run_replay(composed_b4, contrast_basis)
     # that of 1500 replays that draw every run, in 36 tests at level 1e-4
     x = composed_b4
     tau = random_effects(4, 3, seed=6)
-    alpha = sbbd.spectrum(sbbd.check_sbbd(x)).alpha
+    alpha = sbbd.check_sbbd(x).alpha
     w = contrast_basis(4, 3) @ x.matrix.T.astype(float) / alpha
     signal = x.matrix.astype(float) @ tau.tau
     replay = np.random.default_rng(20231)
@@ -339,7 +339,7 @@ def test_projection_matches_generalized_inverse(
     pg23 = sbbd.compose(sbbd.catalog_by_id("pg23"), sbbd.construct_od1(13))  # 13 x 13, 156 blocks
     for x in (x22, composed_b4, fano_composed, single_edge_blocks, pg23):
         params = sbbd.check_sbbd(x)
-        alpha = sbbd.spectrum(params).alpha
+        alpha = params.alpha
         c = contrast_basis(x.v1, x.v2)
         xt = x.matrix.T.astype(float)
         g = dense_ginv(x.v1, x.v2, sbbd.generalized_inverse(params)).astype(float)
@@ -431,8 +431,8 @@ def test_simulate_peak_memory_stays_near_two_w_sized_arrays(monkeypatch):
     # float Gram is the analyzer's peak, so its result is taken as given here
     x = sbbd.compose(sbbd.catalog_by_id("qr31"), sbbd.construct_od1(31))  # 930 x 961
     tau = random_effects(31, 31, seed=1)
-    checked = estimator._checked_spectrum(x)
-    monkeypatch.setattr(estimator, "_checked_spectrum", lambda _: checked)
+    checked = estimator._estimable(x)
+    monkeypatch.setattr(estimator, "_estimable", lambda _: checked)
     w_bytes = x.n_rows * 30 * 30 * 8
     for runs in (2, 1000):
         tracemalloc.start()
