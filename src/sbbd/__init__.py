@@ -6,9 +6,9 @@ name is imported from its defining module on first access (PEP 562), so
 `from sbbd import catalog_by_id` loads only `rl_designs` and what it
 imports.  `from sbbd import *` and `sbbd.<name>` work as with eager
 imports, and `dir(sbbd)` lists every export.  The command line builds on
-this: `sbbd --help` and usage errors never load numpy, and its entry
-(`sbbd.cli.run`) turns the cyclic GC off and freezes its generations for
-the process's short life.
+this: it calls the library only as `sbbd.<name>`, so `sbbd --help` and
+usage errors never load numpy, and its entry (`sbbd.cli.run`) turns the
+cyclic GC off and freezes its generations for the process's short life.
 """
 
 from importlib import import_module

@@ -40,8 +40,8 @@ class ConditionViolation(Violation):
     """One of conditions (II)-(V) fails; condition is "II".."V", witness the first bad panel position."""
 
 
-class TraceMismatch(SbbdError):
-    """X has a number of ones other than mu v1 v2 = trace(X^T X)."""
+class TraceMismatch(Violation):
+    """X has other than mu v1 v2 = trace(X^T X) ones; condition "trace", witness {"ones", "expected"}."""
 
 
 class ContrastsNotEstimable(SbbdError):
@@ -87,9 +87,10 @@ def check_sbbd(x: DesignMatrix) -> SbbdParameters:
     bad[same, same] = p[same, same] != np.where(on, lam[0], lam[1])
     pairs = np.flatnonzero(bad.any(axis=(2, 3)))
     if pairs.size == 0:
-        ones = int(np.count_nonzero(x.matrix))
-        if ones != lam[0] * v1 * v2:
-            raise TraceMismatch(f"X has {ones} ones, but mu v1 v2 = {lam[0] * v1 * v2}")
+        ones, trace = int(np.count_nonzero(x.matrix)), lam[0] * v1 * v2
+        if ones != trace:
+            message = f"X has {ones} ones, but mu v1 v2 = {trace}"
+            raise TraceMismatch("trace", {"ones": ones, "expected": trace}, message)
         return SbbdParameters(v1, v2, x.n_rows, *lam)
     i, j = divmod(int(pairs[0]), v1)
     on_bad = np.flatnonzero(np.diagonal(bad[i, j]))

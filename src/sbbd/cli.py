@@ -16,9 +16,9 @@ square.  Files that start with '{' are SB-block JSON, which embeds v1 and
 v2; --v1/--v2 given with such a file must match.  A design file its parser
 rejects is a FormatError that names the file.
 
-Start-up is paid per subcommand: this module imports no sbbd module at
-module level, each handler imports what it uses, and main imports the
-error classes only after parsing, so --help and usage errors (exit 2) never
+Start-up is paid per subcommand: this module imports only the lazy
+package and reaches the library through `sbbd.<name>`, which loads the
+defining module on first use, so --help and usage errors (exit 2) never
 load numpy.  The `sbbd` console script and `python -m sbbd.cli` both go
 through run(), which turns the cyclic GC off for the short-lived process
 (gc.disable) and freezes its generations (gc.freeze) once main returns, so
@@ -35,6 +35,8 @@ import os
 import sys
 from pathlib import Path
 
+import sbbd
+
 DEFAULT_SEED = 1729
 
 
@@ -46,15 +48,15 @@ def _read_bytes(path: str) -> bytes:
     return sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
 
 
-def _load_design(path: str, v1, v2) -> DesignMatrix:
-    from .design_core import blocks_from_json, int_rows_from_csv, matrix_from_csv
+def _load_design(path: str, v1, v2) -> sbbd.DesignMatrix:
+    from .design_core import int_rows_from_csv
 
     data = _read_bytes(path)
     body = data.lstrip()
     if not body:
         raise UsageError(f"no design data in {path!r}")
     if body.startswith(b"{"):
-        x = blocks_from_json(data)
+        x = sbbd.blocks_from_json(data)
         for flag, given, embedded in (("--v1", v1, x.v1), ("--v2", v2, x.v2)):
             if given is not None and given != embedded:
                 raise UsageError(f"{flag} {given} != {embedded} in the SB-block JSON {path!r}")
@@ -81,7 +83,7 @@ def _load_design(path: str, v1, v2) -> DesignMatrix:
         v1 = cols // v2
     if v1 * v2 != cols:
         raise UsageError(f"--v1 {v1} x --v2 {v2} != {cols} columns")
-    return matrix_from_csv(data, v1, v2)
+    return sbbd.matrix_from_csv(data, v1, v2)
 
 
 def _write_output(data: bytes, out, binary: bool = False) -> None:
@@ -99,55 +101,44 @@ def _write_output(data: bytes, out, binary: bool = False) -> None:
 
 
 def _cmd_design_verify(args) -> int:
-    from .rl_designs import design_from_json
-
-    d = design_from_json(_read_bytes(args.file))
+    d = sbbd.design_from_json(_read_bytes(args.file))
     k = str(d.k) if d.is_bibd else "variable"
     print(f"v={d.v} b={d.b} r={d.r} lambda={d.lam} k={k}")
     return 0
 
 
 def _cmd_od_construct(args) -> int:
-    from .ordered_designs import construct_od1, od_to_csv
-
-    od = construct_od1(args.q)
-    _write_output(od_to_csv(od), args.out)
+    od = sbbd.construct_od1(args.q)
+    _write_output(sbbd.od_to_csv(od), args.out)
     if args.out and args.out != "-":
         print(f"wrote OD_1({od.s},{od.n}) with {od.n_rows} rows to {args.out}")
     return 0
 
 
 def _cmd_od_verify(args) -> int:
-    from .ordered_designs import od_from_csv
-
-    od = od_from_csv(_read_bytes(args.file))
+    od = sbbd.od_from_csv(_read_bytes(args.file))
     print(f"ordered design verified: eta={od.eta} s={od.s} n={od.n} rows={od.n_rows}")
     return 0
 
 
 def _resolve_block_design(ref: str):
-    from .rl_designs import catalog_by_id, design_from_json
-
     if ref.startswith("catalog:"):
-        return catalog_by_id(ref.split(":", 1)[1])
-    return design_from_json(_read_bytes(ref))
+        return sbbd.catalog_by_id(ref.split(":", 1)[1])
+    return sbbd.design_from_json(_read_bytes(ref))
 
 
 def _resolve_od(ref: str):
-    from .ordered_designs import construct_od1, od_from_csv
-
     if ref.isdecimal():
-        return construct_od1(int(ref))
-    return od_from_csv(_read_bytes(ref))
+        return sbbd.construct_od1(int(ref))
+    return sbbd.od_from_csv(_read_bytes(ref))
 
 
 def _cmd_compose(args) -> int:
-    from .composer import compose, permute_extension, spanning_guaranteed
-    from .design_core import _check_indexable, blocks_to_json, matrix_to_csv
+    from .design_core import _check_indexable
 
     d = _resolve_block_design(args.design)
     od = _resolve_od(args.od)
-    x = compose(d, od)
+    x = sbbd.compose(d, od)
     if args.perms:
         name, _, count = args.perms.partition(":")
         if name != "cyclic" or not count.isdecimal() or int(count) < 1:
@@ -157,24 +148,22 @@ def _cmd_compose(args) -> int:
         blocks = u * x.n_rows
         _check_indexable(blocks * x.v1 * x.v2, f"a design matrix of {blocks} blocks on K_{{{x.v1},{x.v2}}}")
         # layer t shifts every panel's columns cyclically by t; t = 0 is the identity
-        x = permute_extension(x, [[(j + t) % x.v2 + 1 for j in range(x.v2)] for t in range(u)])
+        x = sbbd.permute_extension(x, [[(j + t) % x.v2 + 1 for j in range(x.v2)] for t in range(u)])
     if args.out and args.out.endswith(".json"):
-        _write_output((blocks_to_json(x) + "\n").encode(), args.out)
+        _write_output((sbbd.blocks_to_json(x) + "\n").encode(), args.out)
     else:
-        _write_output(matrix_to_csv(x), args.out)
+        _write_output(sbbd.matrix_to_csv(x), args.out)
     if args.out and args.out != "-":
         print(
             f"wrote {x.n_rows} x {x.v1 * x.v2} design matrix"
             f" (v1={x.v1}, v2={x.v2}) to {args.out};"
-            f" spanning guaranteed: {str(spanning_guaranteed(od.s, d.b, d.r)).lower()}"
+            f" spanning guaranteed: {str(sbbd.spanning_guaranteed(od.s, d.b, d.r)).lower()}"
         )
     return 0
 
 
-def _analyze_payload(x: DesignMatrix) -> dict:
-    from .analyzer import a_optimality
-
-    report = a_optimality(x)
+def _analyze_payload(x: sbbd.DesignMatrix) -> dict:
+    report = sbbd.a_optimality(x)
     merged: dict = {}  # distinct eigenvalues with total multiplicities
     for val, mult in report.params.spectrum:
         merged[val] = merged.get(val, 0) + mult
@@ -234,9 +223,7 @@ def _positive_arg(text: str) -> int:
     return int(text)
 
 
-def _load_tau(path: str) -> EffectVector:
-    from .estimator import EffectVector
-
+def _load_tau(path: str) -> sbbd.EffectVector:
     try:
         blob = json.loads(_read_bytes(path))
     except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON, or undecodable bytes
@@ -248,15 +235,13 @@ def _load_tau(path: str) -> EffectVector:
         and all(type(t) in (int, float) for t in blob["tau"])
     ):
         raise UsageError(f"--tau {path!r} needs an object with integers v1, v2 and a list of numbers tau")
-    return EffectVector(blob["v1"], blob["v2"], blob["tau"])
+    return sbbd.EffectVector(blob["v1"], blob["v2"], blob["tau"])
 
 
 def _cmd_simulate(args) -> int:
-    from .estimator import random_effects, simulate
-
     x = _load_design(args.file, args.v1, args.v2)
-    tau = _load_tau(args.tau) if args.tau else random_effects(x.v1, x.v2, seed=args.seed)
-    report = simulate(x, tau, sigma=args.sigma, runs=args.runs, seed=args.seed)
+    tau = _load_tau(args.tau) if args.tau else sbbd.random_effects(x.v1, x.v2, seed=args.seed)
+    report = sbbd.simulate(x, tau, sigma=args.sigma, runs=args.runs, seed=args.seed)
     if args.json:
         payload = {
             "runs": report.runs,
@@ -293,10 +278,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mask(args) -> int:
-    from .masks import export_masks, schedule_to_bytes, schedule_to_json
-
-    x = export_masks(_load_design(args.file, args.v1, args.v2))
-    body = (schedule_to_json(x) + "\n").encode() if args.format == "json" else schedule_to_bytes(x)
+    x = sbbd.export_masks(_load_design(args.file, args.v1, args.v2))
+    body = (sbbd.schedule_to_json(x) + "\n").encode() if args.format == "json" else sbbd.schedule_to_bytes(x)
     _write_output(body, args.out, binary=args.format == "bin")
     if args.out and args.out != "-":
         print(f"wrote {x.n_rows} masks of shape {x.v1}x{x.v2} to {args.out}")
@@ -382,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .design_core import FormatError, SbbdError
-
     try:
         return args.func(args)
     except UsageError as exc:
@@ -394,9 +375,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read/write: {exc}", file=sys.stderr)
         return 2
-    except (SbbdError, MemoryError) as exc:
+    except (sbbd.SbbdError, MemoryError) as exc:
         name, message = type(exc).__name__, str(exc)
-        if isinstance(exc, FormatError) and getattr(args, "file", None):
+        if isinstance(exc, sbbd.FormatError) and getattr(args, "file", None):
             message = f"{args.file!r}: {message}"  # bad --tau input is a UsageError instead
         if isinstance(exc, MemoryError):  # numpy raises a private subclass
             name, message = "MemoryError", f"the input needs more memory than is available: {exc}"

@@ -19,20 +19,32 @@ import struct
 import numpy as np
 
 from .analyzer import check_sbbd, is_spanning
-from .design_core import DesignMatrix, FormatError, SbbdError
+from .design_core import DesignMatrix, FormatError, Violation
 
 
-class SpanningViolation(SbbdError):
-    """Mask export refused: some mask would drop an entire row or column."""
+class SpanningViolation(Violation):
+    """Condition (I) fails: some mask would drop an entire row or column."""
 
 
 def export_masks(x: DesignMatrix) -> DesignMatrix:
-    """Return x once it is checked to be a spanning SBBD; x.masks is the schedule."""
+    """Return x once it is checked to be a spanning SBBD; x.masks is the schedule.
+
+    A design that fails (II)-(V) raises check_sbbd's ConditionViolation.  One
+    that does not span raises SpanningViolation, condition "I", whose witness
+    is the first block in row order that leaves a point with no edge:
+    {"block": k, "left": i}, else {"block": k, "right": j}, all 1-based.
+    """
     check_sbbd(x)
     if not is_spanning(x):
+        # per block, the v1 left points and then the v2 right points with no edge
+        bare = ~np.concatenate([x.masks.any(axis=2), x.masks.any(axis=1)], axis=1)
+        k, p = (int(t) for t in np.argwhere(bare)[0])
+        side, point = ("left", p + 1) if p < x.v1 else ("right", p - x.v1 + 1)
         raise SpanningViolation(
-            "design does not satisfy the spanning condition; masks would"
-            " disconnect a unit"
+            "I",
+            {"block": k + 1, side: point},
+            f"condition (I) violated: block {k + 1} leaves {side} point {point}"
+            " with no edge; masks would disconnect a unit",
         )
     return x
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -197,7 +197,10 @@ def verify_od(m, n: int, s: int) -> OrderedDesign:
         )
     eta = n_rows // (n * n - n)
     off_diag = ~np.eye(n, dtype=bool)
-    for c1, c2 in permutations(range(s), 2):
+    # the counts of columns (c2, c1) are the transpose of those of (c1, c2),
+    # so each unordered pair is counted once, and (c1, c2) with c1 < c2 is
+    # also the first of the two in which a failure shows
+    for c1, c2 in combinations(range(s), 2):
         codes = (arr[:, c1] - 1) * n + (arr[:, c2] - 1)
         counts = np.bincount(codes, minlength=n * n).reshape(n, n)
         if (counts[off_diag] != eta).any():

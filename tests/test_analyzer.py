@@ -528,3 +528,12 @@ def test_check_sbbd_trace_mismatch_raises_under_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "TraceMismatch: X has 881 ones, but mu v1 v2 = 882\n"
+
+
+def test_trace_mismatch_is_a_violation(monkeypatch, fano_composed):
+    count = np.count_nonzero
+    monkeypatch.setattr(np, "count_nonzero", lambda a: count(a) - 1)
+    with pytest.raises(sbbd.TraceMismatch) as exc:
+        check_sbbd(fano_composed)
+    assert isinstance(exc.value, sbbd.Violation)
+    assert (exc.value.condition, exc.value.witness) == ("trace", {"ones": 881, "expected": 882})

@@ -154,7 +154,7 @@ def test_non_binary_matrix_rejected():
 def test_entries_are_cast_to_read_only_uint8_and_checked():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a bare uint8 cast of NaN warns
-        for bad in (np.nan, np.inf, -np.inf, -1, 256, 0.5, 2):
+        for bad in (np.nan, np.inf, -np.inf, -1, 256, 0.5, 2, "1", 1j):  # the last two: str and complex dtypes
             with pytest.raises(FormatError, match="0 or 1"):
                 DesignMatrix(1, 2, np.array([[0, bad]]))
     accepted = [

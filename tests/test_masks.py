@@ -9,6 +9,7 @@ from sbbd import (
     DimensionError,
     FormatError,
     SpanningViolation,
+    Violation,
     export_masks,
     schedule_from_bytes,
     schedule_to_bytes,
@@ -28,8 +29,21 @@ def test_fixture_masks(x22):
 
 
 def test_non_spanning_refused(single_edge_blocks):
-    with pytest.raises(SpanningViolation):
+    # the witness is the first bare point; block 1 is the edge (1, 1), so left point 2 has no edge
+    with pytest.raises(SpanningViolation) as left:
         export_masks(single_edge_blocks)
+    # block k joins left point 1 to right point a and left point 2 to right point b:
+    # (a, b) = (1, 2), (1, 1), (2, 2), (2, 1); every left point has an edge, and
+    # block 2 leaves right point 2 bare.  Lambda = (2, 0, 1, 1), so (II)-(V) hold.
+    rows = [[1, 0, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 1, 0]]
+    with pytest.raises(SpanningViolation) as right:
+        export_masks(DesignMatrix(2, 2, np.array(rows)))
+    assert isinstance(left.value, Violation)
+    assert (left.value.condition, left.value.witness) == ("I", {"block": 1, "left": 2})
+    assert (right.value.condition, right.value.witness) == ("I", {"block": 2, "right": 2})
+    assert str(right.value) == (
+        "condition (I) violated: block 2 leaves right point 2 with no edge; masks would disconnect a unit"
+    )
 
 
 def test_masks_match_design_rows(composed_b4):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -67,6 +68,22 @@ def test_axiom_check_catches_a_corrupted_large_table():
     mul[[2, 3], [57, 57]] = mul[[3, 2], [57, 57]]
     with pytest.raises(NotPrimePower, match="GF\\(59\\)"):
         _check_axioms(FiniteField(59, 1, fld.add, mul))
+
+
+def test_axiom_check_names_each_broken_axiom():
+    fld = gf(5)
+    # 0 + x = x + 1: the additive identity fails
+    with pytest.raises(NotPrimePower, match="GF\\(5\\) table identities failed"):
+        _check_axioms(FiniteField(5, 1, (fld.add + 1) % 5, fld.mul))
+    # the integers mod 4, read as GF(4): 2 has no inverse
+    z4 = np.arange(4)
+    with pytest.raises(NotPrimePower, match="GF\\(4\\): a nonzero element has no inverse"):
+        _check_axioms(FiniteField(2, 2, np.add.outer(z4, z4) % 4, np.multiply.outer(z4, z4) % 4))
+    # the product carried through the relabelling 2 <-> 4 stays an associative
+    # group law with identity 1, but no longer distributes over addition mod 5
+    swap = np.array([0, 1, 4, 3, 2])
+    with pytest.raises(NotPrimePower, match="GF\\(5\\): distributivity failed"):
+        _check_axioms(FiniteField(5, 1, fld.add, swap[fld.mul[swap][:, swap]]))
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_49 + [53, 64, 81, 121, 125, 128])
@@ -174,6 +191,55 @@ def test_verify_od_refuses_every_single_entry_corruption(q):
                     assert col + 1 in exc.value.witness["columns"]
 
 
+def _first_bad_ordered_pair(rows, n: int, eta: int):
+    # the reference: every ordered column pair, in permutations order
+    for c1, c2 in itertools.permutations(range(rows.shape[1]), 2):
+        counts = np.zeros((n, n), dtype=int)
+        np.add.at(counts, (rows[:, c1] - 1, rows[:, c2] - 1), 1)
+        bad = np.argwhere((counts != eta) & ~np.eye(n, dtype=bool))
+        if bad.size:
+            x, y = (int(t) for t in bad[0])
+            pair, count = (x + 1, y + 1), int(counts[x, y])
+            return {"columns": (c1 + 1, c2 + 1), "pair": pair, "count": count, "expected": eta}
+    return None
+
+
+def test_verify_od_matches_the_ordered_pair_reference():
+    # OD_1(q) on s of its columns, in random order and with its symbols
+    # relabelled, then corrupted without repeating a symbol in a row, so only
+    # pair counts can fail: either up to three rows are replaced, or the rows
+    # whose first symbol is x have their other symbols relabelled with x
+    # fixed, which keeps every pair with column 1 and breaks a later one
+    rng = np.random.default_rng(7)
+    failed, columns_seen = 0, set()
+    for _ in range(300):
+        q = int(rng.choice([3, 4, 5, 7]))
+        s = int(rng.integers(2, q + 1))
+        rows = rng.permutation(q)[construct_od1(q).rows[:, rng.permutation(q)[:s]] - 1] + 1
+        if rng.integers(2):
+            for row in rng.choice(len(rows), size=int(rng.integers(0, 4)), replace=False):
+                rows[row] = rng.permutation(q)[:s] + 1
+        else:
+            x = rows[0, 0]
+            relabel = np.arange(q + 1)
+            others = np.flatnonzero(relabel != x)[1:]
+            relabel[others] = rng.permutation(others)
+            group = rows[:, 0] == x
+            rows[group, 1:] = relabel[rows[group, 1:]]
+        expected = _first_bad_ordered_pair(rows, q, 1)
+        if expected is None:
+            assert verify_od(rows, n=q, s=s).eta == 1
+            continue
+        failed += 1
+        columns_seen.add(expected["columns"])
+        with pytest.raises(PairCountMismatch) as exc:
+            verify_od(rows, n=q, s=s)
+        assert exc.value.witness == expected
+        columns, pair, count = expected["columns"], expected["pair"], expected["count"]
+        assert str(exc.value) == f"columns {columns}: ordered pair {pair} occurs {count} times, expected 1"
+    assert 150 < failed < 270 and {(1, 2), (2, 3)} <= columns_seen
+
+
 def test_ordered_designs_compare_by_content():
     od = construct_od1(3)
     assert od == construct_od1(3) and hash(od) == hash(construct_od1(3))
@@ -206,6 +272,12 @@ def test_numpy_integer_orders_compute_in_python_ints():
 def test_verify_od_shape_and_symbol_checks(capsys, tmp_path):
     with pytest.raises(DimensionError):
         verify_od(np.array([[1, 2, 3]]), n=2, s=3)  # s > n
+    with pytest.raises(DimensionError, match="does not match s = 3"):
+        verify_od(construct_od1(3).rows[:, :2], n=3, s=3)
+    with pytest.raises(DimensionError, match="does not match s = 2"):
+        verify_od(np.array([1, 2]), n=2, s=2)  # one row, but not a 2-D array
+    with pytest.raises(DimensionError, match="empty array"):
+        verify_od(np.empty((0, 2), dtype=np.int64), n=2, s=2)
     with pytest.raises(FormatError):
         verify_od(np.array([[0, 1], [1, 2]]), n=2, s=2)
     # truncated to int, the first array would verify as [[1, 2], [2, 1]]

@@ -140,6 +140,13 @@ def test_all_pairs_plus_full_rejects_bad_v_before_building_blocks(v):
         all_pairs_plus_full(v)
 
 
+def test_verify_rl_design_needs_two_points_and_a_block():
+    with pytest.raises(DimensionError, match="integer v >= 2"):
+        verify_rl_design(1, [[1]])
+    with pytest.raises(DimensionError, match="at least one block"):
+        verify_rl_design(3, [])
+
+
 def test_fano_from_catalog():
     d = catalog_by_id("fano")
     assert d.is_bibd and d.b == d.v
