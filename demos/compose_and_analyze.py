@@ -14,7 +14,7 @@ print(f"composed: {x.n_rows} x {x.v1 * x.v2} on K_{{{x.v1},{x.v2}}}")
 params = sbbd.check_sbbd(x)
 print("predicted Lambda:", sbbd.predicted_parameters(fano, od).lam)
 print("measured Lambda: ", params.lam)
-print("spanning guaranteed (s > b - r):", sbbd.spanning_guaranteed(od.s, fano.b, fano.r))
+print("spanning guaranteed (s > b - r):", sbbd.spanning_guaranteed(fano, od))
 
 # the four eigenvalues alpha, beta, gamma and delta are closed forms in Lambda
 print("\nspectrum (value, multiplicity):", params.spectrum)

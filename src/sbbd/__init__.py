@@ -80,7 +80,6 @@ _MODULE_OF = {
             "NotInCatalog",
             "NotPairBalanced",
             "NotRegular",
-            "all_pairs_plus_full",
             "catalog_by_id",
             "design_from_json",
             "symmetric_bibd_from_difference_set",

@@ -73,8 +73,6 @@ def check_sbbd(x: DesignMatrix) -> SbbdParameters:
     """
     if x.v1 < 2 or x.v2 < 2:
         raise DimensionError("analysis needs v1 >= 2 and v2 >= 2")
-    if x.n_rows == 0:
-        raise DimensionError("need at least one block")
     m = x.matrix.astype(np.float64)
     gram = m.T @ m
     del m
@@ -142,10 +140,8 @@ def classify_blocks(x: DesignMatrix):
 
     Semi-regular: every left point of every block has degree k1 and every
     right point degree k2, with the same pair across blocks.  Regular adds
-    k1 = k2.  A design with no blocks is not semi-regular.
+    k1 = k2.
     """
-    if x.n_rows == 0:
-        return None
     left = x.masks.sum(axis=2)  # (N, v1) left degrees
     right = x.masks.sum(axis=1)  # (N, v2) right degrees
     k1 = int(left.flat[0])

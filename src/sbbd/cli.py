@@ -157,7 +157,7 @@ def _cmd_compose(args) -> int:
         print(
             f"wrote {x.n_rows} x {x.v1 * x.v2} design matrix"
             f" (v1={x.v1}, v2={x.v2}) to {args.out};"
-            f" spanning guaranteed: {str(sbbd.spanning_guaranteed(od.s, d.b, d.r)).lower()}"
+            f" spanning guaranteed: {str(sbbd.spanning_guaranteed(d, od)).lower()}"
         )
     return 0
 

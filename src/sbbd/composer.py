@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .design_core import DesignMatrix, DimensionError, SbbdParameters, _is_int
+from .design_core import DesignMatrix, DimensionError, SbbdParameters
 from .ordered_designs import OrderedDesign
 from .rl_designs import BlockDesign
 
@@ -44,13 +44,10 @@ def predicted_parameters(d: BlockDesign, od: OrderedDesign) -> SbbdParameters:
     )
 
 
-def spanning_guaranteed(s: int, b: int, r: int) -> bool:
-    """Sufficient condition for the composed design to span: s > b - r."""
-    if not (_is_int(s) and _is_int(b) and _is_int(r)):
-        raise DimensionError(f"need integers s, b and r, got {s!r}, {b!r} and {r!r}")
-    if s > b:
-        raise DimensionError(f"s = {s} cannot exceed block count b = {b}")
-    return s > b - r
+def spanning_guaranteed(d: BlockDesign, od: OrderedDesign) -> bool:
+    """Sufficient condition for compose(d, od) to span: s > b - r."""
+    _check_indexes(d, od)
+    return od.s > d.b - d.r
 
 
 def compose(d: BlockDesign, od: OrderedDesign) -> DesignMatrix:
@@ -59,7 +56,7 @@ def compose(d: BlockDesign, od: OrderedDesign) -> DesignMatrix:
     The ordered design's symbols index the b blocks of d, so its symbol
     count must equal b.  Panel q of the output is filled by column q of the
     ordered design.  Its Lambda is predicted_parameters(d, od), and it spans
-    whenever spanning_guaranteed(od.s, d.b, d.r).
+    whenever spanning_guaranteed(d, od).
     """
     _check_indexes(d, od)
     stacked = d.incidence[od.rows - 1]  # (N, s, v): panel q of row p is H-row rows[p, q]

@@ -1,7 +1,7 @@
 """Exact integer matrix types and the SB-block / design-matrix encoding.
 
 An SB-block is a spanning-candidate subgraph of the complete bipartite graph
-K_{v1,v2}: a subset of its edges (i, j), 1-based.  A design matrix packs N
+K_{v1,v2}: a subset of its edges (i, j), 1-based.  A design matrix packs N >= 1
 such blocks into an N x (v1*v2) (0,1)-matrix whose columns enumerate the
 edges e_11, e_12, ..., e_1v2, e_21, ..., e_v1v2 in lexicographic order, so
 edge (i, j) owns column (i-1)*v2 + j (1-based) and row k is block k.
@@ -115,7 +115,8 @@ class DesignMatrix:
     `matrix` is read-only, C-contiguous uint8, and is the only in-memory form
     of the design: its bytes are also the mask schedule (see `masks`).  Any
     input is copied to uint8 once, so the caller's array is neither aliased
-    nor frozen; an entry that is not exactly 0 or 1 is a FormatError.
+    nor frozen; an entry that is not exactly 0 or 1 is a FormatError, and a
+    matrix with no rows is a DimensionError: a design has at least one block.
     Products of its rows or panels must be cast first, to int64 or float64,
     because uint8 arithmetic wraps past 255.  Designs with the same v1, v2
     and rows in the same order are equal.
@@ -136,13 +137,15 @@ class DesignMatrix:
             raise DimensionError(
                 f"matrix shape {m.shape} does not match v1*v2 = {self.v1 * self.v2}"
             )
+        if m.shape[0] == 0:
+            raise DimensionError("need at least one block")
         if m.dtype.kind not in "buif":
             raise FormatError(f"design matrix entries must be 0 or 1, got dtype {m.dtype}")
         with np.errstate(invalid="ignore"):  # NaN and inf then fail the comparison
             bits = np.array(m, dtype=np.uint8, order="C")  # always a private copy
         if m.dtype != np.uint8 and not np.array_equal(bits, m):
             raise FormatError("design matrix entries must be 0 or 1")
-        if bits.size and bits.max() > 1:
+        if bits.max() > 1:
             raise FormatError("design matrix entries must be 0 or 1")
         bits.flags.writeable = False
         object.__setattr__(self, "matrix", bits)
@@ -161,10 +164,9 @@ class DesignMatrix:
 #
 # Design matrix CSV: one row per line, comma-separated 0/1, no header, as
 #                    ASCII bytes.  The writer emits the canonical form
-#                    b"d,d,...,d\n" per row (b"\n" alone for 0 rows); the
-#                    reader takes canonical bytes as one array and hands
-#                    anything else (spaces, "+0", CRLF, errors) to the
-#                    per-token parser.
+#                    b"d,d,...,d\n" per row; the reader takes canonical
+#                    bytes as one array and hands anything else (spaces,
+#                    "+0", CRLF, errors) to the per-token parser.
 # SB-block JSON:     {"v1": int, "v2": int, "blocks": [[[i, j], ...], ...]}
 #                    with 1-based edge indices.
 
@@ -173,8 +175,6 @@ _COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
 
 def matrix_to_csv(x: DesignMatrix) -> bytes:
     n, w = x.matrix.shape
-    if n == 0:
-        return b"\n"
     buf = np.full((n, 2 * w), _COMMA, dtype=np.uint8)
     buf[:, 0::2] = x.matrix + _ZERO
     buf[:, -1] = _NEWLINE
@@ -232,8 +232,6 @@ def blocks_to_json(x: DesignMatrix) -> str:
     The text is what json.dumps writes for {"v1", "v2", "blocks"} with its
     default separators; each edge's label is formatted once, not once per row.
     """
-    if x.n_rows == 0:
-        raise DimensionError("need at least one block")
     labels = np.array(
         [f"[{i}, {j}]" for i in range(1, x.v1 + 1) for j in range(1, x.v2 + 1)], dtype=object
     )
@@ -271,9 +269,7 @@ def blocks_from_json(text: bytes) -> DesignMatrix:
             raise TypeError(f"expected an integer, got {bad!r}")
     except (KeyError, TypeError, ValueError, RecursionError) as exc:  # json.loads recurses per level
         raise FormatError(f"bad SB-block JSON: {exc}") from exc
-    # checked here: np.zeros raises a bare ValueError for a negative v1 * v2
-    if v1 < 1 or v2 < 1 or not blocks:
-        raise DimensionError(f"need v1, v2 >= 1 and a block, got {v1} x {v2}, {len(blocks)} blocks")
+    _check_dims(v1, v2)  # before np.zeros, which raises a bare ValueError for a negative v1 * v2
     _check_indexable(len(blocks) * v1 * v2, f"a design matrix of {len(blocks)} blocks on K_{{{v1},{v2}}}")
     try:
         ij = np.array(ends, dtype=np.int64).reshape(-1, 2) - 1

@@ -61,7 +61,7 @@ def schedule_from_bytes(data: bytes) -> DesignMatrix:
     """Read a mask blob back as the design it came from.
 
     A short blob or a body of the wrong length is a FormatError, and so is
-    any body byte other than 0 or 1; v1 or v2 of 0 is a DimensionError.
+    any body byte other than 0 or 1; N, v1 or v2 of 0 is a DimensionError.
     """
     if len(data) < 12:
         raise FormatError("mask blob shorter than its 12-byte header")

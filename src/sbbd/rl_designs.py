@@ -10,7 +10,9 @@ The built-in catalog ships symmetric BIBDs whose block count is a prime
 power, each developed from a difference set by one rule (_difference_set):
 the quadratic-residue (Paley) design qr<p> for every prime p >= 7 with
 p = 3 (mod 4), and the (13, 4, 1) design pg23 from the base block
-{0, 1, 3, 9} mod 13.  Every catalog design is re-verified on construction.
+{0, 1, 3, 9} mod 13, plus pairs3, whose four blocks (every pair of 1..3
+and the full set) are typed out.  Every catalog design is re-verified on
+construction.
 References: Paley (1933); Handbook of Combinatorial Designs, 2nd ed.
 """
 
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -180,21 +181,6 @@ def symmetric_bibd_from_difference_set(modulus: int, base_block) -> BlockDesign:
         raise NotADifferenceSet(exc.condition, exc.witness, msg) from exc
 
 
-def all_pairs_plus_full(v: int) -> BlockDesign:
-    """The (r,lambda)-design whose blocks are every pair plus the full set.
-
-    Gives r = v, lambda = 2, b = v(v-1)/2 + 1 with mixed block sizes, so it
-    is never a BIBD.  v = 3 yields the 4-block design with r = 3, lambda = 2.
-    A v that is not an integer >= 2, or whose incidence matrix numpy cannot
-    index, is a DimensionError, raised before any block is built.
-    """
-    if not _is_int(v) or v < 2:
-        raise DimensionError(f"need an integer v >= 2 points, got {v!r}")
-    v = int(v)
-    _check_incidence(v, v * (v - 1) // 2 + 1)
-    return verify_rl_design(v, [*combinations(range(1, v + 1), 2), range(1, v + 1)])
-
-
 def _difference_set(name: str):
     """The catalog's one rule: (key, modulus, base) for an id, or None.
 
@@ -220,8 +206,8 @@ def _difference_set(name: str):
 
 def catalog_by_id(name: str) -> BlockDesign:
     """Catalog access by id: "pairs3", "pg23", "fano" or "qr<p>" (see _difference_set)."""
-    if name == "pairs3":  # not a BIBD; the 4-block workhorse for small examples
-        return all_pairs_plus_full(3)
+    if name == "pairs3":  # r = 3, lambda = 2, not a BIBD
+        return verify_rl_design(3, [[1, 2], [1, 3], [2, 3], [1, 2, 3]])
     rule = _difference_set(name)
     if rule is None:
         raise NotInCatalog(f"unknown catalog id {name!r}")

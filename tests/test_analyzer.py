@@ -272,7 +272,6 @@ def test_classify_blocks_fano(fano_composed):
 
 def test_classify_blocks_b4(composed_b4):
     assert classify_blocks(composed_b4) is None
-    assert classify_blocks(DesignMatrix(2, 2, np.zeros((0, 4), dtype=np.uint8))) is None  # no blocks
 
 
 def test_classify_blocks_all_ones():
@@ -501,10 +500,10 @@ def test_dense_expands_lambda_to_the_gram(
 
 
 def test_zero_row_design_is_rejected():
-    x = DesignMatrix(2, 2, np.zeros((0, 4)))
+    # the constructor refuses it, so check_sbbd and a_optimality never see one
     for fn in (check_sbbd, a_optimality):
         with pytest.raises(DimensionError, match="at least one block"):
-            fn(x)
+            fn(DesignMatrix(2, 2, np.zeros((0, 4))))
 
 
 def test_check_sbbd_trace_mismatch_raises_under_optimize():

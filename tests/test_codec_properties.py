@@ -31,8 +31,8 @@ def join_writer(x: DesignMatrix) -> bytes:
 
 
 @st.composite
-def design_matrices(draw, max_rows=40, min_rows=0):
-    n = draw(st.integers(min_rows, max_rows))
+def design_matrices(draw, max_rows=40):
+    n = draw(st.integers(1, max_rows))
     v1, v2 = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     bits = draw(st.lists(st.booleans(), min_size=n * v1 * v2, max_size=n * v1 * v2))
     return DesignMatrix(v1, v2, np.array(bits, dtype=np.int64).reshape(n, v1 * v2))
@@ -103,9 +103,8 @@ def test_csv_reader_matches_token_parser(x, data):
     text = matrix_to_csv(x).decode()
     _assert_same_parse(text, x.v1, x.v2)
     _assert_same_parse(_lenient(text, data), x.v1, x.v2)
-    if x.n_rows:  # 0 rows write a blank line, read back as empty
-        _assert_same_parse(_malformed(text, data), x.v1, x.v2)
-        assert np.array_equal(matrix_from_csv(text.encode(), x.v1, x.v2).matrix, x.matrix)
+    _assert_same_parse(_malformed(text, data), x.v1, x.v2)
+    assert np.array_equal(matrix_from_csv(text.encode(), x.v1, x.v2).matrix, x.matrix)
 
 
 @SETTINGS
@@ -142,7 +141,7 @@ def test_schedule_bytes_roundtrip_is_identical(x):
 
 
 @SETTINGS
-@given(design_matrices(min_rows=1))
+@given(design_matrices())
 def test_block_json_roundtrip_is_identical(x):
     oracle = {
         "v1": x.v1,

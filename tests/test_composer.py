@@ -86,7 +86,7 @@ def test_compose_b4_parameters(rl4, composed_b4):
     assert predicted.lam == (9, 6, 6, 7)
     assert predicted.n_rows == 12
     assert check_sbbd(composed_b4) == predicted
-    assert spanning_guaranteed(4, rl4.b, rl4.r)
+    assert spanning_guaranteed(rl4, construct_od1(4))
     assert sbbd.is_spanning(composed_b4)
 
 
@@ -121,15 +121,12 @@ def test_compose_symbol_count_mismatch(rl4):
             build(sbbd.catalog_by_id("fano"), construct_od1(5))
 
 
-def test_spanning_guarantee_boundary():
-    assert spanning_guaranteed(4, 4, 3)
-    assert spanning_guaranteed(7, 7, 3)
-    assert not spanning_guaranteed(1, 4, 3)
-    with pytest.raises(DimensionError):
-        spanning_guaranteed(5, 4, 3)
-    for s, b, r in (("3", 4, 3), (3, 4.0, 3), (3, 4, True)):
-        with pytest.raises(DimensionError, match="integers s, b and r"):
-            spanning_guaranteed(s, b, r)
+def test_spanning_guarantee_boundary(rl4):
+    od = construct_od1(4)
+    assert spanning_guaranteed(rl4, od)  # s = 4 > b - r = 1
+    assert not spanning_guaranteed(rl4, verify_od(od.rows[:, :1], n=4, s=1))  # s = 1
+    with pytest.raises(DimensionError, match=r"^ordered design on 5 symbols cannot index 4 blocks$"):
+        spanning_guaranteed(rl4, construct_od1(5))
 
 
 def test_panel_permutation_preserves_gram(composed_b4):
@@ -250,7 +247,10 @@ def test_relabelling_right_points_preserves_lambda_and_spectrum(case):
 def theorem_inputs():
     """The (r,lambda)-designs the composition theorem is checked on."""
     designs = [sbbd.catalog_by_id("pairs3")]
-    designs += [sbbd.all_pairs_plus_full(v) for v in (4, 5, 6)]  # b = 7, 11, 16
+    # every pair of 1..v plus the full set: r = v, lambda = 2, b = 7, 11, 16
+    designs += [
+        sbbd.verify_rl_design(v, [*combinations(range(1, v + 1), 2), range(1, v + 1)]) for v in (4, 5, 6)
+    ]
     designs += [sbbd.catalog_by_id(name) for name in ("fano", "qr11", "pg23", "qr19")]
     return designs
 
@@ -277,5 +277,5 @@ def test_composition_theorem_holds_for_relabelled_ods(case):
     od = verify_od(rows, n=d.b, s=s)
     x = compose(d, od)
     assert check_sbbd(x) == predicted_parameters(d, od)
-    if spanning_guaranteed(s, d.b, d.r):
+    if spanning_guaranteed(d, od):
         assert sbbd.is_spanning(x)

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import struct
 import warnings
 
 import numpy as np
@@ -114,16 +115,26 @@ def test_mismatched_blocks_rejected():
     # a block that needs K_{2,3} in a design declared on K_{2,2}
     with pytest.raises(DimensionError):
         blocks_from_json(sb_json(2, 2, [[[1, 1]], [[1, 3]]]))
-    with pytest.raises(DimensionError):
-        blocks_from_json(sb_json(2, 2, []))
-    with pytest.raises(DimensionError):
-        blocks_to_json(DesignMatrix(2, 2, np.zeros((0, 4), dtype=int)))
 
 
 def test_edge_out_of_range_rejected():
     for edge in ([0, 1], [1, 0], [3, 1], [1, 3], [-1, 1], [2**70, 1], [1, 2**63]):
         with pytest.raises(DimensionError):
             blocks_from_json(sb_json(2, 2, [[[1, 1]], [[2, 2], edge]]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DesignMatrix(2, 2, np.zeros((0, 4))),
+        lambda: sbbd.schedule_from_bytes(struct.pack("<III", 0, 2, 2)),
+        lambda: blocks_from_json(sb_json(2, 2, [])),
+    ],
+    ids=["matrix", "mask-blob", "block-json"],
+)
+def test_design_with_no_blocks_cannot_be_built(build):
+    with pytest.raises(DimensionError, match="^need at least one block$"):
+        build()
 
 
 @pytest.mark.parametrize(
@@ -193,7 +204,6 @@ def test_csv_roundtrip(x22):
     assert text.splitlines()[0] == b"0,1,1,1,1,0,1,1,0"
     back = matrix_from_csv(text, 3, 3)
     assert np.array_equal(back.matrix, x22.matrix)
-    assert matrix_to_csv(DesignMatrix(2, 2, np.zeros((0, 4), dtype=int))) == b"\n"
     # spaces, a sign, CRLF and surrounding blank lines go to the per-token parser
     text = b"\n  0, +1\r\n1 ,0\r\n\n"
     assert matrix_from_csv(text, 1, 2).matrix.tolist() == [[0, 1], [1, 0]]
@@ -204,6 +214,8 @@ def test_csv_rejects_ragged_and_nonint(x22):
         matrix_from_csv(b"0,1\n0", 1, 2)
     with pytest.raises(FormatError):
         matrix_from_csv(b"0,x", 1, 2)
+    with pytest.raises(FormatError, match="empty design matrix CSV"):
+        matrix_from_csv(b"\n", 2, 2)  # a blank line holds no block
     with pytest.raises(FormatError, match="line 2"):
         matrix_from_csv(b"0,1\n\n1,0\n", 1, 2)  # blank middle line
     with pytest.raises(FormatError, match="0 or 1"):

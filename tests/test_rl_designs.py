@@ -16,7 +16,6 @@ from sbbd import (
     NotPairBalanced,
     NotRegular,
     Violation,
-    all_pairs_plus_full,
     catalog_by_id,
     design_from_json,
     symmetric_bibd_from_difference_set,
@@ -126,23 +125,19 @@ def test_four_block_incidence_matrix(rl4):
     assert np.array_equal(hth, 3 * np.eye(3, dtype=int) + 2 * (np.ones((3, 3), dtype=int) - np.eye(3, dtype=int)))
 
 
-def test_all_pairs_plus_full_matches_explicit(rl4):
-    d = all_pairs_plus_full(3)
-    assert (d.v, d.b, d.r, d.lam) == (rl4.v, rl4.b, rl4.r, rl4.lam)
-    assert sorted(d.incidence.tolist()) == sorted(rl4.incidence.tolist())
+def test_pairs3_blocks_in_order(rl4):
+    d = catalog_by_id("pairs3")
+    assert d.incidence.tolist() == [[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]]
+    assert (d.v, d.b, d.r, d.lam, d.k) == (3, 4, 3, 2, None)
     assert d != rl4  # the same blocks in another order
 
 
-@pytest.mark.parametrize("v", ["3", 3.0, 10**30])
-def test_all_pairs_plus_full_rejects_bad_v_before_building_blocks(v):
-    # 10^30 points need an incidence matrix numpy cannot index
-    with pytest.raises(DimensionError, match="integer v >= 2|largest array"):
-        all_pairs_plus_full(v)
-
-
 def test_verify_rl_design_needs_two_points_and_a_block():
-    with pytest.raises(DimensionError, match="integer v >= 2"):
-        verify_rl_design(1, [[1]])
+    for v in (1, "3", 3.0):
+        with pytest.raises(DimensionError, match="integer v >= 2"):
+            verify_rl_design(v, [[1]])
+    with pytest.raises(DimensionError, match="largest array"):  # 10^30 points: numpy cannot index H
+        verify_rl_design(10**30, [[1]])
     with pytest.raises(DimensionError, match="at least one block"):
         verify_rl_design(3, [])
 
@@ -288,7 +283,6 @@ def test_catalog_ids_resolve():
         assert (d.v, d.b, d.r, d.k, d.lam) == (v, b, r, k, lam)
     assert catalog_by_id("fano") == catalog_by_id("qr7")
     assert blocks_of(catalog_by_id("pg23"))[0] == {1, 2, 4, 10}
-    assert catalog_by_id("pairs3") == all_pairs_plus_full(3)
     with pytest.raises(NotInCatalog):
         catalog_by_id("nope")
 
