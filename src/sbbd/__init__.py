@@ -26,7 +26,6 @@ _MODULE_OF = {
             "TraceMismatch",
             "a_optimality",
             "check_sbbd",
-            "classify_blocks",
             "generalized_inverse",
             "is_spanning",
         ),

@@ -109,9 +109,14 @@ def check_sbbd(x: DesignMatrix) -> SbbdParameters:
     raise ConditionViolation(condition, witness, f"condition ({condition}) violated: {message}")
 
 
+def _degrees(x: DesignMatrix) -> np.ndarray:
+    """Each block's degree at its v1 left points, then at its v2 right points: (N, v1 + v2)."""
+    return np.concatenate([x.masks.sum(axis=2), x.masks.sum(axis=1)], axis=1)
+
+
 def is_spanning(x: DesignMatrix) -> bool:
     """Condition (I): every block touches every point on both sides."""
-    return bool(x.masks.any(axis=2).all() and x.masks.any(axis=1).all())
+    return bool(_degrees(x).all())
 
 
 def _estimable(x: DesignMatrix) -> SbbdParameters:
@@ -135,45 +140,32 @@ def generalized_inverse(info: SbbdParameters) -> tuple:
     return tuple(Fraction(1, val) if val else Fraction(0) for val, _ in info.spectrum)
 
 
-def classify_blocks(x: DesignMatrix):
-    """The common degrees (k1, k2) of semi-regular SB-blocks, else None.
-
-    Semi-regular: every left point of every block has degree k1 and every
-    right point degree k2, with the same pair across blocks.  Regular adds
-    k1 = k2.
-    """
-    left = x.masks.sum(axis=2)  # (N, v1) left degrees
-    right = x.masks.sum(axis=1)  # (N, v2) right degrees
-    k1 = int(left.flat[0])
-    k2 = int(right.flat[0])
-    if (left != k1).any() or (right != k2).any():
-        return None
-    return k1, k2
-
-
 def a_optimality(x: DesignMatrix) -> OptimalityReport:
     """Full diagnostic report: parameters (and so the spectrum), A-criterion, verdicts.
 
     The A-criterion sums 1/eigenvalue over the (v1-1)(v2-1) basic-contrast
-    eigenvalues, all equal to alpha here.  For semi-regular designs the
-    attainable lower bound is (v1-1)^2 (v2-1)^2 / (mu (v1 v2 - k)) with
-    k = k1 v1 measured from the blocks; equality plus the SBBD conditions
-    yields the optimality verdict.
+    eigenvalues, all equal to alpha here.  The blocks are semi-regular when
+    every left point of every block has degree k1 and every right point k2
+    (regular: k1 = k2), else k1 and k2 are None; then the attainable lower
+    bound is (v1-1)^2 (v2-1)^2 / (mu (v1 v2 - k1 v1)), and equality plus the
+    SBBD conditions yields the optimality verdict.
     """
     params = _estimable(x)
-    spanning = is_spanning(x)
-    degrees = classify_blocks(x)
-    k1, k2 = degrees or (None, None)
+    degrees = _degrees(x)
+    left, right = degrees[:, : x.v1], degrees[:, x.v1 :]
+    semi_regular = bool((left == left[0, 0]).all() and (right == right[0, 0]).all())
+    k1, k2 = (int(left[0, 0]), int(right[0, 0])) if semi_regular else (None, None)
+    spanning = bool(degrees.all())
     n_contrasts = (x.v1 - 1) * (x.v2 - 1)
     a_criterion = Fraction(n_contrasts, params.alpha)
     a_lower_bound = None
-    if degrees:
+    if semi_regular:
         a_lower_bound = Fraction(n_contrasts * n_contrasts, params.mu * (x.v1 * x.v2 - k1 * x.v1))
     return OptimalityReport(
         params=params,
         is_spanning=spanning,
-        is_semi_regular=degrees is not None,
-        is_regular=degrees is not None and k1 == k2,
+        is_semi_regular=semi_regular,
+        is_regular=semi_regular and k1 == k2,
         k1=k1,
         k2=k2,
         a_criterion=a_criterion,

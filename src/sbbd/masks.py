@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .analyzer import check_sbbd, is_spanning
+from .analyzer import _degrees, check_sbbd
 from .design_core import DesignMatrix, FormatError, Violation
 
 
@@ -35,10 +35,9 @@ def export_masks(x: DesignMatrix) -> DesignMatrix:
     {"block": k, "left": i}, else {"block": k, "right": j}, all 1-based.
     """
     check_sbbd(x)
-    if not is_spanning(x):
-        # per block, the v1 left points and then the v2 right points with no edge
-        bare = ~np.concatenate([x.masks.any(axis=2), x.masks.any(axis=1)], axis=1)
-        k, p = (int(t) for t in np.argwhere(bare)[0])
+    bare = np.argwhere(_degrees(x) == 0)  # (block, point), left points before right ones
+    if bare.size:
+        k, p = (int(t) for t in bare[0])
         side, point = ("left", p + 1) if p < x.v1 else ("right", p - x.v1 + 1)
         raise SpanningViolation(
             "I",

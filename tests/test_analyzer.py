@@ -19,9 +19,10 @@ from sbbd import (
     DesignMatrix,
     DimensionError,
     SbbdParameters,
+    SpanningViolation,
     a_optimality,
     check_sbbd,
-    classify_blocks,
+    export_masks,
     generalized_inverse,
     is_spanning,
 )
@@ -266,17 +267,118 @@ def test_weights_satisfy_moore_penrose(dense_ginv, expand_lambda, v1, v2, lam):
     assert (gm == gm.T).all()
 
 
-def test_classify_blocks_fano(fano_composed):
-    assert classify_blocks(fano_composed) == (3, 3)
+def _degree_verdicts(rep):
+    return rep.k1, rep.k2, rep.is_semi_regular, rep.is_regular
 
 
-def test_classify_blocks_b4(composed_b4):
-    assert classify_blocks(composed_b4) is None
+def test_report_degrees_fano(fano_composed):
+    assert _degree_verdicts(a_optimality(fano_composed)) == (3, 3, True, True)
 
 
-def test_classify_blocks_all_ones():
-    x = DesignMatrix(2, 3, np.ones((1, 6), dtype=int))
-    assert classify_blocks(x) == (3, 2)
+def test_report_degrees_b4(composed_b4):
+    assert _degree_verdicts(a_optimality(composed_b4)) == (None, None, False, False)
+
+
+def first_bare_point(x):
+    """The first point a block leaves with no edge, as a witness, looping over
+    blocks, then left points, then right points; None when x spans."""
+    for k, mask in enumerate(x.masks.tolist()):
+        for i, row in enumerate(mask):
+            if not any(row):
+                return {"block": k + 1, "left": i + 1}
+        for j, col in enumerate(zip(*mask)):
+            if not any(col):
+                return {"block": k + 1, "right": j + 1}
+    return None
+
+
+def loop_degree_verdicts(x):
+    """(k1, k2, semi-regular, regular) from every block's degrees, one point at a time."""
+    masks = x.masks.tolist()
+    left = {sum(row) for mask in masks for row in mask}
+    right = {sum(col) for mask in masks for col in zip(*mask)}
+    if len(left) == len(right) == 1:
+        (k1,), (k2,) = left, right
+        return k1, k2, True, k1 == k2
+    return None, None, False, False
+
+
+def relabellings(x):
+    """Permutations of the rows, the panels, and the right points of every panel:
+    each maps an SBBD to an SBBD with the same Lambda."""
+    return st.tuples(
+        st.just(x),
+        st.permutations(range(x.n_rows)),
+        st.permutations(range(x.v1)),
+        st.permutations(range(x.v2)),
+    )
+
+
+def relabel(x, rows, left, right):
+    return DesignMatrix(x.v1, x.v2, x.masks[np.ix_(rows, left, right)].reshape(x.n_rows, -1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 8)).flatmap(
+        lambda t: hnp.arrays(np.uint8, (t[2], t[0] * t[1]), elements=st.integers(0, 1)).map(
+            lambda m: DesignMatrix(t[0], t[1], m)
+        )
+    )
+)
+def test_is_spanning_matches_a_per_block_loop(x):
+    assert is_spanning(x) == (first_bare_point(x) is None)
+
+
+@functools.cache
+def degree_case(name):
+    """fano's composition (regular), the 3-subsets of 4 points twice with
+    OD_1(8) (semi-regular, k1 = 3, k2 = 6), pairs3's composition (equal right
+    degrees only) or the 9-block fixture (equal left degrees only)."""
+    if name == "x22":
+        return sbbd.matrix_from_csv((Path(__file__).parent / "fixtures" / "design_3_3_9.csv").read_bytes(), 3, 3)
+    if name == "c4_3-twice":
+        d = sbbd.verify_rl_design(4, [*itertools.combinations(range(1, 5), 3)] * 2)
+        return sbbd.compose(d, sbbd.construct_od1(8))
+    return composed(name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["fano", "c4_3-twice", "pairs3", "x22"]).flatmap(
+        lambda name: st.tuples(st.just(name), relabellings(degree_case(name)))
+    )
+)
+def test_report_degrees_match_per_block_loops(case):
+    name, relabelling = case
+    x = relabel(*relabelling)
+    expected = loop_degree_verdicts(x)
+    assert expected[2] == (name in ("fano", "c4_3-twice"))
+    assert _degree_verdicts(a_optimality(x)) == expected
+
+
+@functools.cache
+def fano_on_columns(cols):
+    """fano composed with the columns cols of OD_1(7); s <= b - r = 4 need not span."""
+    od = sbbd.construct_od1(7)
+    return sbbd.compose(sbbd.catalog_by_id("fano"), sbbd.verify_od(od.rows[:, cols], n=7, s=len(cols)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.permutations(range(7)), st.integers(2, 4)).flatmap(
+        lambda t: relabellings(fano_on_columns(tuple(t[0][: t[1]])))
+    )
+)
+def test_export_masks_witness_is_the_first_bare_point(case):
+    x = relabel(*case)
+    witness = first_bare_point(x)
+    if witness is None:
+        assert export_masks(x) is x
+        return
+    with pytest.raises(SpanningViolation) as exc:
+        export_masks(x)
+    assert (exc.value.condition, exc.value.witness) == ("I", witness)
 
 
 def test_a_optimality_fixture(x22):
