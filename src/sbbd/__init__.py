@@ -46,6 +46,7 @@ _MODULE_OF = {
             "blocks_to_json",
             "matrix_from_csv",
             "matrix_to_csv",
+            "read_design",
         ),
         "estimator": (
             "EffectVector",
@@ -56,7 +57,6 @@ _MODULE_OF = {
         "masks": (
             "SpanningViolation",
             "export_masks",
-            "schedule_from_bytes",
             "schedule_to_bytes",
             "schedule_to_json",
         ),

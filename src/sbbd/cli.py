@@ -9,12 +9,11 @@ commands run with --json and the mask command also print {"error",
 seeded; --seed defaults to 1729 so repeated invocations are byte-identical.
 
 Input files are read as bytes and handed to their parsers unchanged.
-Design matrices travel as header-less CSV of ASCII 0/1 digits, which does
-not carry the (v1, v2) split.  Commands reading a CSV accept --v1/--v2 and
-default to the square split when the first line's column count is a perfect
-square.  Files that start with '{' are SB-block JSON, which embeds v1 and
-v2; --v1/--v2 given with such a file must match.  A design file its parser
-rejects is a FormatError that names the file.
+analyze, simulate and mask read a design, including either output of mask,
+through `sbbd.read_design`.  Only its CSV lacks the (v1, v2) split, which
+--v1/--v2 give (by default the square split); given with a file that embeds
+v1 and v2, they must match.  A split that does not fit is a usage error; a
+design file its parser rejects is a FormatError that names the file.
 
 Start-up is paid per subcommand: this module imports only the lazy
 package and reaches the library through `sbbd.<name>`, which loads the
@@ -49,41 +48,14 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _load_design(path: str, v1, v2) -> sbbd.DesignMatrix:
-    from .design_core import int_rows_from_csv
-
     data = _read_bytes(path)
-    body = data.lstrip()
-    if not body:
+    if not data.lstrip():
         raise UsageError(f"no design data in {path!r}")
-    if body.startswith(b"{"):
-        x = sbbd.blocks_from_json(data)
-        for flag, given, embedded in (("--v1", v1, x.v1), ("--v2", v2, x.v2)):
-            if given is not None and given != embedded:
-                raise UsageError(f"{flag} {given} != {embedded} in the SB-block JSON {path!r}")
-        return x
-    # the first line alone fixes the column count; it is parsed, so a token
-    # there that is not an integer is a FormatError rather than a usage error
-    first = body[: body.find(b"\n") + 1 or len(body)]
-    cols = int_rows_from_csv(first, "design matrix", "entry").shape[1]
-    if v1 is None and v2 is None:
-        root = math.isqrt(cols)
-        if root * root != cols:
-            raise UsageError(
-                f"{cols} columns is not a perfect square; pass --v1 (and"
-                " optionally --v2)"
-            )
-        v1 = v2 = root
-    elif v1 is not None and v2 is None:
-        if cols % v1:
-            raise UsageError(f"--v1 {v1} does not divide {cols} columns")
-        v2 = cols // v1
-    elif v1 is None:
-        if cols % v2:
-            raise UsageError(f"--v2 {v2} does not divide {cols} columns")
-        v1 = cols // v2
-    if v1 * v2 != cols:
-        raise UsageError(f"--v1 {v1} x --v2 {v2} != {cols} columns")
-    return sbbd.matrix_from_csv(data, v1, v2)
+    try:
+        return sbbd.read_design(data, v1, v2)
+    except ValueError as exc:  # a split the file cannot take
+        # a message that ends with the kind of file it contradicts is followed by the file's name
+        raise UsageError(f"{exc} {path!r}" if str(exc).endswith(("JSON", "blob")) else exc) from None
 
 
 def _write_output(data: bytes, out, binary: bool = False) -> None:
@@ -297,8 +269,8 @@ def _error_payload(name: str, message: str, exc: Exception) -> dict:
 
 
 def _add_dims(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--v1", type=_positive_arg, help="left point count (CSV input; checked for JSON)")
-    p.add_argument("--v2", type=_positive_arg, help="right point count (CSV input; checked for JSON)")
+    p.add_argument("--v1", type=_positive_arg, help="left point count (CSV input; checked where the file embeds it)")
+    p.add_argument("--v2", type=_positive_arg, help="right point count (CSV input; checked where the file embeds it)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_compose.set_defaults(func=_cmd_compose)
 
     p_analyze = sub.add_parser("analyze", help="verify conditions and report spectrum")
-    p_analyze.add_argument("file", help="design CSV / SB-block JSON, or - for stdin")
+    p_analyze.add_argument("file", help="design CSV / SB-block JSON / mask output, or - for stdin")
     p_analyze.add_argument("--json", action="store_true")
     _add_dims(p_analyze)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo variance-balance check")
-    p_sim.add_argument("file", help="design CSV / SB-block JSON, or - for stdin")
+    p_sim.add_argument("file", help="design CSV / SB-block JSON / mask output, or - for stdin")
     p_sim.add_argument("--sigma", type=_sigma_arg, required=True)
     p_sim.add_argument("--runs", type=int, required=True)
     p_sim.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
@@ -353,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_mask = sub.add_parser("mask", help="export DropConnect masks")
-    p_mask.add_argument("file", help="design CSV / SB-block JSON, or - for stdin")
+    p_mask.add_argument("file", help="design CSV / SB-block JSON / mask output, or - for stdin")
     p_mask.add_argument("--format", choices=("json", "bin"), default="json")
     p_mask.add_argument("--out", help="output path (default stdout)")
     _add_dims(p_mask)

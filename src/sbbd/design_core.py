@@ -8,12 +8,15 @@ edge (i, j) owns column (i-1)*v2 + j (1-based) and row k is block k.
 
 A design matrix is held as read-only uint8 0/1 entries; nothing in this
 module touches floats.  Design CSV is read and written as ASCII bytes, and
-SB-block JSON is read from the file's bytes by json.loads.
+SB-block JSON is read from the file's bytes by json.loads.  `read_design`
+reads these and both mask formats of `masks`, telling the four apart.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import struct
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -169,7 +172,11 @@ class DesignMatrix:
 #                    "+0", CRLF, errors) to the per-token parser.
 # SB-block JSON:     {"v1": int, "v2": int, "blocks": [[[i, j], ...], ...]}
 #                    with 1-based edge indices.
+# Mask JSON:         {"v1": int, "v2": int, "masks": [[[0/1, ...], ...], ...]},
+#                    block k as v1 lists of v2 entries.
+# Mask blob:         _MASK_HEADER, then the N*v1*v2 bytes of the matrix.
 
+_MASK_HEADER = struct.Struct("<III")  # N, v1, v2 as little-endian uint32
 _COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
 
 
@@ -270,7 +277,8 @@ def blocks_from_json(text: bytes) -> DesignMatrix:
     except (KeyError, TypeError, ValueError, RecursionError) as exc:  # json.loads recurses per level
         raise FormatError(f"bad SB-block JSON: {exc}") from exc
     _check_dims(v1, v2)  # before np.zeros, which raises a bare ValueError for a negative v1 * v2
-    _check_indexable(len(blocks) * v1 * v2, f"a design matrix of {len(blocks)} blocks on K_{{{v1},{v2}}}")
+    # one row at least: np.zeros((0, v1 * v2)) still needs an indexable row width
+    _check_indexable(max(len(blocks), 1) * v1 * v2, f"a design matrix of {len(blocks)} blocks on K_{{{v1},{v2}}}")
     try:
         ij = np.array(ends, dtype=np.int64).reshape(-1, 2) - 1
     except OverflowError:  # beyond int64, so beyond 1..v1 or 1..v2
@@ -282,3 +290,84 @@ def blocks_from_json(text: bytes) -> DesignMatrix:
     m = np.zeros((len(blocks), v1 * v2), dtype=np.uint8)
     m[np.repeat(np.arange(len(blocks)), list(map(len, blocks))), ij[:, 0] * v2 + ij[:, 1]] = 1
     return DesignMatrix(v1, v2, m)
+
+
+def _masks_from_json(text: bytes) -> DesignMatrix:
+    """Read mask JSON; any other layout is a FormatError, and no mask a DimensionError."""
+    try:
+        payload = json.loads(text)
+        v1, v2 = _json_int(payload["v1"]), _json_int(payload["v2"])
+        masks = payload["masks"]
+        if type(masks) is not list or set(map(type, masks)) - {list} or set(map(len, masks)) - {v1}:
+            raise TypeError("masks must be a list of masks, each a list of v1 rows")
+        rows = list(chain.from_iterable(masks))
+        if set(map(type, rows)) - {list} or set(map(len, rows)) - {v2}:
+            raise TypeError("every mask row must be a list of v2 entries")
+        bits = list(chain.from_iterable(rows))
+        if set(map(type, bits)) - {int} or set(bits) - {0, 1}:
+            raise TypeError("every mask entry must be the integer 0 or 1")
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise FormatError(f"bad mask JSON: {exc}") from exc
+    _check_dims(v1, v2)
+    _check_indexable(max(len(masks), 1) * v1 * v2, f"a design matrix of {len(masks)} masks on K_{{{v1},{v2}}}")
+    return DesignMatrix(v1, v2, np.array(bits, dtype=np.uint8).reshape(len(masks), v1 * v2))
+
+
+def _csv_split(cols: int, v1, v2) -> tuple:
+    if v1 is None and v2 is None:
+        root = math.isqrt(cols)
+        if root * root != cols:
+            raise ValueError(f"{cols} columns is not a perfect square; pass --v1 (and optionally --v2)")
+        return root, root
+    if v2 is None:
+        if not v1 or cols % v1:  # 0 divides no column count
+            raise ValueError(f"--v1 {v1} does not divide {cols} columns")
+        return v1, cols // v1
+    if v1 is None:
+        if not v2 or cols % v2:
+            raise ValueError(f"--v2 {v2} does not divide {cols} columns")
+        return cols // v2, v2
+    if v1 * v2 != cols:
+        raise ValueError(f"--v1 {v1} x --v2 {v2} != {cols} columns")
+    return v1, v2
+
+
+def _matching(x: DesignMatrix, kind: str, v1, v2) -> DesignMatrix:
+    """x, once a given v1 and v2 (None for either) match what its `kind` of file embeds."""
+    for flag, given, embedded in (("--v1", v1, x.v1), ("--v2", v2, x.v2)):
+        if given is not None and given != embedded:
+            raise ValueError(f"{flag} {given} != {embedded} in the {kind}")
+    return x
+
+
+def read_design(data: bytes, v1=None, v2=None) -> DesignMatrix:
+    """Read a design from any encoding the package writes, detected in this order.
+
+    1. Mask blob: 12 + N v1 v2 bytes for the N, v1, v2 of its header, and a
+       body of only the bytes 0 and 1.  It is tested first, as the header's
+       first byte, N mod 256, can be "{", "0", "1" or whitespace.
+    2. JSON: "{" after leading whitespace.  Text holding "masks" but not
+       "blocks" (quoted) is mask JSON, any other SB-block JSON.
+    3. CSV: anything else.  Its first line's column count is split as v1 and
+       v2 give, the other factor of one given, or else the square root.
+
+    A given v1 or v2 must match what a blob or JSON embeds.  A split that
+    does not fit is a ValueError naming them as the CLI's --v1 and --v2;
+    data its format's reader rejects is that reader's SbbdError.
+    """
+    if len(data) >= _MASK_HEADER.size:
+        n, b1, b2 = _MASK_HEADER.unpack_from(data)
+        if len(data) == _MASK_HEADER.size + n * b1 * b2:
+            body = np.frombuffer(data, dtype=np.uint8, offset=_MASK_HEADER.size)
+            if body.max(initial=0) <= 1:
+                _check_indexable(max(n, 1) * b1 * b2, f"a design matrix of {n} masks on K_{{{b1},{b2}}}")
+                return _matching(DesignMatrix(b1, b2, body.reshape(n, b1 * b2)), "mask blob", v1, v2)
+    text = data.lstrip()
+    if text.startswith(b"{"):
+        if b'"masks"' in data and b'"blocks"' not in data:
+            return _matching(_masks_from_json(data), "mask JSON", v1, v2)
+        return _matching(blocks_from_json(data), "SB-block JSON", v1, v2)
+    # parsed, so a first-line token that is not an integer is a FormatError
+    first = text[: text.find(b"\n") + 1 or len(text)]
+    cols = int_rows_from_csv(first, "design matrix", "entry").shape[1]
+    return matrix_from_csv(data, *_csv_split(cols, v1, v2))

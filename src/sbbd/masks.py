@@ -14,12 +14,11 @@ the N*v1*v2 bytes of the uint8 design matrix itself.
 from __future__ import annotations
 
 import json
-import struct
 
 import numpy as np
 
 from .analyzer import _degrees, check_sbbd
-from .design_core import DesignMatrix, FormatError, Violation
+from .design_core import _MASK_HEADER, DesignMatrix, Violation
 
 
 class SpanningViolation(Violation):
@@ -53,21 +52,4 @@ def schedule_to_json(x: DesignMatrix) -> str:
 
 
 def schedule_to_bytes(x: DesignMatrix) -> bytes:
-    return struct.pack("<III", x.n_rows, x.v1, x.v2) + x.matrix.tobytes()
-
-
-def schedule_from_bytes(data: bytes) -> DesignMatrix:
-    """Read a mask blob back as the design it came from.
-
-    A short blob or a body of the wrong length is a FormatError, and so is
-    any body byte other than 0 or 1; N, v1 or v2 of 0 is a DimensionError.
-    """
-    if len(data) < 12:
-        raise FormatError("mask blob shorter than its 12-byte header")
-    n, v1, v2 = struct.unpack("<III", data[:12])
-    body = np.frombuffer(data[12:], dtype=np.uint8)
-    if body.size != n * v1 * v2:
-        raise FormatError(
-            f"mask blob body has {body.size} bytes, expected {n * v1 * v2}"
-        )
-    return DesignMatrix(v1, v2, body.reshape(n, v1 * v2))
+    return _MASK_HEADER.pack(x.n_rows, x.v1, x.v2) + x.matrix.tobytes()

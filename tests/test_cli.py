@@ -247,6 +247,7 @@ def test_analyze_non_square_needs_dims(capsys, tmp_path, composed_b4):
         (["--v1", "5"], "--v1 5 does not divide 12 columns"),
         (["--v2", "5"], "--v2 5 does not divide 12 columns"),
         (["--v1", "4", "--v2", "4"], "--v1 4 x --v2 4 != 12 columns"),
+        ([], "12 columns is not a perfect square; pass --v1 (and optionally --v2)"),
     ],
 )
 def test_csv_split_that_does_not_fit_is_usage_error(capsys, tmp_path, composed_b4, flags, message):
@@ -254,6 +255,58 @@ def test_csv_split_that_does_not_fit_is_usage_error(capsys, tmp_path, composed_b
     f.write_bytes(sbbd.matrix_to_csv(composed_b4))
     code, out, err = run(capsys, "analyze", str(f), *flags)
     assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
+def _header(n, v1, v2) -> bytes:
+    return b"".join(k.to_bytes(4, "little") for k in (n, v1, v2))
+
+
+# input bytes (x22 is the 9-block SBBD(3,3,9)), flags, exit code and stderr, F naming the file
+LOADER_ERRORS = {
+    "empty": (lambda x: b"", [], 2, "usage error: no design data in F"),
+    "blank": (lambda x: b" \r\n\t\n", [], 2, "usage error: no design data in F"),
+    "block-json-v1": (lambda x: sbbd.blocks_to_json(x).encode(), ["--v1", "9"], 2,
+                      "usage error: --v1 9 != 3 in the SB-block JSON F"),
+    "mask-json-v2": (lambda x: sbbd.schedule_to_json(x).encode(), ["--v2", "1"], 2,
+                     "usage error: --v2 1 != 3 in the mask JSON F"),
+    "mask-blob-v1": (sbbd.schedule_to_bytes, ["--v1", "1", "--v2", "9"], 2,
+                     "usage error: --v1 1 != 3 in the mask blob F"),
+    "mask-json-entry-2": (lambda x: b'{"v1": 1, "v2": 2, "masks": [[[0, 2]]]}', [], 1,
+                          "FormatError: F: bad mask JSON: every mask entry must be the integer 0 or 1"),
+    "mask-json-entry-true": (lambda x: b'{"v1": 1, "v2": 2, "masks": [[[0, true]]]}', [], 1,
+                             "FormatError: F: bad mask JSON: every mask entry must be the integer 0 or 1"),
+    "mask-json-ragged-row": (lambda x: b'{"v1": 1, "v2": 2, "masks": [[[0, 1]], [[1]]]}', [], 1,
+                             "FormatError: F: bad mask JSON: every mask row must be a list of v2 entries"),
+    "mask-json-ragged-mask": (lambda x: b'{"v1": 1, "v2": 2, "masks": [[[0, 1]], []]}', [], 1,
+                              "FormatError: F: bad mask JSON: masks must be a list of masks, each a list of v1 rows"),
+    "mask-json-no-v2": (lambda x: b'{"v1": 1, "masks": [[[1]]]}', [], 1, "FormatError: F: bad mask JSON: 'v2'"),
+    "mask-json-no-masks": (lambda x: b'{"v1": 1, "v2": 1}', [], 1, "FormatError: F: bad SB-block JSON: 'blocks'"),
+    "mask-blob-byte-2": (lambda x: _header(1, 1, 2) + bytes([1, 2]), [], 1,
+                         "FormatError: F: line 1: non-integer entry"),
+    "mask-blob-no-block": (lambda x: _header(0, 3, 3), [], 1, "DimensionError: need at least one block"),
+}
+
+
+@pytest.mark.parametrize("case", LOADER_ERRORS)
+def test_loader_error_inputs(capsys, tmp_path, x22, case):
+    build, flags, code, message = LOADER_ERRORS[case]
+    f = tmp_path / "in"
+    f.write_bytes(build(x22))
+    got, out, err = run(capsys, "analyze", str(f), *flags)
+    assert (got, out, err.replace(repr(str(f)), "F")) == (code, "", message + "\n")
+
+
+@pytest.mark.parametrize("name, od, dims", [("pairs3", "4", ["--v1", "4"]), ("fano", "7", []), ("pg23", "13", [])])
+def test_analyze_reads_what_mask_writes(capsys, tmp_path, monkeypatch, name, od, dims):
+    csv = tmp_path / "x.csv"
+    assert run(capsys, "compose", "--design", f"catalog:{name}", "--od", od, "--out", str(csv))[0] == 0
+    code, expected, _ = run(capsys, "analyze", "--json", str(csv), *dims)
+    assert code == 0
+    for fmt in ("bin", "json"):
+        masks = tmp_path / f"x.{fmt}"
+        assert run(capsys, "mask", str(csv), *dims, "--format", fmt, "--out", str(masks))[0] == 0
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(masks.read_bytes())))
+        assert run(capsys, "analyze", "--json", "-") == (0, expected, "")
 
 
 def test_simulate_human_and_json(capsys, fixture_dir):
@@ -386,7 +439,7 @@ def test_mask_binary_output(capsys, tmp_path, fixture_dir):
     )
     assert code == 0
     blob = out_file.read_bytes()
-    schedule = sbbd.schedule_from_bytes(blob)
+    schedule = sbbd.read_design(blob)
     assert schedule.n_rows == 9
 
 

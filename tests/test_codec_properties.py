@@ -2,7 +2,7 @@
 
 The byte-level CSV writer is compared with the join-based writer it replaced,
 and the byte-level reader with the per-token parser that still serves every
-non-canonical input.
+non-canonical input.  `read_design` reads back what every writer writes.
 """
 
 import json
@@ -17,8 +17,9 @@ from sbbd import (
     blocks_to_json,
     matrix_from_csv,
     matrix_to_csv,
-    schedule_from_bytes,
+    read_design,
     schedule_to_bytes,
+    schedule_to_json,
 )
 from sbbd.design_core import _matrix_from_csv_tokens
 
@@ -134,7 +135,7 @@ def test_csv_reader_matches_token_parser_on_edge_cases(text):
 @given(design_matrices(max_rows=12))
 def test_schedule_bytes_roundtrip_is_identical(x):
     blob = schedule_to_bytes(x)
-    back = schedule_from_bytes(blob)
+    back = read_design(blob)
     assert (back.v1, back.v2) == (x.v1, x.v2)
     assert np.array_equal(back.masks, x.masks)
     assert schedule_to_bytes(back) == blob
@@ -155,3 +156,31 @@ def test_block_json_roundtrip_is_identical(x):
     assert (back.v1, back.v2) == (x.v1, x.v2)
     assert np.array_equal(back.matrix, x.matrix)
     assert blocks_to_json(back) == text
+
+
+# every encoding the package writes; all but CSV embed v1 and v2
+WRITERS = {
+    "csv": matrix_to_csv,
+    "block-json": lambda x: blocks_to_json(x).encode(),
+    "mask-json": lambda x: schedule_to_json(x).encode(),
+    "mask-blob": schedule_to_bytes,
+}
+
+
+@SETTINGS
+@given(design_matrices(max_rows=12), st.sampled_from(sorted(WRITERS)))
+def test_read_design_reads_what_every_writer_writes(x, writer):
+    data = WRITERS[writer](x)
+    assert read_design(data, x.v1, x.v2) == x
+    assert read_design(data, v1=x.v1) == read_design(data, v2=x.v2) == x
+    if writer != "csv":
+        assert read_design(data) == x
+
+
+@pytest.mark.parametrize("n", [9, 13, 32, 48, 49, 123])
+def test_blob_whose_first_byte_is_text_is_read_as_a_blob(n):
+    # N mod 256 is whitespace (9, 13, 32), a CSV digit (48, 49) or "{" (123)
+    x = DesignMatrix(2, 3, np.arange(6 * n).reshape(n, 6) % 4 == 1)
+    blob = schedule_to_bytes(x)
+    assert blob[0] == n
+    assert read_design(blob) == read_design(blob, 2, 3) == x

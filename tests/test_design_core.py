@@ -127,7 +127,7 @@ def test_edge_out_of_range_rejected():
     "build",
     [
         lambda: DesignMatrix(2, 2, np.zeros((0, 4))),
-        lambda: sbbd.schedule_from_bytes(struct.pack("<III", 0, 2, 2)),
+        lambda: sbbd.read_design(struct.pack("<III", 0, 2, 2)),
         lambda: blocks_from_json(sb_json(2, 2, [])),
     ],
     ids=["matrix", "mask-blob", "block-json"],
