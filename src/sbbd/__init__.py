@@ -47,6 +47,8 @@ _MODULE_OF = {
             "matrix_from_csv",
             "matrix_to_csv",
             "read_design",
+            "schedule_to_bytes",
+            "schedule_to_json",
         ),
         "estimator": (
             "EffectVector",
@@ -57,8 +59,6 @@ _MODULE_OF = {
         "masks": (
             "SpanningViolation",
             "export_masks",
-            "schedule_to_bytes",
-            "schedule_to_json",
         ),
         "ordered_designs": (
             "FiniteField",

@@ -1,4 +1,4 @@
-"""Exact integer matrix types and the SB-block / design-matrix encoding.
+"""Exact integer matrix types and every file encoding of a design.
 
 An SB-block is a spanning-candidate subgraph of the complete bipartite graph
 K_{v1,v2}: a subset of its edges (i, j), 1-based.  A design matrix packs N >= 1
@@ -7,9 +7,9 @@ edges e_11, e_12, ..., e_1v2, e_21, ..., e_v1v2 in lexicographic order, so
 edge (i, j) owns column (i-1)*v2 + j (1-based) and row k is block k.
 
 A design matrix is held as read-only uint8 0/1 entries; nothing in this
-module touches floats.  Design CSV is read and written as ASCII bytes, and
-SB-block JSON is read from the file's bytes by json.loads.  `read_design`
-reads these and both mask formats of `masks`, telling the four apart.
+module touches floats.  It owns all four encodings of a design, each with
+its writer, reader and layout: design CSV (ASCII bytes), SB-block JSON, mask
+JSON and the mask blob (see "file formats"); `read_design` reads all four.
 """
 
 from __future__ import annotations
@@ -167,9 +167,9 @@ class DesignMatrix:
 #
 # Design matrix CSV: one row per line, comma-separated 0/1, no header, as
 #                    ASCII bytes.  The writer emits the canonical form
-#                    b"d,d,...,d\n" per row; the reader takes canonical
-#                    bytes as one array and hands anything else (spaces,
-#                    "+0", CRLF, errors) to the per-token parser.
+#                    b"d,d,...,d\n" per row; the reader views canonical
+#                    bytes in place and hands anything else (spaces, "+0",
+#                    CRLF, blank lines, errors) to the per-token parser.
 # SB-block JSON:     {"v1": int, "v2": int, "blocks": [[[i, j], ...], ...]}
 #                    with 1-based edge indices.
 # Mask JSON:         {"v1": int, "v2": int, "masks": [[[0/1, ...], ...], ...]},
@@ -189,9 +189,10 @@ def matrix_to_csv(x: DesignMatrix) -> bytes:
 
 
 def matrix_from_csv(text: bytes, v1: int, v2: int) -> DesignMatrix:
-    body = text.strip() + b"\n"
-    buf = np.frombuffer(body, dtype=np.uint8)
-    line = body.find(b"\n") + 1
+    if not text.endswith(b"\n"):
+        text = text + b"\n"  # a new object: a caller's bytearray stays as it was
+    buf = np.frombuffer(text, dtype=np.uint8)
+    line = text.find(b"\n") + 1
     if len(buf) % line == 0:  # an odd line length puts "\n" among the digits
         rows = buf.reshape(-1, line)
         digits = rows[:, 0::2]
@@ -201,7 +202,7 @@ def matrix_from_csv(text: bytes, v1: int, v2: int) -> DesignMatrix:
             and ((digits | 1) == _ZERO + 1).all()
         ):
             return DesignMatrix(v1, v2, digits - _ZERO)
-    return _matrix_from_csv_tokens(body, v1, v2)
+    return _matrix_from_csv_tokens(text, v1, v2)
 
 
 def _matrix_from_csv_tokens(text: bytes, v1: int, v2: int) -> DesignMatrix:
@@ -290,6 +291,14 @@ def blocks_from_json(text: bytes) -> DesignMatrix:
     m = np.zeros((len(blocks), v1 * v2), dtype=np.uint8)
     m[np.repeat(np.arange(len(blocks)), list(map(len, blocks))), ij[:, 0] * v2 + ij[:, 1]] = 1
     return DesignMatrix(v1, v2, m)
+
+
+def schedule_to_json(x: DesignMatrix) -> str:
+    return json.dumps({"v1": x.v1, "v2": x.v2, "masks": x.masks.tolist()})
+
+
+def schedule_to_bytes(x: DesignMatrix) -> bytes:
+    return _MASK_HEADER.pack(x.n_rows, x.v1, x.v2) + x.matrix.data
 
 
 def _masks_from_json(text: bytes) -> DesignMatrix:

@@ -6,19 +6,17 @@ Spanning guarantees no mask has a zero row or zero column, so no unit of
 either layer is ever fully disconnected, and stacking all masks edge-wise
 reproduces the design's replication counts.
 
-Serialization: JSON ({"v1", "v2", "masks": [[[0/1 ...] ...] ...]}) or a flat
-binary layout with a 3 x uint32 little-endian header (N, v1, v2) followed by
-the N*v1*v2 bytes of the uint8 design matrix itself.
+Its two encodings, mask JSON and the mask blob, are written by
+`schedule_to_json` and `schedule_to_bytes` in `design_core`, beside every
+other encoding of a design, and read back by `read_design`.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .analyzer import _degrees, check_sbbd
-from .design_core import _MASK_HEADER, DesignMatrix, Violation
+from .design_core import DesignMatrix, Violation
 
 
 class SpanningViolation(Violation):
@@ -45,11 +43,3 @@ def export_masks(x: DesignMatrix) -> DesignMatrix:
             " with no edge; masks would disconnect a unit",
         )
     return x
-
-
-def schedule_to_json(x: DesignMatrix) -> str:
-    return json.dumps({"v1": x.v1, "v2": x.v2, "masks": x.masks.tolist()})
-
-
-def schedule_to_bytes(x: DesignMatrix) -> bytes:
-    return _MASK_HEADER.pack(x.n_rows, x.v1, x.v2) + x.matrix.tobytes()

@@ -458,6 +458,36 @@ def test_semi_regular_sbbds_attain_the_a_lower_bound(case, semi_regular):
     assert attained == semi_regular
 
 
+def _contrast_trace_sides(x, alpha):
+    """alpha (v1-1)(v2-1) and sum over blocks of k_b (1 - k_b / (v1 v2)), as Fractions."""
+    vv, k = x.v1 * x.v2, x.matrix.sum(axis=1, dtype=np.int64)
+    return Fraction(alpha * (x.v1 - 1) * (x.v2 - 1)), Fraction(int((k * (vv - k)).sum()), vv)
+
+
+@pytest.mark.parametrize(
+    "case", ["pairs3", "fano", "qr11", "pg23", "qr19", "qr23", "qr31", "fano-od7-first-columns"]
+)
+def test_contrast_trace_is_bounded_by_block_sizes(case):
+    # the contrast projection C X^T X C^T of an SBBD is alpha I, so its trace is
+    # alpha (v1-1)(v2-1); block b adds k_b - sum_i r_i^2 / v2 - sum_j c_j^2 / v1
+    # + k_b^2 / (v1 v2) for its degrees r and c, at most k_b (1 - k_b / (v1 v2)),
+    # with equality iff its degrees are constant on each side (Cauchy-Schwarz)
+    if case == "fano-od7-first-columns":
+        designs = [fano_on_columns(tuple(range(s))) for s in (4, 5, 6)]
+    else:
+        designs = list(_lemma_designs(case))
+    sides = []
+    for x in designs:
+        rep = a_optimality(x)
+        lhs, rhs = _contrast_trace_sides(x, rep.params.alpha)
+        assert lhs <= rhs
+        assert (lhs == rhs) == rep.is_semi_regular
+        sides.append((lhs, rhs))
+    if case == "fano-od7-first-columns":
+        # each ratio is the design's A-efficiency: 0.875, 0.933 and 0.972
+        assert sides == [(252, 288), (336, 360), (420, 432)]
+
+
 def test_analyzer_requires_two_by_two():
     x = DesignMatrix(1, 4, np.ones((2, 4), dtype=int))
     with pytest.raises(DimensionError):

@@ -2,14 +2,16 @@
 
 The byte-level CSV writer is compared with the join-based writer it replaced,
 and the byte-level reader with the per-token parser that still serves every
-non-canonical input.  `read_design` reads back what every writer writes.
+non-canonical input; canonical CSV never reaches that parser.  The mask blob
+is its header and the matrix's bytes.  `read_design` reads back what every
+writer writes.
 """
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sbbd import (
     DesignMatrix,
@@ -21,7 +23,7 @@ from sbbd import (
     schedule_to_bytes,
     schedule_to_json,
 )
-from sbbd.design_core import _matrix_from_csv_tokens
+from sbbd.design_core import _MASK_HEADER, _matrix_from_csv_tokens
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -39,17 +41,23 @@ def design_matrices(draw, max_rows=40):
     return DesignMatrix(v1, v2, np.array(bits, dtype=np.int64).reshape(n, v1 * v2))
 
 
+# rewrites of canonical CSV into forms only the per-token parser reads
+LENIENT = {
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "spaces": lambda t: t.replace(",", " , "),
+    "space-after-comma": lambda t: t.replace(",", ", "),
+    "sign": lambda t: t.replace("0", "+0"),
+    "leading-blank-line": lambda t: "\n" + t,
+    "trailing-blank-lines": lambda t: t + "\n\n",
+    "trailing-spaces": lambda t: t.replace("\n", "  \n"),
+    "padding": lambda t: "\n \t" + t + "  \n\n",
+}
+
+
 def _lenient(text: str, data) -> str:
-    """Rewrite canonical CSV into one of the forms only the per-token parser reads."""
-    form = data.draw(st.sampled_from(["crlf", "spaces", "sign", "padding", "none"]))
-    if form == "crlf":
-        return text.replace("\n", "\r\n")
-    if form == "spaces":
-        return text.replace(",", " , ")
-    if form == "sign":
-        return text.replace("0", "+0")
-    if form == "padding":
-        return "\n \t" + text + "  \n\n"
+    """Canonical CSV under up to three decorations of LENIENT, in the order drawn."""
+    for form in data.draw(st.lists(st.sampled_from(sorted(LENIENT)), max_size=3, unique=True)):
+        text = LENIENT[form](text)
     return text
 
 
@@ -103,9 +111,28 @@ def test_csv_writer_matches_join_writer(x):
 def test_csv_reader_matches_token_parser(x, data):
     text = matrix_to_csv(x).decode()
     _assert_same_parse(text, x.v1, x.v2)
-    _assert_same_parse(_lenient(text, data), x.v1, x.v2)
+    decorated = _lenient(text, data)
+    _assert_same_parse(decorated, x.v1, x.v2)
+    assert np.array_equal(matrix_from_csv(decorated.encode(), x.v1, x.v2).matrix, x.matrix)
     _assert_same_parse(_malformed(text, data), x.v1, x.v2)
     assert np.array_equal(matrix_from_csv(text.encode(), x.v1, x.v2).matrix, x.matrix)
+
+
+@SETTINGS
+@given(design_matrices())
+@example(DesignMatrix(1, 1, np.array([[1], [0], [1]])))
+def test_canonical_csv_is_read_without_the_token_parser(x):
+    def refuse(*args):
+        raise AssertionError("canonical CSV reached the per-token parser")
+
+    csv = matrix_to_csv(x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sbbd.design_core._matrix_from_csv_tokens", refuse)
+        assert matrix_from_csv(csv, x.v1, x.v2) == x
+        assert matrix_from_csv(csv[:-1], x.v1, x.v2) == x
+        unterminated = bytearray(csv[:-1])
+        assert read_design(unterminated, x.v1, x.v2) == x
+        assert unterminated == csv[:-1]  # the newline went onto a copy
 
 
 @SETTINGS
@@ -135,6 +162,8 @@ def test_csv_reader_matches_token_parser_on_edge_cases(text):
 @given(design_matrices(max_rows=12))
 def test_schedule_bytes_roundtrip_is_identical(x):
     blob = schedule_to_bytes(x)
+    assert type(blob) is bytes
+    assert blob == _MASK_HEADER.pack(x.n_rows, x.v1, x.v2) + x.matrix.tobytes()
     back = read_design(blob)
     assert (back.v1, back.v2) == (x.v1, x.v2)
     assert np.array_equal(back.masks, x.masks)
