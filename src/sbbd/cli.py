@@ -7,6 +7,8 @@ with nothing on stderr when the reader of stdout has gone.  On exit 1,
 commands run with --json and the mask command also print {"error",
 "condition", "witness", "message"} as JSON on stdout.  All randomness is
 seeded; --seed defaults to 1729 so repeated invocations are byte-identical.
+Every integer flag, and the number in --od <q> or --perms cyclic:<u>, is
+ASCII digits only, as in every input file.
 
 Input files are read as bytes and handed to their parsers unchanged.
 analyze, simulate and mask read a design, including either output of mask,
@@ -58,12 +60,14 @@ def _load_design(path: str, v1, v2) -> sbbd.DesignMatrix:
         raise UsageError(f"{exc} {path!r}" if str(exc).endswith(("JSON", "blob")) else exc) from None
 
 
-def _write_output(data: bytes, out, binary: bool = False) -> None:
+def _write_output(data: bytes, out, wrote: str, binary: bool = False) -> None:
+    """Write data to the file out and print the line wrote; with no out (or -), write data to stdout."""
     # a stdout with no byte buffer (an in-process io.StringIO) takes CSV and
     # JSON as ASCII text, but binary data there is a usage error
     if out is not None and out != "-":
         with open(out, "wb") as fh:
             fh.write(data)
+        print(wrote)
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.buffer.write(data)
     elif binary:
@@ -81,9 +85,7 @@ def _cmd_design_verify(args) -> int:
 
 def _cmd_od_construct(args) -> int:
     od = sbbd.construct_od1(args.q)
-    _write_output(sbbd.od_to_csv(od), args.out)
-    if args.out and args.out != "-":
-        print(f"wrote OD_1({od.s},{od.n}) with {od.n_rows} rows to {args.out}")
+    _write_output(sbbd.od_to_csv(od), args.out, f"wrote OD_1({od.s},{od.n}) with {od.n_rows} rows to {args.out}")
     return 0
 
 
@@ -100,9 +102,8 @@ def _resolve_block_design(ref: str):
 
 
 def _resolve_od(ref: str):
-    if ref.isdecimal():
-        return sbbd.construct_od1(int(ref))
-    return sbbd.od_from_csv(_read_bytes(ref))
+    q = _decimal(ref)
+    return sbbd.od_from_csv(_read_bytes(ref)) if q is None else sbbd.construct_od1(q)
 
 
 def _cmd_compose(args) -> int:
@@ -113,24 +114,20 @@ def _cmd_compose(args) -> int:
     x = sbbd.compose(d, od)
     if args.perms:
         name, _, count = args.perms.partition(":")
-        if name != "cyclic" or not count.isdecimal() or int(count) < 1:
+        u = _decimal(count) if name == "cyclic" else None
+        if u is None or u < 1:
             raise UsageError("--perms expects cyclic:<u> with u >= 1")
-        u = int(count)
         # refused before the u layers are listed, which alone could take hours
         blocks = u * x.n_rows
         _check_indexable(blocks * x.v1 * x.v2, f"a design matrix of {blocks} blocks on K_{{{x.v1},{x.v2}}}")
         # layer t shifts every panel's columns cyclically by t; t = 0 is the identity
         x = sbbd.permute_extension(x, [[(j + t) % x.v2 + 1 for j in range(x.v2)] for t in range(u)])
-    if args.out and args.out.endswith(".json"):
-        _write_output((sbbd.blocks_to_json(x) + "\n").encode(), args.out)
-    else:
-        _write_output(sbbd.matrix_to_csv(x), args.out)
-    if args.out and args.out != "-":
-        print(
-            f"wrote {x.n_rows} x {x.v1 * x.v2} design matrix"
-            f" (v1={x.v1}, v2={x.v2}) to {args.out};"
-            f" spanning guaranteed: {str(sbbd.spanning_guaranteed(d, od)).lower()}"
-        )
+    wrote = (
+        f"wrote {x.n_rows} x {x.v1 * x.v2} design matrix (v1={x.v1}, v2={x.v2}) to {args.out};"
+        f" spanning guaranteed: {str(sbbd.spanning_guaranteed(d, od)).lower()}"
+    )
+    json_out = args.out and args.out.endswith(".json")
+    _write_output((sbbd.blocks_to_json(x) + "\n").encode() if json_out else sbbd.matrix_to_csv(x), args.out, wrote)
     return 0
 
 
@@ -173,10 +170,25 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _seed_arg(text: str) -> int:
-    if not (text.isdecimal() and int(text) < 2**128):
-        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2^128), got {text!r}")
-    return int(text)
+def _decimal(text: str) -> int | None:
+    """int(text) when text is ASCII digits only, as every input file's integers are; else None."""
+    try:
+        return int(text) if text.isascii() and text.isdecimal() else None
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        return None
+
+
+def _int_arg(low: int, bits: int = 0):
+    """Flag type: ASCII digits for an integer >= low and, when bits is set, below 2**bits."""
+    expected = f"in [{low}, 2^{bits})" if bits else f">= {low}"
+
+    def parse(text: str) -> int:
+        value = _decimal(text)
+        if value is None or value < low or (bits and value >> bits):
+            raise argparse.ArgumentTypeError(f"expected an integer {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _sigma_arg(text: str) -> float:
@@ -187,12 +199,6 @@ def _sigma_arg(text: str) -> float:
     if not (math.isfinite(sigma) and sigma >= 0):
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
     return sigma
-
-
-def _positive_arg(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
 
 
 def _load_tau(path: str) -> sbbd.EffectVector:
@@ -214,63 +220,47 @@ def _cmd_simulate(args) -> int:
     x = _load_design(args.file, args.v1, args.v2)
     tau = _load_tau(args.tau) if args.tau else sbbd.random_effects(x.v1, x.v2, seed=args.seed)
     report = sbbd.simulate(x, tau, sigma=args.sigma, runs=args.runs, seed=args.seed)
+    payload = {
+        "runs": report.runs,
+        "sigma": report.sigma,
+        "alpha": report.alpha,
+        "predicted_variance": report.predicted_variance,
+        "max_relative_deviation": report.max_relative_deviation,
+        "contrasts": [
+            {"i": i, "j": j, "true": true, "mean": mean, "variance": variance}
+            for (i, j), true, mean, variance in zip(
+                report.contrast_index, report.true_contrasts, report.empirical_mean, report.empirical_variance
+            )
+        ],
+    }
     if args.json:
-        payload = {
-            "runs": report.runs,
-            "sigma": report.sigma,
-            "alpha": report.alpha,
-            "predicted_variance": report.predicted_variance,
-            "max_relative_deviation": report.max_relative_deviation,
-            "contrasts": [
-                {
-                    "i": i,
-                    "j": j,
-                    "true": report.true_contrasts[idx],
-                    "mean": report.empirical_mean[idx],
-                    "variance": report.empirical_variance[idx],
-                }
-                for idx, (i, j) in enumerate(report.contrast_index)
-            ],
-        }
         print(json.dumps(payload, indent=2))
         return 0
     print(
-        f"runs={report.runs} sigma={report.sigma} alpha={report.alpha}"
-        f" predicted variance={report.predicted_variance:.6g}"
+        f"runs={payload['runs']} sigma={payload['sigma']} alpha={payload['alpha']}"
+        f" predicted variance={payload['predicted_variance']:.6g}"
     )
-    print(f"max relative deviation: {report.max_relative_deviation:.4%}")
+    print(f"max relative deviation: {payload['max_relative_deviation']:.4%}")
     print(f"{'contrast':>10} {'true':>12} {'mean':>12} {'variance':>12}")
-    for idx, (i, j) in enumerate(report.contrast_index):
-        print(
-            f"{f'({i},{j})':>10} {report.true_contrasts[idx]:>12.6f}"
-            f" {report.empirical_mean[idx]:>12.6f}"
-            f" {report.empirical_variance[idx]:>12.6f}"
-        )
+    for c in payload["contrasts"]:
+        label = f"({c['i']},{c['j']})"
+        print(f"{label:>10} {c['true']:>12.6f} {c['mean']:>12.6f} {c['variance']:>12.6f}")
     return 0
 
 
 def _cmd_mask(args) -> int:
     x = sbbd.export_masks(_load_design(args.file, args.v1, args.v2))
     body = (sbbd.schedule_to_json(x) + "\n").encode() if args.format == "json" else sbbd.schedule_to_bytes(x)
-    _write_output(body, args.out, binary=args.format == "bin")
-    if args.out and args.out != "-":
-        print(f"wrote {x.n_rows} masks of shape {x.v1}x{x.v2} to {args.out}")
+    wrote = f"wrote {x.n_rows} masks of shape {x.v1}x{x.v2} to {args.out}"
+    _write_output(body, args.out, wrote, binary=args.format == "bin")
     return 0
 
 
-def _error_payload(name: str, message: str, exc: Exception) -> dict:
-    """Machine-readable exit-1 report; condition and witness are None unless exc is a Violation."""
-    return {
-        "error": name,
-        "condition": getattr(exc, "condition", None),
-        "witness": getattr(exc, "witness", None),
-        "message": message,
-    }
-
-
-def _add_dims(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--v1", type=_positive_arg, help="left point count (CSV input; checked where the file embeds it)")
-    p.add_argument("--v2", type=_positive_arg, help="right point count (CSV input; checked where the file embeds it)")
+def _add_design_input(p: argparse.ArgumentParser) -> None:
+    """The design file and its (v1, v2) split, added after a command's other options."""
+    p.add_argument("file", help="design CSV / SB-block JSON / mask output, or - for stdin")
+    for dim, side in (("--v1", "left"), ("--v2", "right")):
+        p.add_argument(dim, type=_int_arg(1), help=f"{side} point count (CSV input; checked where the file embeds it)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_od = sub.add_parser("od", help="ordered-design utilities")
     od_sub = p_od.add_subparsers(dest="subcommand", required=True)
     p_oc = od_sub.add_parser("construct", help="build an OD_1(q,q) over GF(q)")
-    p_oc.add_argument("--q", type=int, required=True, help="any prime power, e.g. 7, 64 or 125")
+    p_oc.add_argument("--q", type=_int_arg(0), required=True, help="any prime power, e.g. 7, 64 or 125")
     p_oc.add_argument("--out", help="output CSV path (default stdout)")
     p_oc.set_defaults(func=_cmd_od_construct)
     p_ov = od_sub.add_parser("verify", help="verify an ordered-design CSV file")
@@ -309,26 +299,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_compose.set_defaults(func=_cmd_compose)
 
     p_analyze = sub.add_parser("analyze", help="verify conditions and report spectrum")
-    p_analyze.add_argument("file", help="design CSV / SB-block JSON / mask output, or - for stdin")
     p_analyze.add_argument("--json", action="store_true")
-    _add_dims(p_analyze)
+    _add_design_input(p_analyze)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo variance-balance check")
-    p_sim.add_argument("file", help="design CSV / SB-block JSON / mask output, or - for stdin")
     p_sim.add_argument("--sigma", type=_sigma_arg, required=True)
-    p_sim.add_argument("--runs", type=int, required=True)
-    p_sim.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
+    p_sim.add_argument("--runs", type=_int_arg(0), required=True)
+    p_sim.add_argument("--seed", type=_int_arg(0, bits=128), default=DEFAULT_SEED)
     p_sim.add_argument("--tau", help="effect-vector JSON file (default: seeded random)")
     p_sim.add_argument("--json", action="store_true")
-    _add_dims(p_sim)
+    _add_design_input(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_mask = sub.add_parser("mask", help="export DropConnect masks")
-    p_mask.add_argument("file", help="design CSV / SB-block JSON / mask output, or - for stdin")
     p_mask.add_argument("--format", choices=("json", "bin"), default="json")
     p_mask.add_argument("--out", help="output path (default stdout)")
-    _add_dims(p_mask)
+    _add_design_input(p_mask)
     p_mask.set_defaults(func=_cmd_mask)
 
     return parser
@@ -355,7 +342,9 @@ def main(argv=None) -> int:
             name, message = "MemoryError", f"the input needs more memory than is available: {exc}"
         print(f"{name}: {message}", file=sys.stderr)
         if getattr(args, "json", False) or args.command == "mask":
-            print(json.dumps(_error_payload(name, message, exc)))
+            # condition and witness are None unless exc is a Violation
+            condition, witness = getattr(exc, "condition", None), getattr(exc, "witness", None)
+            print(json.dumps({"error": name, "condition": condition, "witness": witness, "message": message}))
         return 1
 
 

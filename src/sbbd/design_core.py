@@ -214,18 +214,23 @@ def int_rows_from_csv(text: bytes, noun: str, entry: str) -> np.ndarray:
     """Comma-separated integers, one row per line, as an int64 array.
 
     Every token goes through int() on bytes, so spaces and signs are
-    accepted and only ASCII digits are digits.  A non-integer token, empty
-    or ragged input, or a value outside int64 is a FormatError; `noun` names
-    the file kind and `entry` its tokens.
+    accepted and only ASCII digits are digits; the `_` that int() also
+    reads between digits is refused.  Lines end at LF, so the CR of a CRLF
+    is whitespace.  A non-integer token, empty or ragged input, or a value
+    outside int64 is a FormatError; `noun` names the file kind and `entry`
+    its tokens.
     """
+    text = text.strip()
+    if not text:
+        raise FormatError(f"empty {noun} CSV")
     rows = []
-    for ln, line in enumerate(text.strip().splitlines(), 1):
+    for ln, line in enumerate(text.split(b"\n"), 1):
         try:
+            if b"_" in line:
+                raise ValueError("'_' is not a digit")
             rows.append([int(tok) for tok in line.strip().split(b",")])
         except ValueError as exc:
             raise FormatError(f"line {ln}: non-integer {entry}") from exc
-    if not rows:
-        raise FormatError(f"empty {noun} CSV")
     if any(len(r) != len(rows[0]) for r in rows):
         raise FormatError(f"ragged {noun} CSV")
     try:

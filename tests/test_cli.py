@@ -115,7 +115,8 @@ def test_compose_perms_and_json_output(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "perms", ["spiral:2", "cyclic:²", "cyclic:0", "cyclic:2.5", "cyclic:"]  # "²" isdigit, not isdecimal
+    # "²" isdigit, not isdecimal; ARABIC-INDIC DIGIT TWO is decimal, but not ASCII
+    "perms", ["spiral:2", "cyclic:²", "cyclic:0", "cyclic:2.5", "cyclic:", "cyclic:\u0662"]
 )
 def test_compose_bad_perms_is_usage_error(capsys, perms):
     code, _, err = run(
@@ -125,10 +126,18 @@ def test_compose_bad_perms_is_usage_error(capsys, perms):
     assert "usage error" in err
 
 
+def test_compose_digits_past_the_int_conversion_limit_are_usage_errors(capsys):
+    digits = "7" * 5000  # int() refuses to convert more than 4300 by default
+    for extra in (["--od", digits], ["--od", "7", "--perms", f"cyclic:{digits}"]):
+        code, out, _ = run(capsys, "compose", "--design", "catalog:fano", *extra)
+        assert (code, out) == (2, "")
+
+
 def test_compose_od_non_ascii_digit_is_read_as_a_path(capsys):
-    code, _, err = run(capsys, "compose", "--design", "catalog:fano", "--od", "²")
-    assert code == 2
-    assert "No such file" in err and "'²'" in err
+    for od in ("²", "\u0667"):  # ARABIC-INDIC DIGIT SEVEN
+        code, _, err = run(capsys, "compose", "--design", "catalog:fano", "--od", od)
+        assert code == 2
+        assert "No such file" in err and repr(od) in err
 
 
 def test_analyze_human_readable(capsys, fixture_dir):
@@ -479,6 +488,19 @@ def test_non_ascii_digit_in_design_is_format_error(capsys, tmp_path, fano_compos
     assert str(bad) in payload["message"]
 
 
+def test_digit_separator_in_an_input_file_is_format_error(capsys, tmp_path, fano_composed):
+    od = tmp_path / "od.csv"
+    od.write_bytes(b"0_1,2\n2,1\n")  # int() alone reads 0_1 as 1, a valid OD_1(2, 2)
+    code, out, err = run(capsys, "od", "verify", str(od))
+    assert (code, out) == (1, "")
+    assert err.startswith("FormatError:") and "line 1: non-integer symbol" in err
+    design = tmp_path / "fano.csv"
+    design.write_bytes(b"0_" + sbbd.matrix_to_csv(fano_composed))
+    code, out, err = run(capsys, "analyze", "--json", str(design))
+    assert code == 1
+    assert json.loads(out)["message"] == f"{str(design)!r}: line 1: non-integer entry"
+
+
 def test_od_verify_non_ascii_digits_is_format_error(capsys, tmp_path):
     bad = tmp_path / "od.csv"
     bad.write_text("\u0661,\u0662\n\u0662,\u0661\n", encoding="utf-8")
@@ -569,6 +591,7 @@ def test_import_loads_no_numpy(tmp_path, module):
         (["--help"], 0, [], False),  # argparse exits inside main
         (["compose", "--design", "catalog:fano"], 2, [], False),  # usage error: no --od
         (["compose", "--design", "catalog:qr31", "--od", "31", "--out", "x.csv"], 0, ["numpy"], True),
+        (["od", "construct", "--q", "\u0667"], 2, [], False),  # usage error: not ASCII digits
     ],
 )
 def test_cli_child_loads_only_what_its_command_needs(tmp_path, argv, code, loaded, frozen):
@@ -691,6 +714,27 @@ def test_simulate_bad_seed_or_sigma_is_usage_error(capsys, fixture_dir, flag, va
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err
+    assert "Traceback" not in err
+
+
+# a non-ASCII digit (ARABIC-INDIC SEVEN), a digit separator, a sign, a space, a negative, and
+# more digits than int() converts from a string by default
+@pytest.mark.parametrize("value", ["\u0667", "1_0", "+7", " 7", "-3", pytest.param("7" * 5000, id="5000-digits")])
+@pytest.mark.parametrize("flag", ["--q", "--runs", "--seed", "--v1", "--v2"])
+def test_integer_flags_take_ascii_digits_only(capsys, fixture_dir, flag, value):
+    design = str(fixture_dir / "design_3_3_9.csv")
+    argv = {
+        "--q": ["od", "construct"],
+        "--runs": ["simulate", design, "--sigma", "1"],
+        "--seed": ["simulate", design, "--sigma", "1", "--runs", "10"],
+        "--v1": ["analyze", design],
+        "--v2": ["analyze", design],
+    }[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected an integer" in err
     assert "Traceback" not in err
 
 

@@ -2,6 +2,7 @@ import argparse
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -117,3 +118,14 @@ def test_readme_synopsis_names_every_cli_option():
         if not lines:
             missing.append(prefix)
     assert not missing, missing
+
+
+def test_readme_pipelines_parse():
+    from sbbd.cli import build_parser
+
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"Pipelines compose:\n\n```\n(.*?)^```$", readme, re.S | re.M)
+    stages = [shlex.split(stage) for line in block.splitlines() for stage in line.split("|")]
+    assert len(stages) > 2 and all(argv[0] == "sbbd" for argv in stages)
+    for argv in stages:
+        build_parser().parse_args(argv[1:])  # a usage error raises SystemExit

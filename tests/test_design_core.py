@@ -207,6 +207,8 @@ def test_csv_roundtrip(x22):
     # spaces, a sign, CRLF and surrounding blank lines go to the per-token parser
     text = b"\n  0, +1\r\n1 ,0\r\n\n"
     assert matrix_from_csv(text, 1, 2).matrix.tolist() == [[0, 1], [1, 0]]
+    # a line ends at LF, so the CR before it is whitespace wherever spaces fall around it
+    assert matrix_from_csv(b"0,1\r  \n1,0 \r\n", 1, 2).matrix.tolist() == [[0, 1], [1, 0]]
 
 
 def test_csv_rejects_ragged_and_nonint(x22):
@@ -222,8 +224,21 @@ def test_csv_rejects_ragged_and_nonint(x22):
         matrix_from_csv(b"0,1\n2,0\n", 1, 2)
     with pytest.raises(FormatError, match="line 2: non-integer"):
         matrix_from_csv("0,1\n1,\u0660\n".encode(), 1, 2)  # ARABIC-INDIC DIGIT ZERO
+    with pytest.raises(FormatError, match="line 1: non-integer"):
+        matrix_from_csv(b"0,1\r1,0\r", 1, 2)  # a bare CR does not end a line
     with pytest.raises(DimensionError):
         matrix_from_csv(matrix_to_csv(x22), 2, 2)
+
+
+@pytest.mark.parametrize(
+    "design, od", [(b"0_0,1\n1,0\n", b"0_1,2\n2,1\n"), (b"0,1\n1,0_0\n", b"1,2\n2,0_1\n")], ids=["first", "last"]
+)
+def test_digit_separator_in_a_token_is_format_error(design, od):
+    # int() reads b"0_1" as 1, but a CSV integer is ASCII digits with an optional sign
+    with pytest.raises(FormatError, match="non-integer entry"):
+        sbbd.read_design(design, 1, 2)
+    with pytest.raises(FormatError, match="non-integer symbol"):
+        sbbd.od_from_csv(od)
 
 
 NEST = "[" * 200_000 + "]" * 200_000  # past the recursion limit of json.loads
