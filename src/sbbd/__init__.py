@@ -9,6 +9,9 @@ imports, and `dir(sbbd)` lists every export.  The command line builds on
 this: it calls the library only as `sbbd.<name>`, so `sbbd --help` and
 usage errors never load numpy, and its entry (`sbbd.cli.run`) turns the
 cyclic GC off and freezes its generations for the process's short life.
+Its one deeper import, `design_core._check_indexable`, refuses a `compose
+--perms` size before the layers are listed.  `_decimal` here is the one rule
+for a number typed as text: CLI integers, `--od <q>`, `cyclic:<u>`, `qr<p>`.
 """
 
 from importlib import import_module
@@ -89,6 +92,14 @@ _MODULE_OF = {
 }
 
 __all__ = [*_MODULE_OF]
+
+
+def _decimal(text: str) -> int | None:
+    """int(text) when text is ASCII digits only, with no sign, space or `_`; else None."""
+    try:
+        return int(text) if text.isascii() and text.isdecimal() else None
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        return None
 
 
 def __getattr__(name: str):

@@ -8,14 +8,16 @@ commands run with --json and the mask command also print {"error",
 "condition", "witness", "message"} as JSON on stdout.  All randomness is
 seeded; --seed defaults to 1729 so repeated invocations are byte-identical.
 Every integer flag, and the number in --od <q> or --perms cyclic:<u>, is
-ASCII digits only, as in every input file.
+ASCII digits only (`sbbd._decimal`), with none of the sign or spaces that
+an integer in a CSV input file may carry.
 
-Input files are read as bytes and handed to their parsers unchanged.
-analyze, simulate and mask read a design, including either output of mask,
-through `sbbd.read_design`.  Only its CSV lacks the (v1, v2) split, which
---v1/--v2 give (by default the square split); given with a file that embeds
-v1 and v2, they must match.  A split that does not fit is a usage error; a
-design file its parser rejects is a FormatError that names the file.
+Every input file, --tau included, is read as bytes by `_read` and handed
+to its parser unchanged; a FormatError names the file.  analyze, simulate
+and mask read a design, including either output of mask, through
+`sbbd.read_design`.  Only its CSV lacks the (v1, v2) split, which --v1/--v2
+give (by default the square split); given with a file that embeds v1 and
+v2, they must match.  A split that does not fit is a usage error that
+names the file.
 
 Start-up is paid per subcommand: this module imports only the lazy
 package and reaches the library through `sbbd.<name>`, which loads the
@@ -45,19 +47,19 @@ class UsageError(Exception):
     pass
 
 
-def _read_bytes(path: str) -> bytes:
-    return sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+def _read(path: str, parse, *args):
+    """parse(the bytes of path, or of stdin for -, *args), with path named in its input errors.
 
-
-def _load_design(path: str, v1, v2) -> sbbd.DesignMatrix:
-    data = _read_bytes(path)
-    if not data.lstrip():
-        raise UsageError(f"no design data in {path!r}")
+    A FormatError is raised again as "'<path>': <message>"; the ValueError
+    that read_design raises for a (v1, v2) split becomes that usage error.
+    """
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     try:
-        return sbbd.read_design(data, v1, v2)
+        return parse(data, *args)
+    except sbbd.FormatError as exc:
+        raise sbbd.FormatError(f"{path!r}: {exc}") from None
     except ValueError as exc:  # a split the file cannot take
-        # a message that ends with the kind of file it contradicts is followed by the file's name
-        raise UsageError(f"{exc} {path!r}" if str(exc).endswith(("JSON", "blob")) else exc) from None
+        raise UsageError(f"{path!r}: {exc}") from None
 
 
 def _write_output(data: bytes, out, wrote: str, binary: bool = False) -> None:
@@ -77,7 +79,7 @@ def _write_output(data: bytes, out, wrote: str, binary: bool = False) -> None:
 
 
 def _cmd_design_verify(args) -> int:
-    d = sbbd.design_from_json(_read_bytes(args.file))
+    d = _read(args.file, sbbd.design_from_json)
     k = str(d.k) if d.is_bibd else "variable"
     print(f"v={d.v} b={d.b} r={d.r} lambda={d.lam} k={k}")
     return 0
@@ -90,31 +92,22 @@ def _cmd_od_construct(args) -> int:
 
 
 def _cmd_od_verify(args) -> int:
-    od = sbbd.od_from_csv(_read_bytes(args.file))
+    od = _read(args.file, sbbd.od_from_csv)
     print(f"ordered design verified: eta={od.eta} s={od.s} n={od.n} rows={od.n_rows}")
     return 0
-
-
-def _resolve_block_design(ref: str):
-    if ref.startswith("catalog:"):
-        return sbbd.catalog_by_id(ref.split(":", 1)[1])
-    return sbbd.design_from_json(_read_bytes(ref))
-
-
-def _resolve_od(ref: str):
-    q = _decimal(ref)
-    return sbbd.od_from_csv(_read_bytes(ref)) if q is None else sbbd.construct_od1(q)
 
 
 def _cmd_compose(args) -> int:
     from .design_core import _check_indexable
 
-    d = _resolve_block_design(args.design)
-    od = _resolve_od(args.od)
+    ref = args.design.removeprefix("catalog:")
+    d = _read(ref, sbbd.design_from_json) if ref == args.design else sbbd.catalog_by_id(ref)
+    q = sbbd._decimal(args.od)  # anything else is the path of an ordered-design CSV
+    od = _read(args.od, sbbd.od_from_csv) if q is None else sbbd.construct_od1(q)
     x = sbbd.compose(d, od)
     if args.perms:
         name, _, count = args.perms.partition(":")
-        u = _decimal(count) if name == "cyclic" else None
+        u = sbbd._decimal(count) if name == "cyclic" else None
         if u is None or u < 1:
             raise UsageError("--perms expects cyclic:<u> with u >= 1")
         # refused before the u layers are listed, which alone could take hours
@@ -149,7 +142,7 @@ def _analyze_payload(x: sbbd.DesignMatrix) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    x = _load_design(args.file, args.v1, args.v2)
+    x = _read(args.file, sbbd.read_design, args.v1, args.v2)
     payload = _analyze_payload(x)
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -170,20 +163,12 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _decimal(text: str) -> int | None:
-    """int(text) when text is ASCII digits only, as every input file's integers are; else None."""
-    try:
-        return int(text) if text.isascii() and text.isdecimal() else None
-    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
-        return None
-
-
 def _int_arg(low: int, bits: int = 0):
     """Flag type: ASCII digits for an integer >= low and, when bits is set, below 2**bits."""
     expected = f"in [{low}, 2^{bits})" if bits else f">= {low}"
 
     def parse(text: str) -> int:
-        value = _decimal(text)
+        value = sbbd._decimal(text)
         if value is None or value < low or (bits and value >> bits):
             raise argparse.ArgumentTypeError(f"expected an integer {expected}, got {text!r}")
         return value
@@ -201,9 +186,9 @@ def _sigma_arg(text: str) -> float:
     return sigma
 
 
-def _load_tau(path: str) -> sbbd.EffectVector:
+def _tau_from_json(data: bytes, path: str) -> sbbd.EffectVector:
     try:
-        blob = json.loads(_read_bytes(path))
+        blob = json.loads(data)
     except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON, or undecodable bytes
         raise UsageError(f"--tau {path!r} is not JSON: {exc}") from None
     if not (
@@ -217,8 +202,8 @@ def _load_tau(path: str) -> sbbd.EffectVector:
 
 
 def _cmd_simulate(args) -> int:
-    x = _load_design(args.file, args.v1, args.v2)
-    tau = _load_tau(args.tau) if args.tau else sbbd.random_effects(x.v1, x.v2, seed=args.seed)
+    x = _read(args.file, sbbd.read_design, args.v1, args.v2)
+    tau = _read(args.tau, _tau_from_json, args.tau) if args.tau else sbbd.random_effects(x.v1, x.v2, seed=args.seed)
     report = sbbd.simulate(x, tau, sigma=args.sigma, runs=args.runs, seed=args.seed)
     payload = {
         "runs": report.runs,
@@ -249,7 +234,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mask(args) -> int:
-    x = sbbd.export_masks(_load_design(args.file, args.v1, args.v2))
+    x = sbbd.export_masks(_read(args.file, sbbd.read_design, args.v1, args.v2))
     body = (sbbd.schedule_to_json(x) + "\n").encode() if args.format == "json" else sbbd.schedule_to_bytes(x)
     wrote = f"wrote {x.n_rows} masks of shape {x.v1}x{x.v2} to {args.out}"
     _write_output(body, args.out, wrote, binary=args.format == "bin")
@@ -336,8 +321,6 @@ def main(argv=None) -> int:
         return 2
     except (sbbd.SbbdError, MemoryError) as exc:
         name, message = type(exc).__name__, str(exc)
-        if isinstance(exc, sbbd.FormatError) and getattr(args, "file", None):
-            message = f"{args.file!r}: {message}"  # bad --tau input is a UsageError instead
         if isinstance(exc, MemoryError):  # numpy raises a private subclass
             name, message = "MemoryError", f"the input needs more memory than is available: {exc}"
         print(f"{name}: {message}", file=sys.stderr)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _decimal
 from .design_core import DimensionError, FormatError, SbbdError, Violation, _check_indexable, _is_int, _json_int
 from .ordered_designs import _prime_power
 
@@ -192,10 +193,8 @@ def _difference_set(name: str):
     if name == "pg23":
         return (13, 13, 4, 4, 1), 13, [0, 1, 3, 9]
     digits = "7" if name == "fano" else name.removeprefix("qr")
-    if name == digits or not (digits.isascii() and digits.isdecimal()) or digits[0] == "0":
-        return None
-    p = int(digits)
-    if p < 7 or p % 4 != 3 or _prime_power(p) != (p, 1):
+    p = None if name == digits or digits.startswith("0") else _decimal(digits)
+    if p is None or p < 7 or p % 4 != 3 or _prime_power(p) != (p, 1):
         return None
     k = (p - 1) // 2
     # x and p - x have the same square, so x in 1..k gives every square once:

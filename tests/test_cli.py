@@ -133,6 +133,12 @@ def test_compose_digits_past_the_int_conversion_limit_are_usage_errors(capsys):
         assert (code, out) == (2, "")
 
 
+def test_catalog_id_past_the_int_conversion_limit_is_not_in_catalog(capsys):
+    name = "qr" + "7" * 5000  # int() refuses to convert more than 4300 digits by default
+    code, out, err = run(capsys, "compose", "--design", f"catalog:{name}", "--od", "7")
+    assert (code, out, err) == (1, "", f"NotInCatalog: unknown catalog id {name!r}\n")
+
+
 def test_compose_od_non_ascii_digit_is_read_as_a_path(capsys):
     for od in ("²", "\u0667"):  # ARABIC-INDIC DIGIT SEVEN
         code, _, err = run(capsys, "compose", "--design", "catalog:fano", "--od", od)
@@ -263,7 +269,7 @@ def test_csv_split_that_does_not_fit_is_usage_error(capsys, tmp_path, composed_b
     f = tmp_path / "b4.csv"
     f.write_bytes(sbbd.matrix_to_csv(composed_b4))
     code, out, err = run(capsys, "analyze", str(f), *flags)
-    assert (code, out, err) == (2, "", f"usage error: {message}\n")
+    assert (code, out, err) == (2, "", f"usage error: {str(f)!r}: {message}\n")
 
 
 def _header(n, v1, v2) -> bytes:
@@ -272,14 +278,14 @@ def _header(n, v1, v2) -> bytes:
 
 # input bytes (x22 is the 9-block SBBD(3,3,9)), flags, exit code and stderr, F naming the file
 LOADER_ERRORS = {
-    "empty": (lambda x: b"", [], 2, "usage error: no design data in F"),
-    "blank": (lambda x: b" \r\n\t\n", [], 2, "usage error: no design data in F"),
+    "empty": (lambda x: b"", [], 1, "FormatError: F: empty design matrix CSV"),
+    "blank": (lambda x: b" \r\n\t\n", [], 1, "FormatError: F: empty design matrix CSV"),
     "block-json-v1": (lambda x: sbbd.blocks_to_json(x).encode(), ["--v1", "9"], 2,
-                      "usage error: --v1 9 != 3 in the SB-block JSON F"),
+                      "usage error: F: --v1 9 != 3 in the SB-block JSON"),
     "mask-json-v2": (lambda x: sbbd.schedule_to_json(x).encode(), ["--v2", "1"], 2,
-                     "usage error: --v2 1 != 3 in the mask JSON F"),
+                     "usage error: F: --v2 1 != 3 in the mask JSON"),
     "mask-blob-v1": (sbbd.schedule_to_bytes, ["--v1", "1", "--v2", "9"], 2,
-                     "usage error: --v1 1 != 3 in the mask blob F"),
+                     "usage error: F: --v1 1 != 3 in the mask blob"),
     "mask-json-entry-2": (lambda x: b'{"v1": 1, "v2": 2, "masks": [[[0, 2]]]}', [], 1,
                           "FormatError: F: bad mask JSON: every mask entry must be the integer 0 or 1"),
     "mask-json-entry-true": (lambda x: b'{"v1": 1, "v2": 2, "masks": [[[0, true]]]}', [], 1,
@@ -303,6 +309,44 @@ def test_loader_error_inputs(capsys, tmp_path, x22, case):
     f.write_bytes(build(x22))
     got, out, err = run(capsys, "analyze", str(f), *flags)
     assert (got, out, err.replace(repr(str(f)), "F")) == (code, "", message + "\n")
+
+
+BAD_BLOCK_JSON = (b'{"v": 3}', "bad block-design JSON: 'blocks'")
+BAD_OD_CSV = (b"0,1\n1,x\n", "line 2: non-integer symbol")
+BAD_DESIGN_CSV = (b"1,0,0,1\n0,1,1,x\n", "line 2: non-integer entry")
+# every command that reads a file, F standing for its path; then the file's bytes and the FormatError message
+FILE_DOOR = {
+    "design-verify": (["design", "verify", "F"], *BAD_BLOCK_JSON),
+    "od-verify": (["od", "verify", "F"], *BAD_OD_CSV),
+    "compose-design": (["compose", "--design", "F", "--od", "7"], *BAD_BLOCK_JSON),
+    "compose-od": (["compose", "--design", "catalog:fano", "--od", "F"], *BAD_OD_CSV),
+    "analyze": (["analyze", "F"], *BAD_DESIGN_CSV),
+    "simulate": (["simulate", "F", "--sigma", "1", "--runs", "10"], *BAD_DESIGN_CSV),
+    "mask": (["mask", "F"], *BAD_DESIGN_CSV),
+}
+
+
+@pytest.mark.parametrize("case", FILE_DOOR)
+def test_every_file_input_names_its_file_in_a_format_error(capsys, tmp_path, case):
+    argv, data, message = FILE_DOOR[case]
+    f = tmp_path / "in"
+    f.write_bytes(data)
+    code, out, err = run(capsys, *[str(f) if a == "F" else a for a in argv])
+    named = f"{str(f)!r}: {message}"
+    assert (code, err) == (1, f"FormatError: {named}\n")
+    payload = {"error": "FormatError", "condition": None, "witness": None, "message": named}
+    assert out == (json.dumps(payload) + "\n" if case == "mask" else "")
+
+
+@pytest.mark.parametrize("data", [b"", b" \n", b"\xff", b"[]", b"{", b"1,2\n3", b"x", b'{"v": 3}'])
+@pytest.mark.parametrize("command", [["design", "verify"], ["od", "verify"]])
+def test_malformed_verify_input_exits_one_never_two(capsys, tmp_path, command, data):
+    # only read_design raises the ValueError that the CLI turns into a usage error
+    f = tmp_path / "in"
+    f.write_bytes(data)
+    code, out, err = run(capsys, *command, str(f))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"FormatError: {str(f)!r}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name, od, dims", [("pairs3", "4", ["--v1", "4"]), ("fano", "7", []), ("pg23", "13", [])])

@@ -262,7 +262,11 @@ def test_qr_rule_closed_form(p):
     assert modulus == p and base.tolist() == sorted({x * x % p for x in range(1, p)})
 
 
-@pytest.mark.parametrize("name", ["qr3", "qr9", "qr13", "qr031", "qr", "qr\u0663\u0661", "qr7 ", "7", "nope"])
+@pytest.mark.parametrize(
+    "name",
+    # int() refuses to convert more than 4300 digits by default
+    ["qr3", "qr9", "qr13", "qr031", "qr", "qr\u0663\u0661", "qr7 ", "7", "nope", pytest.param("qr" + "7" * 5000, id="qr-5000-digits")],
+)
 def test_catalog_rejects_ids_outside_the_rule(name):
     with pytest.raises(NotInCatalog, match="unknown catalog id"):
         catalog_by_id(name)
